@@ -17,12 +17,10 @@ from typing import Optional, Sequence
 
 from .errors import FockgaugeError, NonphysicalMomentError, SchemaError
 from .fock import FockVector, boundary_mass
-from .gauges import GaugeReport, full_report
+from .gauges import full_report
 from .moments import ellipse, summarize, summary_from_dict
 from .states import state_from_spec, strong_field_norm_inverse
 from .verify import FIGURE_NAMES, calibrate, figure_rows, sweep, sweep_config_from_dict
-
-VIOLATION_SLACK_TOL = 1e-9
 
 
 def format_number(value: float) -> str:
@@ -105,20 +103,6 @@ def _parse_json_argument(raw: str, what: str) -> dict:
     return data
 
 
-def _violations(report: GaugeReport) -> list[str]:
-    names = []
-    if report.tight.applicable and report.tight.slack < -VIOLATION_SLACK_TOL:
-        names.append("tight_scan")
-    for name, record in report.all_records().items():
-        if name == "squeezing":
-            continue
-        if record.slack < -VIOLATION_SLACK_TOL:
-            names.append(name)
-    if not report.hierarchy_ok:
-        names.append("hierarchy")
-    return names
-
-
 def _cmd_state(args: argparse.Namespace) -> int:
     spec = _parse_json_argument(args.spec, "state spec")
     state = state_from_spec(spec)
@@ -156,7 +140,7 @@ def _cmd_gauge(args: argparse.Namespace) -> int:
         summary = summary_from_dict(_parse_json_argument(args.moments, "moment summary"))
     report = full_report(summary, ellipse(summary))
     _emit(dumps(report.to_dict()), args.out)
-    violated = _violations(report)
+    violated = report.violated_names()
     if violated:
         print(f"physics violation in: {', '.join(violated)}", file=sys.stderr)
         return 1

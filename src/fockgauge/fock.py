@@ -1,16 +1,14 @@
 """Truncated Fock-space state containers and the primitive moment engine.
 
 States live on the span of |0>..|N> for a finite cutoff N.  Pure states are
-stored as amplitude arrays, mixed states as dense density matrices.  Ladder
-operators act exactly on the stored amplitudes, so every moment computed here
-is the exact moment of the stored (finite-support) state; truncation error
-relative to an intended infinite-dimensional state is the constructor's
-responsibility and is tracked through tail masses.
+stored as amplitude arrays, mixed states as dense density matrices.  Every
+moment computed here is the exact moment of the stored (finite-support)
+state; truncation error relative to an intended infinite-dimensional state
+is the constructor's responsibility and is tracked through tail masses.
 """
 
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import dataclass
 from typing import Union
@@ -21,7 +19,6 @@ from .errors import MomentOrderError
 
 DEFAULT_MAX_CUTOFF = 4096
 MAX_MOMENT_ORDER = 4
-ZERO_NORM_TOL = 1e-13
 NORM_TOL = 1e-12
 
 # Extra all-zero amplitudes appended by state constructors.  Keeps the top of
@@ -37,15 +34,9 @@ def max_cutoff() -> int:
 
 @dataclass(frozen=True, eq=False)
 class FockVector:
-    """Pure state c_0|0> + ... + c_N|N> on a truncated Fock space.
-
-    `normalized` distinguishes proper states from intermediate results of
-    ladder applications; zero-norm vectors are legal values (a|0> = 0) and are
-    flagged through `zero_norm`, never raised as errors.
-    """
+    """Normalized pure state c_0|0> + ... + c_N|N> on a truncated Fock space."""
 
     amplitudes: np.ndarray
-    normalized: bool = True
 
     def __post_init__(self) -> None:
         amps = np.array(self.amplitudes, dtype=np.complex128)
@@ -53,7 +44,7 @@ class FockVector:
             raise ValueError("amplitudes must be a non-empty 1-d sequence")
         amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)
-        if self.normalized and abs(self.norm_sq - 1.0) > NORM_TOL:
+        if abs(self.norm_sq - 1.0) > NORM_TOL:
             raise ValueError(f"amplitudes are not normalized: sum p = {self.norm_sq!r}")
 
     @property
@@ -65,22 +56,10 @@ class FockVector:
         return float(np.sum(np.abs(self.amplitudes) ** 2))
 
     @property
-    def zero_norm(self) -> bool:
-        return math.sqrt(self.norm_sq) < ZERO_NORM_TOL
-
-    @property
     def probabilities(self) -> np.ndarray:
         return np.abs(self.amplitudes) ** 2
 
-    def padded(self, extra: int) -> "FockVector":
-        """Same state with `extra` zero amplitudes appended."""
-        if extra <= 0:
-            return self
-        return FockVector(np.pad(self.amplitudes, (0, extra)), normalized=self.normalized)
-
     def to_density(self) -> "DensityMatrix":
-        if not self.normalized:
-            raise ValueError("only normalized vectors convert to a density matrix")
         return DensityMatrix(np.outer(self.amplitudes, self.amplitudes.conj()))
 
 
@@ -119,31 +98,11 @@ class DensityMatrix:
 QuantumState = Union[FockVector, DensityMatrix]
 
 
-def _lowered(amps: np.ndarray) -> np.ndarray:
-    """Amplitudes of a|psi>: c_n |n> -> c_n sqrt(n) |n-1>."""
-    if amps.size <= 1:
-        return np.zeros(1, dtype=np.complex128)
-    return amps[1:] * np.sqrt(np.arange(1, amps.size))
-
-
 def _raised(amps: np.ndarray) -> np.ndarray:
     """Amplitudes of a^dag|psi>: c_n |n> -> c_n sqrt(n+1) |n+1>."""
     out = np.zeros(amps.size + 1, dtype=np.complex128)
     out[1:] = amps * np.sqrt(np.arange(1, amps.size + 1))
     return out
-
-
-def apply_ladder(state: FockVector, kind: str) -> FockVector:
-    """Apply the annihilation ("lower") or creation ("raise") operator.
-
-    The result is not renormalized and is flagged as such; lowering a state
-    supported only on |0> yields the flagged zero vector.
-    """
-    if kind == "lower":
-        return FockVector(_lowered(state.amplitudes), normalized=False)
-    if kind == "raise":
-        return FockVector(_raised(state.amplitudes), normalized=False)
-    raise ValueError(f"unknown ladder kind {kind!r}")
 
 
 def _moment_indices(dim: int, j: int, k: int):
@@ -190,8 +149,6 @@ def normally_ordered_moment(state: QuantumState, j: int, k: int) -> complex:
     if not (0 <= j <= MAX_MOMENT_ORDER and 0 <= k <= MAX_MOMENT_ORDER):
         raise MomentOrderError(f"moment order ({j}, {k}) exceeds the supported maximum {MAX_MOMENT_ORDER}")
     if isinstance(state, FockVector):
-        if not state.normalized:
-            raise ValueError("moments require a normalized state")
         return _pure_moment(state.amplitudes, j, k)
     return _mixed_moment(state.entries, j, k)
 

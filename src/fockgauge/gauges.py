@@ -20,17 +20,20 @@ their commonly printed variants).
 G1 = Var n / B reads exactly 1 on the extremal (intelligent) states; for
 zero-amplitude states the scan is trivial and G2, built from the second-order
 pair covariance, takes over with value 1 exactly on eigenstates of a^2.
+
+Every inequality is defined once, with its tolerance, in `INEQUALITIES`; the
+gauge report, the sweep tallies and the CLI exit code all read that table.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .moments import MomentSummary, NoiseEllipse, ellipse as make_ellipse
+from .moments import FLAG_TOL, MomentSummary, NoiseEllipse, ellipse as make_ellipse
 
 # Pinned by coherent saturation under the x_theta normalization of `moments`;
 # re-derived and audited by verify.calibrate.
@@ -39,7 +42,6 @@ C_LAMBDA_PLUS = 0.5  # from inf over angles of the interpolated semiaxis
 C_TRACE = 0.25  # from summing the theta = 0 canonical pair
 
 SATURATION_TOL = 1e-8
-HIERARCHY_TOL = 1e-10
 AMPLITUDE_FLAG_TOL = 1e-8
 # classification margin: coherent states sit exactly on the boundary and must
 # not flip to "squeezed" through round-off
@@ -56,13 +58,14 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 @dataclass(frozen=True)
 class InequalityRecord:
-    """One inequality lhs >= rhs with its slack and saturation flag."""
+    """One inequality lhs >= rhs with its slack and saturation and violation flags."""
 
     name: str
     lhs: float
     rhs: float
     slack: float
     saturated: bool
+    violated: bool
 
     def to_dict(self) -> dict:
         return {
@@ -73,9 +76,11 @@ class InequalityRecord:
         }
 
 
-def _record(name: str, lhs: float, rhs: float) -> InequalityRecord:
+def _record(name: str, lhs: float, rhs: float, tolerance: float) -> InequalityRecord:
     slack = lhs - rhs
-    return InequalityRecord(name, lhs, rhs, slack, abs(slack) <= SATURATION_TOL)
+    return InequalityRecord(
+        name, lhs, rhs, slack, abs(slack) <= SATURATION_TOL, slack < -tolerance
+    )
 
 
 @dataclass(frozen=True)
@@ -98,6 +103,99 @@ class TightBoundReport:
         }
 
 
+_Side = Callable[[MomentSummary, NoiseEllipse, TightBoundReport], float]
+
+
+class Inequality(NamedTuple):
+    """One registry row: lhs >= rhs, violated when lhs - rhs < -tolerance.
+
+    Both sides read (summary s, ellipse e, tight report t).  Rows that need a
+    nonzero amplitude apply only where the tight scan does.
+    """
+
+    name: str
+    lhs: _Side
+    rhs: _Side
+    tolerance: float
+    needs_amplitude: bool
+
+
+INEQUALITIES = (
+    Inequality("tight_scan", lambda s, e, t: s.var_n, lambda s, e, t: t.bound_scan, 1e-9, True),
+    # relative deviation; lhs -0.0 keeps the slack exactly -deviation, signed zero included
+    Inequality(
+        "closed_form_agreement",
+        lambda s, e, t: -0.0,
+        lambda s, e, t: abs(t.bound_closed - t.bound_scan) / (1.0 + t.bound_scan),
+        1e-9,
+        True,
+    ),
+    # theta = 0 canonical pair: Var n Var x >= <p>^2 / 4 and Var n Var p >= <x>^2 / 4
+    Inequality(
+        "canonical_pair_x",
+        lambda s, e, t: s.var_n * (s.cov_ada + s.var_a.real),
+        lambda s, e, t: (math.sqrt(2.0) * s.mean_a.imag) ** 2 / 4.0,
+        1e-9,
+        False,
+    ),
+    Inequality(
+        "canonical_pair_p",
+        lambda s, e, t: s.var_n * (s.cov_ada - s.var_a.real),
+        lambda s, e, t: (math.sqrt(2.0) * s.mean_a.real) ** 2 / 4.0,
+        1e-9,
+        False,
+    ),
+    Inequality("covariance_floor", lambda s, e, t: s.cov_ada, lambda s, e, t: 0.5, 1e-9, False),
+    Inequality(
+        "uncertainty_area",
+        lambda s, e, t: s.cov_ada**2 - 0.25,
+        lambda s, e, t: abs(s.var_a) ** 2,
+        1e-9,
+        False,
+    ),
+    Inequality(
+        "second_order_floor",
+        lambda s, e, t: s.cov_a2,
+        lambda s, e, t: 2.0 * s.mean_n + 1.0,
+        1e-9,
+        False,
+    ),
+    Inequality(
+        "relaxed_lambda_plus",
+        lambda s, e, t: s.var_n * e.lambda_plus_sq,
+        lambda s, e, t: C_LAMBDA_PLUS * abs(s.mean_a) ** 2,
+        1e-9,
+        False,
+    ),
+    Inequality(
+        "relaxed_trace",
+        lambda s, e, t: s.var_n * s.cov_ada,
+        lambda s, e, t: C_TRACE * abs(s.mean_a) ** 2,
+        1e-9,
+        False,
+    ),
+    # the scanned bound dominates both relaxed floors on Var n
+    Inequality(
+        "hierarchy",
+        lambda s, e, t: t.bound_scan,
+        lambda s, e, t: max(
+            C_LAMBDA_PLUS * abs(s.mean_a) ** 2 / e.lambda_plus_sq,
+            C_TRACE * abs(s.mean_a) ** 2 / s.cov_ada,
+        ),
+        1e-10,
+        True,
+    ),
+    # physicality: Cov(a^dag, a) lies on or above the hyperboloid sqrt(1/4 + |Var a|^2)
+    Inequality(
+        "hyperboloid_surface",
+        lambda s, e, t: s.cov_ada,
+        lambda s, e, t: math.sqrt(0.25 + abs(s.var_a) ** 2),
+        1e-10,
+        False,
+    ),
+)
+
+
 @dataclass(frozen=True)
 class G2Result:
     g2: float
@@ -107,44 +205,58 @@ class G2Result:
 
 @dataclass(frozen=True)
 class GaugeReport:
-    """Every bound, slack and gauge value for one state."""
+    """Every bound, slack and gauge value for one state.
+
+    `records` holds the registry rows that apply to the state, in table
+    order; `squeezing` is a classification record outside the registry.
+    """
 
     tight: TightBoundReport
     g1: Optional[float]
     g2: float
     g2_alt: Optional[float]
     g2_amplitude_warning: bool
-    relaxed_lambda_plus: InequalityRecord
-    relaxed_trace: InequalityRecord
-    canonical_pair: tuple[InequalityRecord, InequalityRecord]
-    constraints: dict[str, InequalityRecord]
+    records: dict[str, InequalityRecord]
+    squeezing: InequalityRecord
     squeezed: bool
-    hierarchy_ok: bool
+
+    @property
+    def constraints(self) -> dict[str, InequalityRecord]:
+        """Second-order moment constraints with the squeezing classification."""
+        return {
+            "covariance_floor": self.records["covariance_floor"],
+            "uncertainty_area": self.records["uncertainty_area"],
+            "squeezing": self.squeezing,
+            "second_order_floor": self.records["second_order_floor"],
+        }
+
+    @property
+    def hierarchy_ok(self) -> bool:
+        """False only when the hierarchy row applies and is violated."""
+        hierarchy = self.records.get("hierarchy")
+        return hierarchy is None or not hierarchy.violated
+
+    def violated_names(self) -> list[str]:
+        return [name for name, record in self.records.items() if record.violated]
 
     def to_dict(self) -> dict:
+        records = self.records
         return {
             "tight": self.tight.to_dict(),
             "g1": self.g1,
             "g2": self.g2,
             "g2_alt": self.g2_alt,
             "g2_amplitude_warning": self.g2_amplitude_warning,
-            "relaxed_lambda_plus": self.relaxed_lambda_plus.to_dict(),
-            "relaxed_trace": self.relaxed_trace.to_dict(),
-            "canonical_pair": [rec.to_dict() for rec in self.canonical_pair],
+            "relaxed_lambda_plus": records["relaxed_lambda_plus"].to_dict(),
+            "relaxed_trace": records["relaxed_trace"].to_dict(),
+            "canonical_pair": [
+                records["canonical_pair_x"].to_dict(),
+                records["canonical_pair_p"].to_dict(),
+            ],
             "constraints": {name: rec.to_dict() for name, rec in self.constraints.items()},
             "squeezed": self.squeezed,
             "hierarchy_ok": self.hierarchy_ok,
         }
-
-    def all_records(self) -> dict[str, InequalityRecord]:
-        out = {
-            "relaxed_lambda_plus": self.relaxed_lambda_plus,
-            "relaxed_trace": self.relaxed_trace,
-            "canonical_pair_x": self.canonical_pair[0],
-            "canonical_pair_p": self.canonical_pair[1],
-        }
-        out.update(self.constraints)
-        return out
 
 
 def _objective(summary: MomentSummary, theta: float) -> float:
@@ -218,58 +330,6 @@ def tight_bound(summary: MomentSummary, ell: NoiseEllipse) -> TightBoundReport:
     )
 
 
-def relaxed_bounds(
-    summary: MomentSummary, ell: NoiseEllipse
-) -> tuple[InequalityRecord, InequalityRecord, tuple[InequalityRecord, InequalityRecord]]:
-    """Orientation-independent relaxations and the theta = 0 canonical pair."""
-    amp_sq = abs(summary.mean_a) ** 2
-    mean_x = math.sqrt(2.0) * summary.mean_a.real
-    mean_p = math.sqrt(2.0) * summary.mean_a.imag
-    var_x = summary.cov_ada + summary.var_a.real
-    var_p = summary.cov_ada - summary.var_a.real
-    lam_plus = _record(
-        "relaxed_lambda_plus", summary.var_n * ell.lambda_plus_sq, C_LAMBDA_PLUS * amp_sq
-    )
-    trace = _record("relaxed_trace", summary.var_n * summary.cov_ada, C_TRACE * amp_sq)
-    pair = (
-        _record("canonical_pair_x", summary.var_n * var_x, mean_p**2 / 4.0),
-        _record("canonical_pair_p", summary.var_n * var_p, mean_x**2 / 4.0),
-    )
-    return lam_plus, trace, pair
-
-
-def moment_constraints(
-    summary: MomentSummary, ell: NoiseEllipse
-) -> tuple[dict[str, InequalityRecord], bool]:
-    """Second-order moment constraints and the squeezing classification.
-
-    Squeezed means the minor quadrature variance lies below the coherent
-    level 1/2 by more than the classification margin.
-    """
-    records = {
-        "covariance_floor": _record("covariance_floor", summary.cov_ada, 0.5),
-        "uncertainty_area": _record(
-            "uncertainty_area", summary.cov_ada**2 - 0.25, abs(summary.var_a) ** 2
-        ),
-        "squeezing": _record("squeezing", ell.lambda_minus_sq, 0.5),
-        "second_order_floor": _record(
-            "second_order_floor", summary.cov_a2, 2.0 * summary.mean_n + 1.0
-        ),
-    }
-    return records, ell.lambda_minus_sq < 0.5 - SQUEEZING_TOL
-
-
-def gauge_g1(summary: MomentSummary, ell: NoiseEllipse) -> Optional[float]:
-    """Var n over the scanned tight bound; >= 1, exactly 1 on extremal states.
-
-    None (not applicable) for zero-amplitude states.
-    """
-    if ell.zero_stick_flag:
-        return None
-    bound, _ = scan_bound(summary)
-    return summary.var_n / bound
-
-
 def gauge_g2(summary: MomentSummary) -> G2Result:
     """Pair-covariance gauge for zero-amplitude states.
 
@@ -290,42 +350,38 @@ def gauge_g2(summary: MomentSummary) -> G2Result:
     return G2Result(g2, alt, abs(summary.mean_a) > AMPLITUDE_FLAG_TOL)
 
 
-def hierarchy_check(
-    summary: MomentSummary, ell: NoiseEllipse, tight: TightBoundReport
-) -> bool:
-    """The scanned bound must dominate both relaxed floors on Var n."""
-    if not tight.applicable:
-        return True
-    amp_sq = abs(summary.mean_a) ** 2
-    floor_lambda = C_LAMBDA_PLUS * amp_sq / ell.lambda_plus_sq
-    floor_trace = C_TRACE * amp_sq / summary.cov_ada
-    if floor_lambda < 0.0:
-        return False
-    return (
-        tight.bound_scan >= floor_lambda - HIERARCHY_TOL
-        and tight.bound_scan >= floor_trace - HIERARCHY_TOL
-    )
+def phase_variance(summary: MomentSummary) -> Optional[float]:
+    """Operational phase variance, the reciprocal of the scanned tight bound.
+
+    Defined so that Var n times this quantity is at least 1 identically;
+    None (not applicable) for zero-amplitude states.
+    """
+    if abs(summary.mean_a) < FLAG_TOL:
+        return None
+    bound, _ = scan_bound(summary)
+    return 1.0 / bound
 
 
 def full_report(summary: MomentSummary, ell: Optional[NoiseEllipse] = None) -> GaugeReport:
-    """Evaluate every bound and gauge for one moment summary."""
+    """Evaluate every registry inequality and both gauges for one moment summary."""
     if ell is None:
         ell = make_ellipse(summary)
     tight = tight_bound(summary, ell)
-    lam_plus, trace, pair = relaxed_bounds(summary, ell)
-    constraints, squeezed = moment_constraints(summary, ell)
-    g1 = summary.var_n / tight.bound_scan if tight.applicable else None
+    records = {
+        row.name: _record(
+            row.name, row.lhs(summary, ell, tight), row.rhs(summary, ell, tight), row.tolerance
+        )
+        for row in INEQUALITIES
+        if tight.applicable or not row.needs_amplitude
+    }
     g2 = gauge_g2(summary)
     return GaugeReport(
         tight=tight,
-        g1=g1,
+        g1=summary.var_n / tight.bound_scan if tight.applicable else None,
         g2=g2.g2,
         g2_alt=g2.g2_alt,
         g2_amplitude_warning=g2.amplitude_warning,
-        relaxed_lambda_plus=lam_plus,
-        relaxed_trace=trace,
-        canonical_pair=pair,
-        constraints=constraints,
-        squeezed=squeezed,
-        hierarchy_ok=hierarchy_check(summary, ell, tight),
+        records=records,
+        squeezing=_record("squeezing", ell.lambda_minus_sq, 0.5, SQUEEZING_TOL),
+        squeezed=ell.lambda_minus_sq < 0.5 - SQUEEZING_TOL,
     )

@@ -16,22 +16,12 @@ import cmath
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Optional
-
-import numpy as np
 
 from .errors import NonphysicalMomentError, SchemaError
-from .fock import (
-    DensityMatrix,
-    FockVector,
-    QuantumState,
-    boundary_mass,
-    normally_ordered_moment,
-)
+from .fock import QuantumState, boundary_mass, normally_ordered_moment
 
 BOUNDARY_MASS_WARN = 1e-10
 FLAG_TOL = 1e-12
-CONSISTENCY_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -102,63 +92,14 @@ def summary_from_dict(data: dict) -> MomentSummary:
     return MomentSummary(**values)
 
 
-def _ladder_matrix(dim: int) -> np.ndarray:
-    a = np.zeros((dim, dim), dtype=np.complex128)
-    a[np.arange(dim - 1), np.arange(1, dim)] = np.sqrt(np.arange(1, dim))
-    return a
-
-
-def _matrix_check(state: QuantumState, summary: "MomentSummary") -> None:
-    # Independent evaluation through dense operator matrices on a space grown
-    # past the state's support, so no boundary clipping can hide an error.
-    dim = state.cutoff + 1 + 5
-    if isinstance(state, FockVector):
-        v = np.pad(state.amplitudes, (0, dim - state.amplitudes.size))
-        rho = np.outer(v, v.conj())
-    else:
-        rho = np.zeros((dim, dim), dtype=np.complex128)
-        rho[: state.entries.shape[0], : state.entries.shape[0]] = state.entries
-    a = _ladder_matrix(dim)
-    ad = a.conj().T
-    nmat = ad @ a
-    a2 = a @ a
-    ad2 = ad @ ad
-
-    def ev(op: np.ndarray) -> complex:
-        return complex(np.trace(rho @ op))
-
-    mean_a = ev(a)
-    mean_a2 = ev(a2)
-    mean_n = ev(nmat).real
-    mean_n2 = ev(nmat @ nmat).real
-    cov_ada = ev((ad @ a + a @ ad) / 2).real - abs(mean_a) ** 2
-    cov_a2 = ev((ad2 @ a2 + a2 @ ad2) / 2).real - abs(mean_a2) ** 2
-    scale = 1.0 + abs(mean_n2)
-    checks = (
-        ("mean_a", abs(mean_a - summary.mean_a)),
-        ("mean_a2", abs(mean_a2 - summary.mean_a2)),
-        ("mean_n", abs(mean_n - summary.mean_n)),
-        ("mean_n2", abs(mean_n2 - summary.mean_n2)),
-        ("cov_ada", abs(cov_ada - summary.cov_ada)),
-        ("cov_a2", abs(cov_a2 - summary.cov_a2)),
-    )
-    for name, err in checks:
-        if err > CONSISTENCY_TOL * scale:
-            raise AssertionError(f"moment cross-check failed for {name}: deviation {err:.3e}")
-
-
-def summarize(state: QuantumState, check: bool = False) -> MomentSummary:
-    """Reduce a state to its full first/second-order moment summary.
-
-    With check=True every derived field is re-evaluated through dense
-    operator matrices and asserted to agree (verification mode).
-    """
+def summarize(state: QuantumState) -> MomentSummary:
+    """Reduce a state to its full first/second-order moment summary."""
     mean_a = normally_ordered_moment(state, 0, 1)
     mean_a2 = normally_ordered_moment(state, 0, 2)
     mean_n = normally_ordered_moment(state, 1, 1).real
     mean_a2da2 = normally_ordered_moment(state, 2, 2).real
     mean_n2 = mean_a2da2 + mean_n
-    summary = MomentSummary(
+    return MomentSummary(
         mean_a=mean_a,
         mean_a2=mean_a2,
         mean_n=mean_n,
@@ -170,9 +111,6 @@ def summarize(state: QuantumState, check: bool = False) -> MomentSummary:
         cov_a2=mean_a2da2 + 2.0 * mean_n + 1.0 - abs(mean_a2) ** 2,
         truncation_warning=boundary_mass(state) > BOUNDARY_MASS_WARN,
     )
-    if check:
-        _matrix_check(state, summary)
-    return summary
 
 
 @dataclass(frozen=True)
@@ -258,16 +196,3 @@ def lambda_sq(ell: NoiseEllipse, angle: float) -> float:
     s, c = math.sin(angle), math.cos(angle)
     return ell.lambda_plus_sq * s * s + ell.lambda_minus_sq * c * c
 
-
-def phase_variance(summary: MomentSummary) -> Optional[float]:
-    """Operational phase variance, the reciprocal of the scanned tight bound.
-
-    Defined so that Var n times this quantity is at least 1 identically;
-    None (not applicable) for zero-amplitude states.
-    """
-    if abs(summary.mean_a) < FLAG_TOL:
-        return None
-    from . import gauges
-
-    bound, _ = gauges.scan_bound(summary)
-    return 1.0 / bound

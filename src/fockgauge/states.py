@@ -34,7 +34,6 @@ DEFAULT_EPS_TAIL = 1e-14
 EPS_TAIL_CEILING = 1e-6
 MAX_ADDED_PHOTONS = 16
 MAX_RANDOM_CUTOFF = 256
-MAX_LAGUERRE_DEGREE = 4096
 
 Seed = Union[int, tuple, list]
 
@@ -273,24 +272,6 @@ def random_state(cutoff: int, kind: str, rank: int = 1, seed: Seed = 0) -> Quant
         padded[:dim, :dim] = rho
         return DensityMatrix(padded)
     raise ValueError(f"unknown random state kind {kind!r}")
-
-
-def laguerre(n: int, a: float, x: float) -> float:
-    """Generalized Laguerre polynomial L_n^{(a)}(x) by the three-term recurrence in n.
-
-    Exact at the base cases L_0 = 1 and L_1 = 1 + a - x; the upper index may
-    be any integer, including negative values.
-    """
-    if n < 0:
-        raise ValueError("degree must be non-negative")
-    if n > MAX_LAGUERRE_DEGREE:
-        raise ValueError(f"degree {n} exceeds the supported maximum {MAX_LAGUERRE_DEGREE}")
-    if n == 0:
-        return 1.0
-    prev, cur = 1.0, 1.0 + a - x
-    for k in range(1, n):
-        prev, cur = cur, ((2 * k + 1 + a - x) * cur - (k + a) * prev) / (k + 1)
-    return cur
 
 
 # ---------------------------------------------------------------------------

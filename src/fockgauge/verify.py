@@ -3,37 +3,24 @@
 The sweep is the package's own adversary: seeded random pure and mixed states
 are pushed through the full moment/ellipse/gauge pipeline and every inequality
 is tallied for violations.  A passing sweep means zero violations at the
-configured slack tolerances.  Runs are deterministic: per-state seeds derive
-from (seed, index), and serialized reports are byte-stable.
+tolerances of the registry `gauges.INEQUALITIES`.  Runs are deterministic:
+per-state seeds derive from (seed, index), and serialized reports are
+byte-stable.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .errors import CalibrationError, SchemaError
-from .gauges import C_LAMBDA_PLUS, C_TRACE, full_report, tight_bound
+from .gauges import C_LAMBDA_PLUS, C_TRACE, INEQUALITIES, full_report, tight_bound
 from .moments import ellipse, summarize
 from .states import approx_strong_field, coherent, random_state
-
-DEFAULT_TOLERANCES = {
-    "tight_scan": 1e-9,
-    "closed_form_agreement": 1e-9,  # relative: |closed - scan| / (1 + scan)
-    "canonical_pair_x": 1e-9,
-    "canonical_pair_p": 1e-9,
-    "covariance_floor": 1e-9,
-    "uncertainty_area": 1e-9,
-    "second_order_floor": 1e-9,
-    "relaxed_lambda_plus": 1e-9,
-    "relaxed_trace": 1e-9,
-    "hierarchy": 1e-10,
-    "hyperboloid_surface": 1e-10,
-}
 
 CALIBRATION_ANCHORS = (0.5 + 0.0j, 1.0 + 0.0j, 2.0 + 0.0j, 1.0 + 2.0j)
 ANCHOR_AGREEMENT_TOL = 1e-8
@@ -49,26 +36,19 @@ class SweepConfig:
     cutoff: int
     rank: int = 1
     seed: int = 0
-    tolerances: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.n_pure < 0 or self.n_mixed < 0:
             raise ValueError("state counts must be non-negative")
         if not 0 <= self.cutoff <= 256:
             raise ValueError("sweep cutoff must lie in [0, 256]")
-        unknown = set(self.tolerances) - set(DEFAULT_TOLERANCES)
-        if unknown:
-            raise ValueError(f"unknown tolerance keys: {', '.join(sorted(unknown))}")
-
-    def tolerance(self, name: str) -> float:
-        return self.tolerances.get(name, DEFAULT_TOLERANCES[name])
 
 
 def sweep_config_from_dict(data: dict) -> SweepConfig:
     """Parse a sweep configuration JSON object."""
     if not isinstance(data, dict):
         raise SchemaError("sweep config must be a JSON object")
-    allowed = {"n_pure", "n_mixed", "cutoff", "rank", "seed", "tolerances"}
+    allowed = {"n_pure", "n_mixed", "cutoff", "rank", "seed"}
     extra = set(data) - allowed
     if extra:
         raise SchemaError(f"unknown sweep config fields: {', '.join(sorted(extra))}")
@@ -78,9 +58,6 @@ def sweep_config_from_dict(data: dict) -> SweepConfig:
     for name in ("n_pure", "n_mixed", "cutoff", "rank", "seed"):
         if name in data and (isinstance(data[name], bool) or not isinstance(data[name], int)):
             raise SchemaError(f'field "{name}" must be an integer')
-    tolerances = data.get("tolerances", {})
-    if not isinstance(tolerances, dict):
-        raise SchemaError('field "tolerances" must be an object')
     try:
         return SweepConfig(
             n_pure=data["n_pure"],
@@ -88,7 +65,6 @@ def sweep_config_from_dict(data: dict) -> SweepConfig:
             cutoff=data["cutoff"],
             rank=data.get("rank", 1),
             seed=data.get("seed", 0),
-            tolerances=dict(tolerances),
         )
     except ValueError as exc:
         raise SchemaError(str(exc)) from exc
@@ -103,9 +79,9 @@ class _Tally:
         self.worst_slack = math.inf
         self.worst_seed_index: Optional[int] = None
 
-    def update(self, slack: float, index: int, tolerance: float) -> None:
+    def update(self, slack: float, index: int, violated: bool) -> None:
         self.checked += 1
-        if slack < -tolerance:
+        if violated:
             self.violations += 1
         # ties broken by lowest index: strict < keeps the earliest
         if slack < self.worst_slack:
@@ -162,7 +138,7 @@ def _sweep_states(config: SweepConfig):
 def sweep(config: SweepConfig) -> SweepReport:
     """Run the seeded ensemble through every inequality and tally violations."""
     start = time.perf_counter()
-    tallies = {name: _Tally() for name in DEFAULT_TOLERANCES}
+    tallies = {row.name: _Tally() for row in INEQUALITIES}
     skipped = 0
     min_trace_ratio = math.inf
     for index, state in _sweep_states(config):
@@ -170,34 +146,12 @@ def sweep(config: SweepConfig) -> SweepReport:
         if summary.truncation_warning:
             skipped += 1
             continue
-        ell = ellipse(summary)
-        report = full_report(summary, ell)
-        tight = report.tight
-        amp_sq = abs(summary.mean_a) ** 2
-        if tight.applicable:
-            tallies["tight_scan"].update(tight.slack, index, config.tolerance("tight_scan"))
-            deviation = abs(tight.bound_closed - tight.bound_scan) / (1.0 + tight.bound_scan)
-            tallies["closed_form_agreement"].update(
-                -deviation, index, config.tolerance("closed_form_agreement")
-            )
-            floor_lambda = C_LAMBDA_PLUS * amp_sq / ell.lambda_plus_sq
-            floor_trace = C_TRACE * amp_sq / summary.cov_ada
-            hierarchy_slack = min(
-                tight.bound_scan - floor_lambda, tight.bound_scan - floor_trace
-            )
-            tallies["hierarchy"].update(hierarchy_slack, index, config.tolerance("hierarchy"))
-            if summary.var_n > 0.0 and amp_sq > 0.0:
-                min_trace_ratio = min(
-                    min_trace_ratio, summary.var_n * summary.cov_ada / (C_TRACE * amp_sq)
-                )
-        for name, record in report.all_records().items():
-            if name == "squeezing":
-                continue  # classification, not an inequality
-            tallies[name].update(record.slack, index, config.tolerance(name))
-        hyper_slack = summary.cov_ada - math.sqrt(0.25 + abs(summary.var_a) ** 2)
-        tallies["hyperboloid_surface"].update(
-            hyper_slack, index, config.tolerance("hyperboloid_surface")
-        )
+        report = full_report(summary, ellipse(summary))
+        for name, record in report.records.items():
+            tallies[name].update(record.slack, index, record.violated)
+        if report.tight.applicable and summary.var_n > 0.0:
+            trace = report.records["relaxed_trace"]
+            min_trace_ratio = min(min_trace_ratio, trace.lhs / trace.rhs)
     return SweepReport(
         tallies=tallies,
         skipped=skipped,

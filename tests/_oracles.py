@@ -9,8 +9,6 @@ import math
 
 import numpy as np
 
-from fockgauge import apply_ladder
-
 
 def poisson_tail(lam: float, m: int, terms: int = 200) -> float:
     """Sum of e^-lam lam^n / n! for n >= m by direct summation."""
@@ -44,15 +42,29 @@ def padded(amps: np.ndarray, size: int) -> np.ndarray:
     return np.pad(amps, (0, size - amps.size))
 
 
+def lowered(amps: np.ndarray) -> np.ndarray:
+    """Amplitudes of a|psi>, c_n |n> -> c_n sqrt(n) |n-1>, one index at a time."""
+    out = np.zeros(max(amps.size - 1, 1), dtype=complex)
+    for n in range(1, amps.size):
+        out[n - 1] = amps[n] * math.sqrt(n)
+    return out
+
+
+def raised(amps: np.ndarray) -> np.ndarray:
+    """Amplitudes of a^dag|psi>, c_n |n> -> c_n sqrt(n+1) |n+1>, one index at a time."""
+    out = np.zeros(amps.size + 1, dtype=complex)
+    for n in range(amps.size):
+        out[n + 1] = amps[n] * math.sqrt(n + 1)
+    return out
+
+
 def quadrature_apply(state, theta: float) -> np.ndarray:
     """Amplitudes of x_theta |psi> built from ladder applications only."""
-    lowered = apply_ladder(state, "lower").amplitudes
-    raised = apply_ladder(state, "raise").amplitudes
-    size = raised.size
-    out = (
-        np.exp(1j * theta) * padded(lowered, size) + np.exp(-1j * theta) * raised
+    up = raised(state.amplitudes)
+    size = up.size
+    return (
+        np.exp(1j * theta) * padded(lowered(state.amplitudes), size) + np.exp(-1j * theta) * up
     ) / math.sqrt(2.0)
-    return out
 
 
 def quadrature_var_direct(state, theta: float) -> float:
@@ -91,7 +103,7 @@ def crescent_eigen_residual(state, alpha: complex) -> tuple[float, complex]:
 
 def square_annihilate_residual(state, eigenvalue: complex) -> float:
     """Norm of (a^2 - eigenvalue) |psi> via two ladder applications."""
-    twice = apply_ladder(apply_ladder(state, "lower"), "lower").amplitudes
+    twice = lowered(lowered(state.amplitudes))
     size = max(twice.size, state.amplitudes.size)
     return float(
         np.linalg.norm(padded(twice, size) - eigenvalue * padded(state.amplitudes, size))
@@ -100,10 +112,22 @@ def square_annihilate_residual(state, eigenvalue: complex) -> float:
 
 def dense_moment(state, j: int, k: int) -> complex:
     """<a^dag^j a^k> through dense matrices on an enlarged space."""
-    dim = state.cutoff + 1 + j + k + 1
+    return dense_expectation(state, "d" * j + "a" * k)
+
+
+def dense_expectation(state, word: str) -> complex:
+    """Expectation of an operator word over "a" and "d" (a^dag), read left to
+    right as a matrix product, through dense matrices on an enlarged space.
+
+    For example "dada" is <n^2> and "ad" is <a a^dag>.
+    """
+    dim = state.cutoff + 1 + len(word) + 1
     a = np.zeros((dim, dim), dtype=complex)
     a[np.arange(dim - 1), np.arange(1, dim)] = np.sqrt(np.arange(1, dim))
-    op = np.linalg.matrix_power(a.conj().T, j) @ np.linalg.matrix_power(a, k)
+    letters = {"a": a, "d": a.conj().T}
+    op = np.eye(dim, dtype=complex)
+    for letter in word:
+        op = op @ letters[letter]
     if hasattr(state, "amplitudes"):
         v = padded(state.amplitudes, dim)
         return complex(np.vdot(v, op @ v))

@@ -16,7 +16,6 @@ from fockgauge import (
     figure_rows,
     fock,
     full_report,
-    moment_constraints,
     photon_added,
     summarize,
     sweep,
@@ -177,7 +176,7 @@ def test_criterion_07_squeezed_area_saturation():
         s = summarize(squeezed_coherent(0.0, r))
         e = ellipse(s)
         worst = max(worst, abs(abs(s.var_a) ** 2 - (s.cov_ada**2 - 0.25)))
-        _, squeezed = moment_constraints(s, e)
+        squeezed = full_report(s, e).squeezed
         all_squeezed = all_squeezed and squeezed and e.lambda_minus_sq < 0.5
     _report(
         7,

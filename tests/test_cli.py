@@ -93,10 +93,36 @@ def test_gauge_rejects_nonphysical_moment_table(capsys):
     assert "violation" in captured.err
 
 
+def test_gauge_applies_every_registry_row(capsys):
+    # zero amplitude, Var a = 0 and Cov(a^dag, a) just below 1/2: every field
+    # is consistent, and only the hyperboloid row (tolerance 1e-10) catches it
+    cov_ada = 0.5 - 5e-10
+    mean_n = cov_ada - 0.5
+    mean_a2da2 = mean_n**2 - mean_n  # Var n = 0
+    table = {
+        "mean_a": {"re": 0.0, "im": 0.0},
+        "mean_a2": {"re": 0.0, "im": 0.0},
+        "mean_n": mean_n,
+        "mean_n2": mean_a2da2 + mean_n,
+        "mean_a2da2": mean_a2da2,
+        "var_n": 0.0,
+        "var_a": {"re": 0.0, "im": 0.0},
+        "cov_ada": cov_ada,
+        "cov_a2": mean_a2da2 + 2.0 * mean_n + 1.0,
+        "truncation_warning": False,
+    }
+    code = run(["gauge", "--moments", json.dumps(table)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.strip() == "physics violation in: hyperboloid_surface"
+    assert json.loads(captured.out)["hierarchy_ok"] is True
+
+
 def test_schema_error_exit_code(capsys):
     assert run(["gauge", "--spec", '{"kind":"coherent"}']) == 2
     assert run(["moments", "--spec", "{not json"]) == 2
     assert run(["sweep", "--config", '{"n_pure":1}']) == 2
+    assert run(["sweep", "--config", '{"n_pure":1,"n_mixed":0,"cutoff":4,"tolerances":{}}']) == 2
     capsys.readouterr()
 
 

