@@ -19,8 +19,11 @@ from .errors import FockgaugeError, NonphysicalMomentError, SchemaError
 from .fock import FockVector, boundary_mass
 from .gauges import full_report
 from .moments import ellipse, summarize, summary_from_dict
+from .schema import complex_number
 from .states import state_from_spec, strong_field_norm_inverse
-from .verify import FIGURE_NAMES, calibrate, figure_rows, sweep, sweep_config_from_dict
+from .verify import (
+    FIGURE_NAMES, calibrate, check_resolution, figure_rows, sweep, sweep_config_from_dict
+)
 
 
 def format_number(value: float) -> str:
@@ -86,7 +89,7 @@ def _emit(text: str, out: Optional[str]) -> None:
             handle.write(text if text.endswith("\n") else text + "\n")
 
 
-def _parse_json_argument(raw: str, what: str) -> dict:
+def _parse_json_argument(raw: str, what: str) -> object:
     text = raw
     if raw.startswith("@"):
         try:
@@ -98,8 +101,6 @@ def _parse_json_argument(raw: str, what: str) -> dict:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{what} is not valid JSON (line {exc.lineno}, column {exc.colno})") from exc
-    if not isinstance(data, dict):
-        raise SchemaError(f"{what} must be a JSON object")
     return data
 
 
@@ -112,9 +113,9 @@ def _cmd_state(args: argparse.Namespace) -> int:
         "boundary_mass": boundary_mass(state),
     }
     if spec["kind"] == "approx_strong_field":
-        alpha = complex(spec["alpha"]["re"], spec["alpha"]["im"])
-        gamma = complex(spec["gamma"]["re"], spec["gamma"]["im"])
-        meta["analytic_norm_inverse"] = strong_field_norm_inverse(alpha, gamma)
+        meta["analytic_norm_inverse"] = strong_field_norm_inverse(
+            complex_number(spec, "alpha"), complex_number(spec, "gamma")
+        )
     if args.dump_amplitudes:
         if isinstance(state, FockVector):
             meta["amplitudes"] = [
@@ -169,6 +170,16 @@ def _cmd_figure(args: argparse.Namespace) -> int:
     return 0
 
 
+def _resolution(text: str) -> int:
+    """argparse type of --resolution, so an out-of-range value is a usage error."""
+    try:
+        value = int(text)
+        check_resolution(value)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fockgauge",
@@ -205,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_fig = sub.add_parser("figure", help="emit figure datasets as CSV")
     p_fig.add_argument("--which", required=True, choices=FIGURE_NAMES)
-    p_fig.add_argument("--resolution", type=int, default=64)
+    p_fig.add_argument("--resolution", type=_resolution, default=64)
     p_fig.add_argument("--out", default=None)
     p_fig.set_defaults(func=_cmd_figure)
     return parser

@@ -26,4 +26,4 @@ class CalibrationError(FockgaugeError):
 
 
 class SchemaError(FockgaugeError):
-    """Input JSON does not match the published schema."""
+    """Input JSON or a setting such as FOCKGAUGE_MAX_CUTOFF does not match its documented form."""

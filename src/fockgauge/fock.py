@@ -15,7 +15,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import MomentOrderError
+from .errors import MomentOrderError, SchemaError
 
 DEFAULT_MAX_CUTOFF = 4096
 MAX_MOMENT_ORDER = 4
@@ -29,7 +29,10 @@ BOUNDARY_PAD = 4
 
 def max_cutoff() -> int:
     """Cutoff ceiling for state constructors (env FOCKGAUGE_MAX_CUTOFF overrides)."""
-    return int(os.environ.get("FOCKGAUGE_MAX_CUTOFF", DEFAULT_MAX_CUTOFF))
+    raw = os.environ.get("FOCKGAUGE_MAX_CUTOFF", str(DEFAULT_MAX_CUTOFF))
+    if not raw.strip().isdecimal() or int(raw) < 1:
+        raise SchemaError(f"FOCKGAUGE_MAX_CUTOFF must be a positive integer, got {raw!r}")
+    return int(raw)
 
 
 @dataclass(frozen=True, eq=False)

@@ -15,7 +15,7 @@ ray; tests enforce this cross-validation.
 from __future__ import annotations
 
 import math
-import numbers
+import operator
 from typing import Union
 
 import numpy as np
@@ -29,6 +29,7 @@ from .fock import (
     _raised,
     max_cutoff,
 )
+from .schema import check_fields, complex_number, integer, real
 
 DEFAULT_EPS_TAIL = 1e-14
 EPS_TAIL_CEILING = 1e-6
@@ -55,7 +56,8 @@ def _coherent_amps(alpha: complex, eps_tail: float) -> np.ndarray:
 
     The cutoff is grown until a geometric bound on the neglected Poisson tail
     drops below eps_tail; this stays reliable long after 1 - cumsum would
-    drown in round-off.
+    drown in round-off.  The running amplitudes are rescaled by powers of two
+    on the way up, so only the cutoff ceiling limits |alpha|.
     """
     alpha = complex(alpha)
     lam = abs(alpha) ** 2
@@ -69,6 +71,10 @@ def _coherent_amps(alpha: complex, eps_tail: float) -> np.ndarray:
         amps.append(amps[-1] * alpha / math.sqrt(n + 1))
         n += 1
         cum += abs(amps[-1]) ** 2
+        if cum > 2.0**1000:
+            # exact in binary, and never reached below |alpha|^2 of about 693
+            amps = [c * 2.0**-500 for c in amps]
+            cum *= 2.0**-1000
         if n + 2 > lam:
             p_next = abs(amps[-1]) ** 2 * lam / (n + 1)
             if p_next / (1.0 - lam / (n + 2)) < eps_tail * cum:
@@ -278,86 +284,37 @@ def random_state(cutoff: int, kind: str, rank: int = 1, seed: Seed = 0) -> Quant
 # StateSpec JSON schema
 # ---------------------------------------------------------------------------
 
-_SPEC_FIELDS = {
-    "coherent": ({"alpha"}, {"eps_tail"}),
-    "fock": ({"n"}, set()),
-    "squeezed_coherent": ({"alpha", "r", "phi_s"}, {"eps_tail"}),
-    "crescent": ({"alpha", "M"}, {"method", "eps_tail"}),
-    "photon_added": ({"alpha", "M"}, {"eps_tail"}),
-    "approx_strong_field": ({"alpha", "gamma"}, {"eps_tail"}),
-    "cat": ({"alpha", "beta"}, {"eps_tail"}),
-    "random_pure": ({"cutoff", "seed"}, set()),
-    "random_mixed": ({"cutoff", "rank", "seed"}, set()),
+# JSON reader of every spec field; `crescent` itself rejects an unknown method
+_FIELDS = {"alpha": complex_number, "gamma": complex_number, "method": operator.getitem}
+_FIELDS.update(dict.fromkeys(("r", "phi_s", "beta", "eps_tail"), real))
+_FIELDS.update(dict.fromkeys(("n", "M", "cutoff", "rank", "seed"), integer))
+
+# kind: (required fields, optional fields, builder).  An omitted optional field
+# takes the constructor's default; the builders look constructors up at call
+# time, so a replaced module global is seen.
+_KINDS = {
+    "coherent": (("alpha",), ("eps_tail",), lambda **f: coherent(**f)),
+    "fock": (("n",), (), lambda **f: fock(**f)),
+    "squeezed_coherent": (("alpha", "r", "phi_s"), ("eps_tail",), lambda **f: squeezed_coherent(**f)),
+    "crescent": (("alpha", "M"), ("method", "eps_tail"), lambda M, **f: crescent(added=M, **f)),
+    "photon_added": (("alpha", "M"), ("eps_tail",), lambda M, **f: photon_added(added=M, **f)),
+    "approx_strong_field": (("alpha", "gamma"), ("eps_tail",), lambda **f: approx_strong_field(**f)),
+    "cat": (("alpha", "beta"), ("eps_tail",), lambda **f: cat(**f)),
+    "random_pure": (("cutoff", "seed"), (), lambda **f: random_state(kind="pure", **f)),
+    "random_mixed": (("cutoff", "rank", "seed"), (), lambda **f: random_state(kind="mixed", **f)),
 }
-
-
-def _spec_complex(spec: dict, field: str) -> complex:
-    value = spec[field]
-    if not isinstance(value, dict) or set(value) != {"re", "im"}:
-        raise SchemaError(f'field "{field}" must be an object {{"re": x, "im": y}}')
-    re, im = value["re"], value["im"]
-    if not isinstance(re, numbers.Real) or not isinstance(im, numbers.Real):
-        raise SchemaError(f'field "{field}" components must be numbers')
-    return complex(re, im)
-
-
-def _spec_real(spec: dict, field: str) -> float:
-    value = spec[field]
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise SchemaError(f'field "{field}" must be a number')
-    return float(value)
-
-
-def _spec_int(spec: dict, field: str) -> int:
-    value = spec[field]
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise SchemaError(f'field "{field}" must be an integer')
-    return int(value)
 
 
 def state_from_spec(spec: dict) -> QuantumState:
     """Build a state from its JSON description; kind-irrelevant fields are rejected."""
-    if not isinstance(spec, dict):
-        raise SchemaError("state spec must be a JSON object")
-    kind = spec.get("kind")
-    if kind not in _SPEC_FIELDS:
-        known = ", ".join(sorted(_SPEC_FIELDS))
-        raise SchemaError(f'field "kind" must be one of: {known}')
-    required, optional = _SPEC_FIELDS[kind]
-    present = set(spec) - {"kind"}
-    missing = required - present
-    if missing:
-        raise SchemaError(f'kind "{kind}" is missing fields: {", ".join(sorted(missing))}')
-    extra = present - required - optional
-    if extra:
-        raise SchemaError(f'fields not allowed for kind "{kind}": {", ".join(sorted(extra))}')
-    eps = _spec_real(spec, "eps_tail") if "eps_tail" in spec else DEFAULT_EPS_TAIL
+    check_fields(spec, "state spec", ("kind",), _FIELDS)
+    kind = spec["kind"]
+    if not isinstance(kind, str) or kind not in _KINDS:
+        raise SchemaError(f'field "kind" must be one of: {", ".join(sorted(_KINDS))}')
+    required, optional, build = _KINDS[kind]
+    check_fields(spec, f'"{kind}" spec', ("kind", *required), optional)
+    fields = {name: _FIELDS[name](spec, name) for name in spec if name != "kind"}
     try:
-        if kind == "coherent":
-            return coherent(_spec_complex(spec, "alpha"), eps)
-        if kind == "fock":
-            return fock(_spec_int(spec, "n"))
-        if kind == "squeezed_coherent":
-            return squeezed_coherent(
-                _spec_complex(spec, "alpha"), _spec_real(spec, "r"), _spec_real(spec, "phi_s"), eps
-            )
-        if kind == "crescent":
-            method = spec.get("method", "operator")
-            if method not in ("operator", "laguerre"):
-                raise SchemaError('field "method" must be "operator" or "laguerre"')
-            return crescent(_spec_complex(spec, "alpha"), _spec_int(spec, "M"), method, eps)
-        if kind == "photon_added":
-            return photon_added(_spec_complex(spec, "alpha"), _spec_int(spec, "M"), eps)
-        if kind == "approx_strong_field":
-            return approx_strong_field(
-                _spec_complex(spec, "alpha"), _spec_complex(spec, "gamma"), eps
-            )
-        if kind == "cat":
-            return cat(_spec_complex(spec, "alpha"), _spec_real(spec, "beta"), eps)
-        if kind == "random_pure":
-            return random_state(_spec_int(spec, "cutoff"), "pure", seed=_spec_int(spec, "seed"))
-        return random_state(
-            _spec_int(spec, "cutoff"), "mixed", _spec_int(spec, "rank"), _spec_int(spec, "seed")
-        )
+        return build(**fields)
     except ValueError as exc:
         raise SchemaError(f'invalid parameters for kind "{kind}": {exc}') from exc

@@ -20,6 +20,7 @@ import numpy as np
 from .errors import CalibrationError, SchemaError
 from .gauges import C_LAMBDA_PLUS, C_TRACE, INEQUALITIES, full_report, tight_bound
 from .moments import ellipse, summarize
+from .schema import check_fields, integer
 from .states import approx_strong_field, coherent, random_state
 
 CALIBRATION_ANCHORS = (0.5 + 0.0j, 1.0 + 0.0j, 2.0 + 0.0j, 1.0 + 2.0j)
@@ -46,26 +47,9 @@ class SweepConfig:
 
 def sweep_config_from_dict(data: dict) -> SweepConfig:
     """Parse a sweep configuration JSON object."""
-    if not isinstance(data, dict):
-        raise SchemaError("sweep config must be a JSON object")
-    allowed = {"n_pure", "n_mixed", "cutoff", "rank", "seed"}
-    extra = set(data) - allowed
-    if extra:
-        raise SchemaError(f"unknown sweep config fields: {', '.join(sorted(extra))}")
-    missing = {"n_pure", "n_mixed", "cutoff"} - set(data)
-    if missing:
-        raise SchemaError(f"sweep config is missing fields: {', '.join(sorted(missing))}")
-    for name in ("n_pure", "n_mixed", "cutoff", "rank", "seed"):
-        if name in data and (isinstance(data[name], bool) or not isinstance(data[name], int)):
-            raise SchemaError(f'field "{name}" must be an integer')
+    check_fields(data, "sweep config", ("n_pure", "n_mixed", "cutoff"), ("rank", "seed"))
     try:
-        return SweepConfig(
-            n_pure=data["n_pure"],
-            n_mixed=data["n_mixed"],
-            cutoff=data["cutoff"],
-            rank=data.get("rank", 1),
-            seed=data.get("seed", 0),
-        )
+        return SweepConfig(**{name: integer(data, name) for name in data})
     except ValueError as exc:
         raise SchemaError(str(exc)) from exc
 
@@ -231,7 +215,7 @@ def calibrate() -> CalibrationReport:
     )
 
 
-def _check_resolution(resolution: int) -> None:
+def check_resolution(resolution: int) -> None:
     if not MIN_RESOLUTION <= resolution <= MAX_RESOLUTION:
         raise ValueError(
             f"resolution must lie in [{MIN_RESOLUTION}, {MAX_RESOLUTION}], got {resolution}"
@@ -247,7 +231,7 @@ def figure_rows(which: str, resolution: int) -> tuple[list[str], list[tuple]]:
     superposition at alpha = 3 over an admixture grid, against the trace
     floor; the relative gap is reported, never asserted against.
     """
-    _check_resolution(resolution)
+    check_resolution(resolution)
     if which == "fig2":
         header = ["var_a_abs", "cov_ada", "bound_lambda_plus", "bound_trace"]
         rows = []

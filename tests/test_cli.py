@@ -1,12 +1,29 @@
 import json
 
+from fockgauge import fock, summarize
 from fockgauge.cli import dumps, format_number, run
+
+
+def _reject_constant(token):
+    raise ValueError(f"stdout carries the non-JSON token {token}")
+
+
+def _strict(text):
+    """Parse CLI stdout as strict JSON: NaN and Infinity are refused."""
+    return json.loads(text, parse_constant=_reject_constant)
 
 
 def _run_json(capsys, argv):
     code = run(argv)
     out = capsys.readouterr().out
-    return code, json.loads(out)
+    return code, _strict(out)
+
+
+def _vacuum_table(field, literal):
+    """The vacuum's moment table as JSON text, with `field` set to the JSON `literal`."""
+    table = summarize(fock(0)).to_dict()
+    table[field] = "@"
+    return json.dumps(table).replace('"@"', literal)
 
 
 def test_gauge_on_coherent_spec(capsys):
@@ -80,17 +97,26 @@ def test_gauge_moments_roundtrip(capsys):
     assert code == 0
     via_moments = capsys.readouterr().out
     assert via_moments == direct
+    _strict(moments_json)
+    _strict(direct)
 
 
 def test_gauge_rejects_nonphysical_moment_table(capsys):
     code = run(["moments", "--spec", '{"kind":"fock","n":0}'])
     assert code == 0
-    table = json.loads(capsys.readouterr().out)
+    table = _strict(capsys.readouterr().out)
     table["cov_ada"] = 0.2
     code = run(["gauge", "--moments", json.dumps(table)])
     captured = capsys.readouterr()
     assert code == 1
     assert "violation" in captured.err
+    # <n> = -0.5 puts the floor 2<n> + 1 of G2 at zero
+    table.update(mean_n=-0.5, cov_ada=1.0)
+    code = run(["gauge", "--moments", json.dumps(table)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert "mean_n" in captured.err
 
 
 def test_gauge_applies_every_registry_row(capsys):
@@ -115,7 +141,7 @@ def test_gauge_applies_every_registry_row(capsys):
     captured = capsys.readouterr()
     assert code == 1
     assert captured.err.strip() == "physics violation in: hyperboloid_surface"
-    assert json.loads(captured.out)["hierarchy_ok"] is True
+    assert _strict(captured.out)["hierarchy_ok"] is True
 
 
 def test_schema_error_exit_code(capsys):
@@ -124,6 +150,44 @@ def test_schema_error_exit_code(capsys):
     assert run(["sweep", "--config", '{"n_pure":1}']) == 2
     assert run(["sweep", "--config", '{"n_pure":1,"n_mixed":0,"cutoff":4,"tolerances":{}}']) == 2
     capsys.readouterr()
+    huge = "1" + "0" * 400  # an integer literal beyond the float range
+    rows = [
+        (["gauge", "--spec", '{"kind":"cat","alpha":{"re":1,"im":0},"beta":NaN}'], "beta"),
+        (["gauge", "--spec", '{"kind":"cat","alpha":{"re":1,"im":0},"beta":' + huge + "}"], "beta"),
+        (["gauge", "--spec", '{"kind":"coherent","alpha":{"re":true,"im":0}}'], "alpha"),
+        (["gauge", "--spec", '{"kind":["coherent"],"alpha":{"re":1,"im":0}}'], "kind"),
+        (["gauge", "--spec", '{"kind":"random_pure","cutoff":4,"seed":-1}'], "seed"),
+        (["gauge", "--moments", _vacuum_table("cov_ada", "NaN")], "cov_ada"),
+        (["gauge", "--moments", _vacuum_table("cov_ada", "Infinity")], "cov_ada"),
+        (["gauge", "--moments", _vacuum_table("cov_ada", "1e999")], "cov_ada"),
+        (["gauge", "--moments", _vacuum_table("mean_a", '{"re":true,"im":0}')], "mean_a"),
+        (["sweep", "--config", '{"n_pure":1,"n_mixed":0,"cutoff":4,"seed":-1}'], "seed"),
+    ]
+    for argv, field in rows:
+        code = run(argv)
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, ""), argv
+        assert field in captured.err, (argv, captured.err)
+
+
+def test_bad_cutoff_ceiling_setting_names_the_variable(monkeypatch, capsys):
+    for value in ("abc", "0"):
+        monkeypatch.setenv("FOCKGAUGE_MAX_CUTOFF", value)
+        for argv in (
+            ["gauge", "--spec", '{"kind":"coherent","alpha":{"re":1,"im":0}}'],
+            ["figure", "--which", "fig4", "--resolution", "16"],
+        ):
+            assert run(argv) == 2, (value, argv)
+            assert "FOCKGAUGE_MAX_CUTOFF" in capsys.readouterr().err
+
+
+def test_gauge_on_cat_beyond_float_range_of_amplitudes(capsys):
+    # |alpha|^2 = 1225: the unscaled coherent amplitudes would overflow
+    code, data = _run_json(
+        capsys, ["gauge", "--spec", '{"kind":"cat","alpha":{"re":35,"im":0},"beta":0}']
+    )
+    assert code == 0
+    assert abs(data["g2"] - 1.0) < 1e-9
 
 
 def test_usage_error_exit_code(capsys):
@@ -131,6 +195,9 @@ def test_usage_error_exit_code(capsys):
     assert run(["gauge"]) == 2
     assert run(["figure", "--which", "fig7"]) == 2
     capsys.readouterr()
+    for resolution in ("5", "4096", "many"):
+        assert run(["figure", "--which", "fig3", "--resolution", resolution]) == 2
+        assert "--resolution" in capsys.readouterr().err
 
 
 def test_calibrate_output(capsys):
@@ -168,4 +235,4 @@ def test_number_formatting():
     assert format_number(1 / 3) == "0.33333333333333331"
     assert float(format_number(1 / 3)) == 1 / 3
     text = dumps({"a": [1.0, None, True], "b": {"c": 2}})
-    assert json.loads(text) == {"a": [1.0, None, True], "b": {"c": 2}}
+    assert _strict(text) == {"a": [1.0, None, True], "b": {"c": 2}}

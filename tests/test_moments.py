@@ -111,6 +111,10 @@ def test_ellipse_rejects_nonphysical_moments():
     bad["var_a"] = {"re": 0.6, "im": 0.0}  # |var_a| > cov means a negative minor variance
     with pytest.raises(NonphysicalMomentError):
         ellipse(summary_from_dict(bad))
+    bad = summarize(fock(0)).to_dict()
+    bad.update(mean_n=-0.5, cov_ada=1.0)  # the floor 2<n> + 1 of G2 would be zero
+    with pytest.raises(NonphysicalMomentError, match="mean_n"):
+        ellipse(summary_from_dict(bad))
 
 
 def test_quadrature_vacuum():
@@ -231,6 +235,19 @@ def test_summary_dict_validation():
     bad["truncation_warning"] = "no"
     with pytest.raises(SchemaError):
         summary_from_dict(bad)
+    for field, value in (
+        ("cov_ada", math.nan),
+        ("cov_ada", math.inf),
+        ("cov_ada", -math.inf),
+        ("cov_ada", 10**400),
+        ("var_n", True),
+        ("mean_a", {"re": True, "im": 0}),
+        ("var_a", {"re": 0.0, "im": math.nan}),
+    ):
+        bad = dict(base)
+        bad[field] = value
+        with pytest.raises(SchemaError, match=field):
+            summary_from_dict(bad)
 
 
 def test_area_law_on_generated_states():

@@ -11,8 +11,10 @@ from fockgauge import (
     cat,
     coherent,
     crescent,
+    ellipse,
     fidelity,
     fock,
+    full_report,
     normally_ordered_moment,
     photon_added,
     random_state,
@@ -48,6 +50,15 @@ def test_coherent_eps_validation():
         coherent(1.0, eps_tail=1e-3)
     with pytest.raises(ValueError):
         coherent(1.0, eps_tail=0.0)
+
+
+def test_coherent_beyond_float_range_of_unscaled_amplitudes():
+    # the Poisson peak e^{|alpha|^2} / sqrt(2 pi |alpha|^2) exceeds the largest
+    # double from |alpha| of about 26.7 on
+    for alpha in (27.0, 40.0, 59.0):
+        s = summarize(coherent(alpha))
+        assert abs(s.mean_n / alpha**2 - 1.0) < 1e-13
+        assert abs(full_report(s, ellipse(s)).g1 - 1.0) < 1e-10
 
 
 def test_coherent_cutoff_ceiling(monkeypatch):
@@ -325,6 +336,20 @@ def test_spec_rejects_missing_and_unknown():
         state_from_spec({"kind": "coherent", "alpha": {"re": 1, "im": "x"}})
     with pytest.raises(SchemaError):
         state_from_spec([1, 2])
+    one = {"re": 1, "im": 0}
+    for spec, field in (
+        ({"kind": "cat", "alpha": one, "beta": math.nan}, "beta"),
+        ({"kind": "cat", "alpha": one, "beta": math.inf}, "beta"),
+        ({"kind": "cat", "alpha": one, "beta": 10**400}, "beta"),
+        ({"kind": "cat", "alpha": one, "beta": True}, "beta"),
+        ({"kind": "coherent", "alpha": {"re": True, "im": 0}}, "alpha"),
+        ({"kind": "coherent", "alpha": {"re": 1, "im": math.nan}}, "alpha"),
+        ({"kind": ["coherent"], "alpha": one}, "kind"),
+        ({"kind": "random_pure", "cutoff": 4, "seed": -1}, "seed"),
+        ({"kind": "random_mixed", "cutoff": 4, "rank": 2, "seed": -7}, "seed"),
+    ):
+        with pytest.raises(SchemaError, match=field):
+            state_from_spec(spec)
 
 
 def test_spec_parameter_errors_surface_as_schema_errors():

@@ -94,6 +94,8 @@ def test_sweep_config_validation():
         sweep_config_from_dict({"n_pure": 1.5, "n_mixed": 0, "cutoff": 4})
     with pytest.raises(SchemaError, match="unknown sweep config fields: tolerances"):
         sweep_config_from_dict({"n_pure": 1, "n_mixed": 0, "cutoff": 4, "tolerances": {}})
+    with pytest.raises(SchemaError, match="seed"):
+        sweep_config_from_dict({"n_pure": 1, "n_mixed": 0, "cutoff": 4, "seed": -1})
 
 
 # ------------------------------------------------------------------ calibrate
