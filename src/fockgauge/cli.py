@@ -11,11 +11,13 @@ input-schema error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import math
 import sys
 from typing import Optional, Sequence
 
-from .errors import FockgaugeError, NonphysicalMomentError, SchemaError
+from .errors import FockgaugeError, NonFiniteOutputError, NonphysicalMomentError, SchemaError
 from .fock import FockVector, boundary_mass
 from .gauges import full_report
 from .moments import ellipse, summarize, summary_from_dict
@@ -40,7 +42,11 @@ def _dump(obj, pieces: list, indent: int) -> None:
         pieces.append("{\n")
         for i, (key, value) in enumerate(obj.items()):
             pieces.append(f'{pad}  "{key}": ')
-            _dump(value, pieces, indent + 1)
+            try:
+                _dump(value, pieces, indent + 1)
+            except NonFiniteOutputError as exc:
+                exc.path.insert(0, key)  # built on the way out: free when nothing fails
+                raise
             pieces.append(",\n" if i < len(obj) - 1 else "\n")
         pieces.append(pad + "}")
     elif isinstance(obj, (list, tuple)):
@@ -50,7 +56,11 @@ def _dump(obj, pieces: list, indent: int) -> None:
         pieces.append("[\n")
         for i, value in enumerate(obj):
             pieces.append(pad + "  ")
-            _dump(value, pieces, indent + 1)
+            try:
+                _dump(value, pieces, indent + 1)
+            except NonFiniteOutputError as exc:
+                exc.path.insert(0, i)
+                raise
             pieces.append(",\n" if i < len(obj) - 1 else "\n")
         pieces.append(pad + "]")
     elif isinstance(obj, bool):
@@ -60,6 +70,8 @@ def _dump(obj, pieces: list, indent: int) -> None:
     elif isinstance(obj, int):
         pieces.append(str(obj))
     elif isinstance(obj, float):
+        if not math.isfinite(obj):
+            raise NonFiniteOutputError(obj)
         pieces.append(format_number(obj))
     elif isinstance(obj, str):
         pieces.append(json.dumps(obj))
@@ -68,7 +80,10 @@ def _dump(obj, pieces: list, indent: int) -> None:
 
 
 def dumps(obj) -> str:
-    """Deterministic JSON with 17-significant-digit floats."""
+    """Deterministic strict JSON with 17-significant-digit floats.
+
+    Raises NonFiniteOutputError, naming the key path, on a NaN or infinity.
+    """
     pieces: list = []
     _dump(obj, pieces, 0)
     return "".join(pieces)
@@ -180,7 +195,13 @@ def _resolution(text: str) -> int:
     return value
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, shared by every `run` call.
+
+    Safe to share because parse_args keeps no state between calls; callers
+    must not add to it.
+    """
     parser = argparse.ArgumentParser(
         prog="fockgauge",
         description="Truncated Fock-space uncertainty bounds and nonclassicality gauges",

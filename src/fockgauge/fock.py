@@ -9,6 +9,7 @@ is the constructor's responsibility and is tracked through tail masses.
 
 from __future__ import annotations
 
+import functools
 import os
 from dataclasses import dataclass
 from typing import Union
@@ -47,7 +48,8 @@ class FockVector:
             raise ValueError("amplitudes must be a non-empty 1-d sequence")
         amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)
-        if abs(self.norm_sq - 1.0) > NORM_TOL:
+        # written so that a NaN norm fails too
+        if not abs(self.norm_sq - 1.0) <= NORM_TOL:
             raise ValueError(f"amplitudes are not normalized: sum p = {self.norm_sq!r}")
 
     @property
@@ -82,9 +84,11 @@ class DensityMatrix:
             raise ValueError("entries must be a square matrix")
         rho.flags.writeable = False
         object.__setattr__(self, "entries", rho)
-        if np.max(np.abs(rho - rho.conj().T)) > self.HERMITICITY_TOL:
+        # written so that NaN entries fail too: inf - inf and NaN - NaN are NaN
+        if not np.max(np.abs(rho - rho.conj().T)) <= self.HERMITICITY_TOL:
             raise ValueError("density matrix is not Hermitian within tolerance")
-        if abs(np.trace(rho).real - 1.0) > self.TRACE_TOL or abs(np.trace(rho).imag) > self.TRACE_TOL:
+        trace = np.trace(rho)
+        if not (abs(trace.real - 1.0) <= self.TRACE_TOL and abs(trace.imag) <= self.TRACE_TOL):
             raise ValueError("density matrix trace differs from 1 beyond tolerance")
         if float(np.linalg.eigvalsh(rho)[0]) < self.EIGENVALUE_FLOOR:
             raise ValueError("density matrix has a negative eigenvalue beyond tolerance")
@@ -108,10 +112,16 @@ def _raised(amps: np.ndarray) -> np.ndarray:
     return out
 
 
-def _moment_indices(dim: int, j: int, k: int):
+# Bounded so that a long process over many cutoffs keeps a fixed footprint.
+_WINDOW_CACHE_SIZE = 256
+
+
+@functools.lru_cache(maxsize=_WINDOW_CACHE_SIZE)
+def _moment_window(dim: int, j: int, k: int):
     # <a^dag^j a^k> couples indices n and m = n - k + j; the weight is the
     # square root of an exact integer product, taken in one sqrt so that
-    # equal-order moments (perfect squares) come out exactly.
+    # equal-order moments (perfect squares) come out exactly.  Returns the
+    # n and m slices and the read-only weight, or None for an empty window.
     lo = k
     hi = dim - 1 - max(0, j - k)
     if hi < lo:
@@ -122,25 +132,27 @@ def _moment_indices(dim: int, j: int, k: int):
         coeff = coeff * (n - t)
     for t in range(j):
         coeff = coeff * (n - k + 1 + t)
-    return n, n - k + j, np.sqrt(coeff)
+    weight = np.sqrt(coeff)
+    weight.flags.writeable = False
+    return slice(lo, hi + 1), slice(lo - k + j, hi + 1 - k + j), weight
 
 
 def _pure_moment(amps: np.ndarray, j: int, k: int) -> complex:
-    idx = _moment_indices(amps.size, j, k)
-    if idx is None:
+    window = _moment_window(amps.size, j, k)
+    if window is None:
         return 0.0 + 0.0j
-    n, m, weight = idx
+    n, m, weight = window
     return complex(np.sum(np.conj(amps[m]) * amps[n] * weight))
 
 
 def _mixed_moment(rho: np.ndarray, j: int, k: int) -> complex:
     # Tr(rho a^dag^j a^k) along the (j - k)-shifted diagonal; exact for
     # states supported within the stored cutoff.
-    idx = _moment_indices(rho.shape[0], j, k)
-    if idx is None:
+    window = _moment_window(rho.shape[0], j, k)
+    if window is None:
         return 0.0 + 0.0j
-    n, m, weight = idx
-    return complex(np.sum(rho[n, m] * weight))
+    n, m, weight = window
+    return complex(np.sum(np.diagonal(rho[n, m]) * weight))
 
 
 def normally_ordered_moment(state: QuantumState, j: int, k: int) -> complex:

@@ -48,7 +48,7 @@ def _finalize(amps: np.ndarray) -> FockVector:
     norm = float(np.linalg.norm(amps))
     if norm < 1e-13:
         raise ZeroNormError("state construction cancelled to zero norm")
-    return FockVector(np.pad(amps / norm, (0, BOUNDARY_PAD)))
+    return FockVector(np.concatenate((amps / norm, np.zeros(BOUNDARY_PAD))))
 
 
 def _coherent_amps(alpha: complex, eps_tail: float) -> np.ndarray:
@@ -265,9 +265,7 @@ def random_state(cutoff: int, kind: str, rank: int = 1, seed: Seed = 0) -> Quant
     rng = np.random.default_rng(seed)
     dim = cutoff + 1
     if kind == "pure":
-        v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-        v /= np.linalg.norm(v)
-        return FockVector(np.pad(v, (0, BOUNDARY_PAD)))
+        return _finalize(rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
     if kind == "mixed":
         if not 1 <= rank <= dim:
             raise ValueError("mixed-state rank must lie in [1, cutoff + 1]")

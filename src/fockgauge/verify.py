@@ -43,6 +43,8 @@ class SweepConfig:
             raise ValueError("state counts must be non-negative")
         if not 0 <= self.cutoff <= 256:
             raise ValueError("sweep cutoff must lie in [0, 256]")
+        if not 1 <= self.rank <= self.cutoff + 1:
+            raise ValueError(f'field "rank" must lie in [1, cutoff + 1], got {self.rank}')
 
 
 def sweep_config_from_dict(data: dict) -> SweepConfig:
@@ -115,7 +117,7 @@ def _sweep_states(config: SweepConfig):
         yield i, random_state(config.cutoff, "pure", seed=[config.seed, i])
     for j in range(config.n_mixed):
         index = config.n_pure + j
-        rank = 1 + (j % max(1, config.rank))
+        rank = 1 + (j % config.rank)
         yield index, random_state(config.cutoff, "mixed", rank=rank, seed=[config.seed, index])
 
 

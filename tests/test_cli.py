@@ -1,7 +1,11 @@
 import json
+import math
 
-from fockgauge import fock, summarize
+import pytest
+
+from fockgauge import cli, fock, summarize
 from fockgauge.cli import dumps, format_number, run
+from fockgauge.errors import NonFiniteOutputError
 
 
 def _reject_constant(token):
@@ -162,6 +166,8 @@ def test_schema_error_exit_code(capsys):
         (["gauge", "--moments", _vacuum_table("cov_ada", "1e999")], "cov_ada"),
         (["gauge", "--moments", _vacuum_table("mean_a", '{"re":true,"im":0}')], "mean_a"),
         (["sweep", "--config", '{"n_pure":1,"n_mixed":0,"cutoff":4,"seed":-1}'], "seed"),
+        (["sweep", "--config", '{"n_pure":0,"n_mixed":5,"cutoff":2,"rank":9}'], "rank"),
+        (["sweep", "--config", '{"n_pure":0,"n_mixed":5,"cutoff":2,"rank":0}'], "rank"),
     ]
     for argv, field in rows:
         code = run(argv)
@@ -198,6 +204,66 @@ def test_usage_error_exit_code(capsys):
     for resolution in ("5", "4096", "many"):
         assert run(["figure", "--which", "fig3", "--resolution", resolution]) == 2
         assert "--resolution" in capsys.readouterr().err
+
+
+def test_one_parser_per_process():
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_reused_parser_answers_like_a_fresh_one(monkeypatch, capsys):
+    calls = [
+        ["gauge"],
+        ["gauge", "--spec", '{"kind":"coherent"}'],
+        ["figure", "--which", "fig3", "--resolution", "5"],
+        ["gauge", "--spec", '{"kind":"coherent","alpha":{"re":0.7,"im":-0.2}}'],
+        ["--help"],
+        ["gauge", "--help"],
+        ["gauge", "--spec", '{"kind":"fock","n":2}', "--moments", "{}"],
+    ]
+    cached_parser, fresh_parser = cli.build_parser, cli.build_parser.__wrapped__
+    monkeypatch.setenv("COLUMNS", "200")
+    run(["gauge"])  # builds the cached parser at 200 columns
+    capsys.readouterr()
+    help_texts = []
+    for columns in ("200", "40"):
+        monkeypatch.setenv("COLUMNS", columns)
+        answers = {}
+        for build in (cached_parser, fresh_parser):
+            monkeypatch.setattr(cli, "build_parser", build)
+            got = []
+            for argv in calls + calls[::-1]:
+                code = run(argv)
+                captured = capsys.readouterr()
+                got.append((argv, code, captured.out, captured.err))
+            answers[build] = got
+        cached, fresh = answers.values()
+        assert cached == fresh
+        assert [code for _, code, _, _ in cached[: len(calls)]] == [2, 2, 2, 0, 0, 0, 2]
+        help_texts.append(cached[4][2])
+    # help is formatted when it is printed, so COLUMNS still counts
+    assert help_texts[0] != help_texts[1]
+
+
+def test_dumps_refuses_non_finite_values():
+    for value in (math.nan, math.inf, -math.inf):
+        with pytest.raises(NonFiniteOutputError, match=r"output field tight\.slack is"):
+            dumps({"g1": 1.0, "tight": {"bound_scan": 0.5, "slack": value}})
+        with pytest.raises(NonFiniteOutputError, match=r"output field anchors\.1\.c is"):
+            dumps({"anchors": [{"c": 0.5}, {"c": value}]})
+        with pytest.raises(NonFiniteOutputError, match="<root>"):
+            dumps(value)
+
+
+def test_non_finite_output_exits_1_with_empty_stdout(monkeypatch, capsys):
+    class Report:
+        def to_dict(self):
+            return {"c_tight": 0.5, "printed_vs_derived": [{"ratio": math.inf}]}
+
+    monkeypatch.setattr(cli, "calibrate", Report)
+    assert run(["calibrate"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "printed_vs_derived.0.ratio" in captured.err
 
 
 def test_calibrate_output(capsys):

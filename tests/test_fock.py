@@ -63,7 +63,26 @@ def test_moment_order_limit():
         normally_ordered_moment(fock(0), 0, 5)
 
 
-@pytest.mark.parametrize("j,k", [(0, 1), (1, 1), (0, 2), (2, 2), (1, 2), (3, 1)])
+def _pure_of_dim(dim, seed):
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    return FockVector(v / np.linalg.norm(v))
+
+
+def _mixed_of_dim(dim, seed):
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((dim, 2)) + 1j * rng.standard_normal((dim, 2))
+    rho = g @ g.conj().T
+    return DensityMatrix(rho / np.trace(rho).real)
+
+
+# register sizes 1..4 leave the (4, k) windows empty; 37 is far from the rest
+MOMENT_DIMS = (1, 2, 3, 4, 5, 6, 37)
+
+
+@pytest.mark.parametrize(
+    "j,k", [(0, 1), (1, 1), (0, 2), (2, 2), (1, 2), (3, 1), (2, 0), (0, 3), (4, 4), (4, 0)]
+)
 def test_moments_match_dense_oracle(j, k):
     state = random_state(12, "pure", seed=3)
     assert normally_ordered_moment(state, j, k) == pytest.approx(
@@ -73,6 +92,46 @@ def test_moments_match_dense_oracle(j, k):
     assert normally_ordered_moment(mixed, j, k) == pytest.approx(
         dense_moment(mixed, j, k), abs=1e-12
     )
+    # both visiting orders, so that a window cached under the wrong key is
+    # handed to some other register size
+    for dims in (MOMENT_DIMS, MOMENT_DIMS[::-1]):
+        for dim in dims:
+            for state in (_pure_of_dim(dim, seed=dim), _mixed_of_dim(dim, seed=dim)):
+                assert normally_ordered_moment(state, j, k) == pytest.approx(
+                    dense_moment(state, j, k), rel=1e-12, abs=1e-12
+                ), (dim, type(state).__name__)
+
+
+def test_moment_windows_are_cached_and_read_only():
+    from fockgauge.fock import _moment_window
+
+    window = _moment_window(37, 4, 0)
+    assert window is _moment_window(37, 4, 0)
+    weight = window[2]
+    assert not weight.flags.writeable
+    with pytest.raises(ValueError):
+        weight[0] = 0.0
+    assert _moment_window(4, 0, 4) is None
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")  # inf - inf
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_states_reject_non_finite_data(bad):
+    for amps in ([bad, 1.0], [1.0, complex(0.0, bad)]):
+        with pytest.raises(ValueError):
+            FockVector(np.array(amps))
+    good = np.diag([0.5, 0.5]).astype(complex)
+    for entry in ((0, 0), (0, 1), (1, 1)):
+        for value in (bad, complex(0.0, bad)):
+            rho = good.copy()
+            rho[entry] = value
+            with pytest.raises(ValueError):
+                DensityMatrix(rho)
+    # a Hermitian pair of non-finite entries off the diagonal
+    rho = good.copy()
+    rho[0, 1] = rho[1, 0] = bad
+    with pytest.raises(ValueError):
+        DensityMatrix(rho)
 
 
 def test_commutator_on_truncated_states():

@@ -96,6 +96,13 @@ def test_sweep_config_validation():
         sweep_config_from_dict({"n_pure": 1, "n_mixed": 0, "cutoff": 4, "tolerances": {}})
     with pytest.raises(SchemaError, match="seed"):
         sweep_config_from_dict({"n_pure": 1, "n_mixed": 0, "cutoff": 4, "seed": -1})
+    # mixed ranks cycle through 1..rank, and a rank above cutoff + 1 cannot be built
+    for rank in (0, 4):
+        with pytest.raises(ValueError, match="rank"):
+            SweepConfig(n_pure=0, n_mixed=5, cutoff=2, rank=rank)
+        with pytest.raises(SchemaError, match="rank"):
+            sweep_config_from_dict({"n_pure": 0, "n_mixed": 5, "cutoff": 2, "rank": rank})
+    assert SweepConfig(n_pure=0, n_mixed=5, cutoff=2, rank=3).rank == 3
 
 
 # ------------------------------------------------------------------ calibrate
