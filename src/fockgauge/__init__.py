@@ -15,25 +15,19 @@ from .fock import (
     DensityMatrix,
     FockVector,
     QuantumState,
-    fidelity,
     normally_ordered_moment,
-    tail_mass,
 )
 from .gauges import (
     GaugeReport,
     InequalityRecord,
     TightBoundReport,
     full_report,
-    gauge_g2,
-    phase_variance,
     tight_bound,
 )
 from .moments import (
     MomentSummary,
     NoiseEllipse,
     ellipse,
-    lambda_sq,
-    quadrature_stats,
     summarize,
     summary_from_dict,
 )
@@ -85,22 +79,16 @@ __all__ = [
     "coherent",
     "crescent",
     "ellipse",
-    "fidelity",
     "figure_rows",
     "fock",
     "full_report",
-    "gauge_g2",
-    "lambda_sq",
     "normally_ordered_moment",
-    "phase_variance",
     "photon_added",
-    "quadrature_stats",
     "random_state",
     "squeezed_coherent",
     "state_from_spec",
     "summarize",
     "summary_from_dict",
     "sweep",
-    "tail_mass",
     "tight_bound",
 ]

@@ -35,34 +35,22 @@ def format_number(value: float) -> str:
 
 def _dump(obj, pieces: list, indent: int) -> None:
     pad = "  " * indent
-    if isinstance(obj, dict):
+    if isinstance(obj, (dict, list, tuple)):
+        is_dict = isinstance(obj, dict)
         if not obj:
-            pieces.append("{}")
+            pieces.append("{}" if is_dict else "[]")
             return
-        pieces.append("{\n")
-        for i, (key, value) in enumerate(obj.items()):
-            pieces.append(f'{pad}  "{key}": ')
+        pieces.append("{\n" if is_dict else "[\n")
+        last = len(obj) - 1
+        for i, (key, value) in enumerate(obj.items() if is_dict else enumerate(obj)):
+            pieces.append(f'{pad}  "{key}": ' if is_dict else pad + "  ")
             try:
                 _dump(value, pieces, indent + 1)
             except NonFiniteOutputError as exc:
                 exc.path.insert(0, key)  # built on the way out: free when nothing fails
                 raise
-            pieces.append(",\n" if i < len(obj) - 1 else "\n")
-        pieces.append(pad + "}")
-    elif isinstance(obj, (list, tuple)):
-        if not obj:
-            pieces.append("[]")
-            return
-        pieces.append("[\n")
-        for i, value in enumerate(obj):
-            pieces.append(pad + "  ")
-            try:
-                _dump(value, pieces, indent + 1)
-            except NonFiniteOutputError as exc:
-                exc.path.insert(0, i)
-                raise
-            pieces.append(",\n" if i < len(obj) - 1 else "\n")
-        pieces.append(pad + "]")
+            pieces.append(",\n" if i < last else "\n")
+        pieces.append(pad + ("}" if is_dict else "]"))
     elif isinstance(obj, bool):
         pieces.append("true" if obj else "false")
     elif obj is None:
@@ -97,11 +85,12 @@ def format_csv(header: Sequence[str], rows: Sequence[Sequence[float]]) -> str:
 
 
 def _emit(text: str, out: Optional[str]) -> None:
+    text = text if text.endswith("\n") else text + "\n"
     if out is None or out == "-":
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+        sys.stdout.write(text)
     else:
         with open(out, "w", encoding="utf-8") as handle:
-            handle.write(text if text.endswith("\n") else text + "\n")
+            handle.write(text)
 
 
 def _parse_json_argument(raw: str, what: str) -> object:
@@ -113,10 +102,9 @@ def _parse_json_argument(raw: str, what: str) -> object:
         except OSError as exc:
             raise SchemaError(f"cannot read {what} file {raw[1:]!r}: {exc}") from exc
     try:
-        data = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{what} is not valid JSON (line {exc.lineno}, column {exc.colno})") from exc
-    return data
 
 
 def _cmd_state(args: argparse.Namespace) -> int:

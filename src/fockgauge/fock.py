@@ -4,7 +4,7 @@ States live on the span of |0>..|N> for a finite cutoff N.  Pure states are
 stored as amplitude arrays, mixed states as dense density matrices.  Every
 moment computed here is the exact moment of the stored (finite-support)
 state; truncation error relative to an intended infinite-dimensional state
-is the constructor's responsibility and is tracked through tail masses.
+is the constructor's responsibility and is tracked through the boundary mass.
 """
 
 from __future__ import annotations
@@ -64,9 +64,6 @@ class FockVector:
     def probabilities(self) -> np.ndarray:
         return np.abs(self.amplitudes) ** 2
 
-    def to_density(self) -> "DensityMatrix":
-        return DensityMatrix(np.outer(self.amplitudes, self.amplitudes.conj()))
-
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
@@ -84,8 +81,11 @@ class DensityMatrix:
             raise ValueError("entries must be a square matrix")
         rho.flags.writeable = False
         object.__setattr__(self, "entries", rho)
-        # written so that NaN entries fail too: inf - inf and NaN - NaN are NaN
-        if not np.max(np.abs(rho - rho.conj().T)) <= self.HERMITICITY_TOL:
+        # written so that NaN entries fail too: inf - inf and NaN - NaN are NaN,
+        # which this check refuses without numpy's warning
+        with np.errstate(invalid="ignore"):
+            asymmetry = np.max(np.abs(rho - rho.conj().T))
+        if not asymmetry <= self.HERMITICITY_TOL:
             raise ValueError("density matrix is not Hermitian within tolerance")
         trace = np.trace(rho)
         if not (abs(trace.real - 1.0) <= self.TRACE_TOL and abs(trace.imag) <= self.TRACE_TOL):
@@ -168,56 +168,7 @@ def normally_ordered_moment(state: QuantumState, j: int, k: int) -> complex:
     return _mixed_moment(state.entries, j, k)
 
 
-def tail_mass(state: QuantumState, m: int) -> float:
-    """Occupation probability at or above Fock index m."""
-    if m < 0:
-        raise ValueError("tail index must be non-negative")
-    if m > state.cutoff:
-        raise ValueError("tail index exceeds the state's cutoff")
-    return float(np.sum(state.probabilities[m:]))
-
-
 def boundary_mass(state: QuantumState) -> float:
     """Occupation in the top four indices of the register (clamped at 0)."""
     return float(np.sum(state.probabilities[max(0, state.cutoff - 3):]))
 
-
-def _common_dim(*states: QuantumState) -> int:
-    return max(s.cutoff for s in states) + 1
-
-
-def _as_matrix(state: QuantumState, dim: int) -> np.ndarray:
-    if isinstance(state, FockVector):
-        v = np.pad(state.amplitudes, (0, dim - state.amplitudes.size))
-        return np.outer(v, v.conj())
-    out = np.zeros((dim, dim), dtype=np.complex128)
-    n = state.entries.shape[0]
-    out[:n, :n] = state.entries
-    return out
-
-
-def _psd_sqrt(mat: np.ndarray) -> np.ndarray:
-    w, u = np.linalg.eigh(mat)
-    w = np.clip(w, 0.0, None)
-    return (u * np.sqrt(w)) @ u.conj().T
-
-
-def fidelity(s1: QuantumState, s2: QuantumState) -> float:
-    """Fidelity in [0, 1]; overlap squared for pure pairs, Uhlmann otherwise.
-
-    States are zero-extended to a common cutoff first.
-    """
-    dim = _common_dim(s1, s2)
-    if isinstance(s1, FockVector) and isinstance(s2, FockVector):
-        u = np.pad(s1.amplitudes, (0, dim - s1.amplitudes.size))
-        v = np.pad(s2.amplitudes, (0, dim - s2.amplitudes.size))
-        return float(min(1.0, abs(np.vdot(u, v)) ** 2))
-    if isinstance(s1, FockVector) or isinstance(s2, FockVector):
-        psi, rho = (s1, s2) if isinstance(s1, FockVector) else (s2, s1)
-        v = np.pad(psi.amplitudes, (0, dim - psi.amplitudes.size))
-        mat = _as_matrix(rho, dim)
-        return float(min(1.0, np.real(np.vdot(v, mat @ v))))
-    root = _psd_sqrt(_as_matrix(s1, dim))
-    inner = root @ _as_matrix(s2, dim) @ root
-    ev = np.clip(np.linalg.eigvalsh(inner), 0.0, None)
-    return float(min(1.0, np.sum(np.sqrt(ev)) ** 2))

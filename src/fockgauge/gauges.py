@@ -33,7 +33,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .moments import FLAG_TOL, MomentSummary, NoiseEllipse, ellipse as make_ellipse
+from .moments import MomentSummary, NoiseEllipse
 
 # Pinned by coherent saturation under the x_theta normalization of `moments`;
 # re-derived and audited by verify.calibrate.
@@ -94,13 +94,7 @@ class TightBoundReport:
     applicable: bool
 
     def to_dict(self) -> dict:
-        return {
-            "bound_scan": self.bound_scan,
-            "theta_star": self.theta_star,
-            "bound_closed": self.bound_closed,
-            "slack": self.slack,
-            "applicable": self.applicable,
-        }
+        return dict(vars(self))  # the fields, in declaration order
 
 
 _Side = Callable[[MomentSummary, NoiseEllipse, TightBoundReport], float]
@@ -194,13 +188,6 @@ INEQUALITIES = (
         False,
     ),
 )
-
-
-@dataclass(frozen=True)
-class G2Result:
-    g2: float
-    g2_alt: Optional[float]
-    amplitude_warning: bool
 
 
 @dataclass(frozen=True)
@@ -330,42 +317,16 @@ def tight_bound(summary: MomentSummary, ell: NoiseEllipse) -> TightBoundReport:
     )
 
 
-def gauge_g2(summary: MomentSummary) -> G2Result:
-    """Pair-covariance gauge for zero-amplitude states.
+def full_report(summary: MomentSummary, ell: NoiseEllipse) -> GaugeReport:
+    """Evaluate every registry inequality and both gauges for one moment summary.
 
-    g2 is the second-order pair covariance over its floor 2<n> + 1; exactly 1
+    G2 is the second-order pair covariance over its floor 2<n> + 1; exactly 1
     on eigenstates of a^2.  g2_alt is an alternative printed expression kept
-    for comparison only: it disagrees with g2 on simple states (|1> gives 1
+    for comparison only: it disagrees with G2 on simple states (|1> gives 1
     versus 8), is undefined for <n> = 0, and is never asserted against.
-    A warning flag marks summaries whose amplitude is not actually zero.
+    `g2_amplitude_warning` marks summaries whose amplitude is not actually
+    zero, where G1 rather than G2 is the gauge to read.
     """
-    g2 = summary.cov_a2 / (2.0 * summary.mean_n + 1.0)
-    if summary.mean_n == 0.0:
-        alt: Optional[float] = None
-    else:
-        spread = abs(summary.var_a)
-        lam_plus = summary.cov_ada + spread
-        lam_minus = summary.cov_ada - spread
-        alt = (summary.var_n + 4.0 * (lam_plus - 0.5) * (lam_minus + 0.5)) / summary.mean_n
-    return G2Result(g2, alt, abs(summary.mean_a) > AMPLITUDE_FLAG_TOL)
-
-
-def phase_variance(summary: MomentSummary) -> Optional[float]:
-    """Operational phase variance, the reciprocal of the scanned tight bound.
-
-    Defined so that Var n times this quantity is at least 1 identically;
-    None (not applicable) for zero-amplitude states.
-    """
-    if abs(summary.mean_a) < FLAG_TOL:
-        return None
-    bound, _ = scan_bound(summary)
-    return 1.0 / bound
-
-
-def full_report(summary: MomentSummary, ell: Optional[NoiseEllipse] = None) -> GaugeReport:
-    """Evaluate every registry inequality and both gauges for one moment summary."""
-    if ell is None:
-        ell = make_ellipse(summary)
     tight = tight_bound(summary, ell)
     records = {
         row.name: _record(
@@ -374,13 +335,18 @@ def full_report(summary: MomentSummary, ell: Optional[NoiseEllipse] = None) -> G
         for row in INEQUALITIES
         if tight.applicable or not row.needs_amplitude
     }
-    g2 = gauge_g2(summary)
+    if summary.mean_n == 0.0:
+        g2_alt: Optional[float] = None
+    else:
+        g2_alt = (
+            summary.var_n + 4.0 * (ell.lambda_plus_sq - 0.5) * (ell.lambda_minus_sq + 0.5)
+        ) / summary.mean_n
     return GaugeReport(
         tight=tight,
         g1=summary.var_n / tight.bound_scan if tight.applicable else None,
-        g2=g2.g2,
-        g2_alt=g2.g2_alt,
-        g2_amplitude_warning=g2.amplitude_warning,
+        g2=summary.cov_a2 / (2.0 * summary.mean_n + 1.0),
+        g2_alt=g2_alt,
+        g2_amplitude_warning=abs(summary.mean_a) > AMPLITUDE_FLAG_TOL,
         records=records,
         squeezing=_record("squeezing", ell.lambda_minus_sq, 0.5, SQUEEZING_TOL),
         squeezed=ell.lambda_minus_sq < 0.5 - SQUEEZING_TOL,

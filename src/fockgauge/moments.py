@@ -13,7 +13,7 @@ gauge evaluation, so gauges also run on hand-entered moment tables.
 from __future__ import annotations
 
 import cmath
-import math
+import functools
 from dataclasses import dataclass, fields
 
 from .errors import NonphysicalMomentError
@@ -24,6 +24,9 @@ BOUNDARY_MASS_WARN = 1e-10
 FLAG_TOL = 1e-12
 # the rounding margin of most inequality rows; a smaller deficit is left to them
 MEAN_N_TOL = 1e-9
+# The gauges square moments as Python floats, which raise on overflow rather
+# than give infinity; below 2^500 in magnitude no such square can overflow.
+MOMENT_LIMIT = 2.0**500
 
 
 @dataclass(frozen=True)
@@ -42,25 +45,23 @@ class MomentSummary:
     truncation_warning: bool
 
     def to_dict(self) -> dict:
-        return {
-            "mean_a": {"re": self.mean_a.real, "im": self.mean_a.imag},
-            "mean_a2": {"re": self.mean_a2.real, "im": self.mean_a2.imag},
-            "mean_n": self.mean_n,
-            "mean_n2": self.mean_n2,
-            "mean_a2da2": self.mean_a2da2,
-            "var_n": self.var_n,
-            "var_a": {"re": self.var_a.real, "im": self.var_a.imag},
-            "cov_ada": self.cov_ada,
-            "cov_a2": self.cov_a2,
-            "truncation_warning": self.truncation_warning,
-        }
+        out = {}
+        for column in fields(self):
+            value = getattr(self, column.name)
+            out[column.name] = {"re": value.real, "im": value.imag} if column.type == "complex" else value
+        return out
 
 
-_READERS = {"complex": complex_number, "float": real, "bool": boolean}
+_READERS = {
+    "complex": functools.partial(complex_number, limit=MOMENT_LIMIT),
+    "float": functools.partial(real, limit=MOMENT_LIMIT),
+    "bool": boolean,
+}
 
 
 def summary_from_dict(data: dict) -> MomentSummary:
-    """Parse a MomentSummary JSON object (all fields required, none extra)."""
+    """Parse a MomentSummary JSON object (all fields required, none extra,
+    every number of magnitude at most MOMENT_LIMIT)."""
     columns = fields(MomentSummary)
     check_fields(data, "moment summary", [c.name for c in columns])
     return MomentSummary(**{c.name: _READERS[c.type](data, c.name) for c in columns})
@@ -102,16 +103,6 @@ class NoiseEllipse:
     circle_flag: bool
     zero_stick_flag: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "lambda_plus_sq": self.lambda_plus_sq,
-            "lambda_minus_sq": self.lambda_minus_sq,
-            "major_axis_angle": self.major_axis_angle,
-            "stick_angle": self.stick_angle,
-            "circle_flag": self.circle_flag,
-            "zero_stick_flag": self.zero_stick_flag,
-        }
-
 
 def ellipse(summary: MomentSummary) -> NoiseEllipse:
     """Noise-ellipse geometry from a moment summary.
@@ -139,37 +130,4 @@ def ellipse(summary: MomentSummary) -> NoiseEllipse:
         circle_flag=circle,
         zero_stick_flag=zero_stick,
     )
-
-
-@dataclass(frozen=True)
-class QuadratureStats:
-    mean_x: float
-    mean_p: float
-    var_x: float
-
-
-def quadrature_means_from_summary(summary: MomentSummary, theta: float) -> tuple[float, float]:
-    rotated = summary.mean_a * cmath.exp(1j * theta)
-    return math.sqrt(2.0) * rotated.real, math.sqrt(2.0) * rotated.imag
-
-
-def quadrature_variance_from_summary(summary: MomentSummary, theta: float) -> float:
-    return summary.cov_ada + (summary.var_a * cmath.exp(2j * theta)).real
-
-
-def quadrature_stats(state: QuantumState, theta: float) -> QuadratureStats:
-    """Mean of x_theta and p_theta and variance of x_theta."""
-    summary = summarize(state)
-    mean_x, mean_p = quadrature_means_from_summary(summary, theta)
-    return QuadratureStats(
-        mean_x=mean_x,
-        mean_p=mean_p,
-        var_x=quadrature_variance_from_summary(summary, theta),
-    )
-
-
-def lambda_sq(ell: NoiseEllipse, angle: float) -> float:
-    """Interpolated squared semiaxis lambda^2 = l+^2 sin^2 + l-^2 cos^2."""
-    s, c = math.sin(angle), math.cos(angle)
-    return ell.lambda_plus_sq * s * s + ell.lambda_minus_sq * c * c
 

@@ -2,7 +2,8 @@
 
 State specs, moment tables and sweep configs are all read through this module,
 so every input obeys the same rules: an object carries exactly its required
-fields plus any of its optional ones, numbers are finite, booleans are not
+fields plus any of its optional ones, numbers are finite (and, where a reader
+sets a limit, bounded in magnitude), booleans are not
 numbers, integers are non-negative, and a complex number is exactly
 {"re": x, "im": y}.  Every violation raises a SchemaError naming the field.
 """
@@ -28,17 +29,18 @@ def check_fields(data, what: str, required: Collection[str], optional: Collectio
         raise SchemaError(f"unknown {what} fields: {', '.join(sorted(extra))}")
 
 
-def _finite(value, name: str) -> float:
+def _finite(value, name: str, limit: float) -> float:
     # the comparison is exact, so it also refuses integers beyond the float range
-    finite = isinstance(value, numbers.Real) and abs(value) <= sys.float_info.max
+    finite = isinstance(value, numbers.Real) and abs(value) <= limit
     if finite and not isinstance(value, bool):
         return float(value)
-    raise SchemaError(f'field "{name}" must be a finite number')
+    bound = "" if limit == sys.float_info.max else f" of magnitude at most {limit:.4g}"
+    raise SchemaError(f'field "{name}" must be a finite number{bound}')
 
 
-def real(data: dict, field: str) -> float:
-    """A finite number; booleans, NaN and infinities are rejected."""
-    return _finite(data[field], field)
+def real(data: dict, field: str, limit: float = sys.float_info.max) -> float:
+    """A finite number of magnitude at most `limit`; booleans, NaN and infinities are rejected."""
+    return _finite(data[field], field, limit)
 
 
 def integer(data: dict, field: str) -> int:
@@ -49,12 +51,14 @@ def integer(data: dict, field: str) -> int:
     return int(value)
 
 
-def complex_number(data: dict, field: str) -> complex:
+def complex_number(data: dict, field: str, limit: float = sys.float_info.max) -> complex:
     """An object {"re": x, "im": y} whose parts follow the rule of `real`."""
     value = data[field]
     if not isinstance(value, dict) or set(value) != {"re", "im"}:
         raise SchemaError(f'field "{field}" must be an object {{"re": x, "im": y}}')
-    return complex(_finite(value["re"], f"{field}.re"), _finite(value["im"], f"{field}.im"))
+    return complex(
+        _finite(value["re"], f"{field}.re", limit), _finite(value["im"], f"{field}.im", limit)
+    )
 
 
 def boolean(data: dict, field: str) -> bool:

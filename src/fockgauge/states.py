@@ -51,25 +51,38 @@ def _finalize(amps: np.ndarray) -> FockVector:
     return FockVector(np.concatenate((amps / norm, np.zeros(BOUNDARY_PAD))))
 
 
-def _coherent_amps(alpha: complex, eps_tail: float) -> np.ndarray:
+def _beyond_ceiling(alpha: complex, added: int) -> CutoffExplosionError:
+    room = f" with room for {added} added photons" if added else ""
+    return CutoffExplosionError(f"coherent amplitude {alpha!r}{room} needs a cutoff beyond {max_cutoff()}")
+
+
+def _coherent_amps(alpha: complex, eps_tail: float, added: int = 0) -> np.ndarray:
     """Normalized coherent amplitudes c_n = e^{-|a|^2/2} a^n / sqrt(n!), unpadded.
 
     The cutoff is grown until a geometric bound on the neglected Poisson tail
     drops below eps_tail; this stays reliable long after 1 - cumsum would
     drown in round-off.  The running amplitudes are rescaled by powers of two
-    on the way up, so only the cutoff ceiling limits |alpha|.
+    on the way up, so only the cutoff ceiling limits |alpha|.  The cutoff
+    stays `added` below the ceiling, for callers that add photons on top.
     """
     alpha = complex(alpha)
-    lam = abs(alpha) ** 2
+    room = max_cutoff() - added
+    # From |alpha|^2 = room + 2 on, the tail test below cannot pass before the
+    # cutoff outgrows the room, so such amplitudes are refused up front,
+    # before squaring them can overflow.
+    lam = abs(alpha) ** 2 if max(abs(alpha.real), abs(alpha.imag)) < 2.0**500 else math.inf
+    if room < 0 or lam >= room + 2:
+        raise _beyond_ceiling(alpha, added)
     if lam == 0.0:
         return np.ones(1, dtype=np.complex128)
-    ceiling = max_cutoff()
     amps = [1.0 + 0.0j]
     cum = 1.0
     n = 0
     while True:
         amps.append(amps[-1] * alpha / math.sqrt(n + 1))
         n += 1
+        if n > room:
+            raise _beyond_ceiling(alpha, added)
         cum += abs(amps[-1]) ** 2
         if cum > 2.0**1000:
             # exact in binary, and never reached below |alpha|^2 of about 693
@@ -79,10 +92,6 @@ def _coherent_amps(alpha: complex, eps_tail: float) -> np.ndarray:
             p_next = abs(amps[-1]) ** 2 * lam / (n + 1)
             if p_next / (1.0 - lam / (n + 2)) < eps_tail * cum:
                 break
-        if n >= ceiling:
-            raise CutoffExplosionError(
-                f"coherent amplitude {alpha!r} needs a cutoff beyond {ceiling}"
-            )
     v = np.array(amps, dtype=np.complex128)
     return v / np.linalg.norm(v)
 
@@ -113,7 +122,9 @@ def squeezed_coherent(
     minor variance e^{-2r}/2 sits along p and the major e^{+2r}/2 along x.
     Amplitudes follow the two-term recurrence of Gaussian pure states,
     (mu a + nu a^dag)|psi> = (mu alpha + nu alpha^*)|psi> with mu = cosh r and
-    nu = -e^{i phi_s} sinh r.
+    nu = -e^{i phi_s} sinh r.  At the default cutoff ceiling of 4096 a squeezed
+    vacuum builds up to |r| of about 2.79 (cutoff 4033); displacement lowers
+    the limit, and beyond it CutoffExplosionError is raised.
     """
     _check_eps(eps_tail)
     if abs(r) > 3.0:
@@ -129,6 +140,10 @@ def squeezed_coherent(
         for _ in range(chunk):
             n = len(c) - 1
             c.append((beta * c[n] - nu * math.sqrt(n) * c[n - 1]) / (mu * math.sqrt(n + 1)))
+        if len(c) - 1 > ceiling:
+            raise CutoffExplosionError(
+                f"squeezed state (alpha={alpha!r}, r={r}) needs a cutoff beyond {ceiling}"
+            )
         p = np.abs(np.array(c)) ** 2
         cum = float(p.sum())
         w_last = float(p[-chunk:].sum())
@@ -140,15 +155,11 @@ def squeezed_coherent(
                 q = w_last / w_prev
                 if w_last * q / (1.0 - q) < eps_tail * cum:
                     break
-        if len(c) > ceiling:
-            raise CutoffExplosionError(
-                f"squeezed state (alpha={alpha!r}, r={r}) needs a cutoff beyond {ceiling}"
-            )
     return _finalize(np.array(c, dtype=np.complex128))
 
 
 def _crescent_operator_amps(alpha: complex, added: int, eps_tail: float) -> np.ndarray:
-    c = _coherent_amps(alpha, eps_tail)
+    c = _coherent_amps(alpha, eps_tail, added)
     for _ in range(added):
         raised = _raised(c)
         raised[: c.size] += np.conjugate(alpha) * c
@@ -164,8 +175,8 @@ def _crescent_laguerre_amps(alpha: complex, added: int, eps_tail: float) -> np.n
     # whose terms are all non-negative; evaluated in log space it is stable at
     # every depth, unlike the fixed-upper-index three-term recurrence whose
     # tail values drown in cancellation noise.
+    top = _coherent_amps(alpha, eps_tail, added).size - 1 + added
     aa2 = abs(alpha) ** 2
-    top = _coherent_amps(alpha, eps_tail).size - 1 + added
     phase = np.exp(-1j * np.angle(alpha))
     logs = np.empty(top + 1)
     for n in range(top + 1):
@@ -214,7 +225,7 @@ def photon_added(alpha: complex, added: int, eps_tail: float = DEFAULT_EPS_TAIL)
     _check_eps(eps_tail)
     if not 0 <= added <= MAX_ADDED_PHOTONS:
         raise ValueError(f"photon addition order must lie in [0, {MAX_ADDED_PHOTONS}]")
-    c = _coherent_amps(complex(alpha), eps_tail)
+    c = _coherent_amps(complex(alpha), eps_tail, added)
     for _ in range(added):
         c = _raised(c)
     return _finalize(c)
@@ -240,7 +251,7 @@ def approx_strong_field(
     """
     _check_eps(eps_tail)
     alpha, gamma = complex(alpha), complex(gamma)
-    c = _coherent_amps(alpha, eps_tail)
+    c = _coherent_amps(alpha, eps_tail, 1)
     combined = gamma * _raised(c)
     combined[: c.size] += c
     return _finalize(combined)

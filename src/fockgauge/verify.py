@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
@@ -21,7 +21,7 @@ from .errors import CalibrationError, SchemaError
 from .gauges import C_LAMBDA_PLUS, C_TRACE, INEQUALITIES, full_report, tight_bound
 from .moments import ellipse, summarize
 from .schema import check_fields, integer
-from .states import approx_strong_field, coherent, random_state
+from .states import MAX_RANDOM_CUTOFF, approx_strong_field, coherent, random_state
 
 CALIBRATION_ANCHORS = (0.5 + 0.0j, 1.0 + 0.0j, 2.0 + 0.0j, 1.0 + 2.0j)
 ANCHOR_AGREEMENT_TOL = 1e-8
@@ -41,8 +41,8 @@ class SweepConfig:
     def __post_init__(self) -> None:
         if self.n_pure < 0 or self.n_mixed < 0:
             raise ValueError("state counts must be non-negative")
-        if not 0 <= self.cutoff <= 256:
-            raise ValueError("sweep cutoff must lie in [0, 256]")
+        if not 0 <= self.cutoff <= MAX_RANDOM_CUTOFF:
+            raise ValueError(f"sweep cutoff must lie in [0, {MAX_RANDOM_CUTOFF}]")
         if not 1 <= self.rank <= self.cutoff + 1:
             raise ValueError(f'field "rank" must lie in [1, cutoff + 1], got {self.rank}')
 
@@ -157,13 +157,7 @@ class CalibrationReport:
     printed_vs_derived: list
 
     def to_dict(self) -> dict:
-        return {
-            "c_tight": self.c_tight,
-            "c1": self.c1,
-            "c2": self.c2,
-            "anchors": self.anchors,
-            "printed_vs_derived": self.printed_vs_derived,
-        }
+        return asdict(self)
 
 
 def calibrate() -> CalibrationReport:

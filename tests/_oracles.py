@@ -135,3 +135,30 @@ def dense_expectation(state, word: str) -> complex:
     n = state.entries.shape[0]
     rho[:n, :n] = state.entries
     return complex(np.trace(rho @ op))
+
+
+
+def _as_matrix(state, dim: int) -> np.ndarray:
+    if hasattr(state, "amplitudes"):
+        v = padded(state.amplitudes, dim)
+        return np.outer(v, v.conj())
+    return np.pad(state.entries, (0, dim - state.entries.shape[0]))
+
+
+def fidelity(s1, s2) -> float:
+    """Fidelity in [0, 1]; overlap squared for pure pairs, Uhlmann otherwise.
+
+    States are zero-extended to a common cutoff first.
+    """
+    dim = max(s1.cutoff, s2.cutoff) + 1
+    pure = [s for s in (s1, s2) if hasattr(s, "amplitudes")]
+    if len(pure) == 2:
+        return float(min(1.0, abs(np.vdot(padded(s1.amplitudes, dim), padded(s2.amplitudes, dim))) ** 2))
+    if pure:
+        v = padded(pure[0].amplitudes, dim)
+        rho = _as_matrix(s2 if pure[0] is s1 else s1, dim)
+        return float(min(1.0, np.real(np.vdot(v, rho @ v))))
+    w, u = np.linalg.eigh(_as_matrix(s1, dim))
+    root = (u * np.sqrt(np.clip(w, 0.0, None))) @ u.conj().T
+    ev = np.clip(np.linalg.eigvalsh(root @ _as_matrix(s2, dim) @ root), 0.0, None)
+    return float(min(1.0, np.sum(np.sqrt(ev)) ** 2))

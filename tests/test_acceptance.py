@@ -12,7 +12,6 @@ from fockgauge import (
     coherent,
     crescent,
     ellipse,
-    fidelity,
     figure_rows,
     fock,
     full_report,
@@ -22,7 +21,7 @@ from fockgauge import (
     tight_bound,
 )
 from fockgauge.cli import dumps
-from _oracles import crescent_eigen_residual
+from _oracles import crescent_eigen_residual, fidelity
 
 TIGHT_EPS = 1e-24  # tail tolerance used where eigenvector residuals are checked
 
@@ -153,10 +152,11 @@ def test_criterion_06_pair_covariance_gauge_saturation():
     worst_cat = 0.0
     for mag in (0.5, 1.0, 2.0):
         for beta in (0.0, math.pi):
-            g2 = full_report(summarize(cat(mag, beta))).g2
+            s = summarize(cat(mag, beta))
+            g2 = full_report(s, ellipse(s)).g2
             worst_cat = max(worst_cat, abs(g2 - 1.0))
     worst_fock = max(
-        abs(full_report(summarize(fock(n))).g2 - 1.0) for n in (0, 1)
+        abs(full_report(s, ellipse(s)).g2 - 1.0) for s in (summarize(fock(n)) for n in (0, 1))
     )
     elapsed = time.perf_counter() - start
     _report(

@@ -1,11 +1,16 @@
+import io
 import json
 import math
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from fockgauge import cli, fock, summarize
+from fockgauge import cli, coherent, fock, summarize
 from fockgauge.cli import dumps, format_number, run
 from fockgauge.errors import NonFiniteOutputError
+from fockgauge.states import _FIELDS, _KINDS
 
 
 def _reject_constant(token):
@@ -302,3 +307,88 @@ def test_number_formatting():
     assert float(format_number(1 / 3)) == 1 / 3
     text = dumps({"a": [1.0, None, True], "b": {"c": 2}})
     assert _strict(text) == {"a": [1.0, None, True], "b": {"c": 2}}
+
+
+# ---------------------------------------------------------------- fuzzing
+# Whatever the input, `run` returns 0, 1 or 2, lets no exception escape and prints
+# nothing or strict JSON.  Specs, moment tables and sweep configs carry NaN, infinities,
+# huge, negative and mistyped values; only `cutoff` and state counts stay small, for speed.
+
+NUMBERS = st.one_of(
+    st.floats(),  # NaN and both infinities included
+    st.floats(-10.0, 10.0),
+    st.sampled_from([1e-300, 1e-14, 1e200, -1e300, 1.7e308, 2.0**500, 10**400, -5, 3]),
+)
+WRONG = st.one_of(st.none(), st.booleans(), st.text(max_size=3), st.just([1.0]), st.just({"re": 1}))
+COMPLEX = st.fixed_dictionaries({"re": NUMBERS, "im": NUMBERS})
+INTEGERS = st.one_of(st.integers(-3, 20), st.sampled_from([4096, 4097, 10**6, 10**400]))
+VALUES = {
+    **dict.fromkeys(("alpha", "gamma"), COMPLEX),
+    **dict.fromkeys(("r", "phi_s", "beta", "eps_tail"), NUMBERS),
+    **dict.fromkeys(("n", "M", "rank", "seed"), INTEGERS),
+    "cutoff": st.integers(-1, 12),
+    "method": st.sampled_from(["operator", "laguerre", "newton"]),
+}
+assert set(VALUES) == set(_FIELDS)
+TABLE = summarize(coherent(0.8 - 0.4j)).to_dict()
+
+
+@st.composite
+def state_specs(draw):
+    # a kind's fields with, now and then, one dropped, foreign or mistyped, or a bad kind
+    def rarely():
+        return draw(st.integers(0, 4)) == 0
+
+    kind = draw(st.sampled_from(sorted(_KINDS)))
+    required, optional, _ = _KINDS[kind]
+    names = [*required, *(name for name in optional if draw(st.booleans()))]
+    if rarely():
+        names = names[1:] if draw(st.booleans()) else [*names, draw(st.sampled_from(sorted(VALUES)))]
+    spec = {"kind": draw(WRONG) if rarely() else kind}
+    for name in names:
+        spec[name] = draw(st.one_of(VALUES[name], WRONG) if rarely() else VALUES[name])
+    return spec
+
+
+@st.composite
+def moment_tables(draw):
+    table = dict(TABLE)
+    for name in draw(st.lists(st.sampled_from(sorted(TABLE)), max_size=3)):
+        is_complex = isinstance(TABLE[name], dict)
+        near = st.floats(-3.0, 3.0)
+        near = st.fixed_dictionaries({"re": near, "im": near}) if is_complex else near
+        table[name] = draw(st.one_of(near, near, COMPLEX if is_complex else NUMBERS, WRONG))
+    return table
+
+
+SWEEPS = st.fixed_dictionaries(
+    {"n_pure": st.integers(0, 3), "n_mixed": st.integers(0, 3), "cutoff": st.integers(0, 12)},
+    optional={"rank": st.one_of(INTEGERS, WRONG), "seed": st.one_of(INTEGERS, WRONG)},
+)
+ARGV = st.one_of(
+    st.tuples(st.sampled_from(["gauge", "state", "moments"]), st.just("--spec"), state_specs()),
+    st.tuples(st.just("gauge"), st.just("--moments"), moment_tables()),
+    st.tuples(st.just("sweep"), st.just("--config"), SWEEPS),
+    st.tuples(st.sampled_from(["gauge", "sweep"]), st.sampled_from(["--spec", "--moments", "--config"]),
+              st.one_of(NUMBERS, WRONG)),
+)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(ARGV)
+# |alpha|^2 overflows while the coherent amplitudes are built
+@example(("gauge", "--spec", {"kind": "coherent", "alpha": {"re": 1e300, "im": 0}}))
+@example(("gauge", "--spec", {"kind": "cat", "alpha": {"re": 1e200, "im": 0}, "beta": 0}))
+@example(("gauge", "--spec", {"kind": "crescent", "alpha": {"re": 0, "im": 1e200}, "M": 1,
+                              "method": "laguerre"}))
+# squares of moment-table entries overflow in the uncertainty_area and closed-form rows
+@example(("gauge", "--moments", {**TABLE, "cov_ada": 1e300}))
+@example(("gauge", "--moments", {**TABLE, "mean_a": {"re": 1e200, "im": 0}}))
+def test_cli_exits_cleanly_with_strict_json(argv):
+    command, flag, payload = argv
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = run([command, flag, json.dumps(payload)])
+    assert code in (0, 1, 2), err.getvalue()
+    if out.getvalue():
+        _strict(out.getvalue())

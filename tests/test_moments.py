@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -11,14 +12,13 @@ from fockgauge import (
     coherent,
     ellipse,
     fock,
-    lambda_sq,
-    phase_variance,
-    quadrature_stats,
+    full_report,
     random_state,
     squeezed_coherent,
     summarize,
     summary_from_dict,
 )
+from fockgauge.gauges import _objective
 from _oracles import dense_expectation, quadrature_mean_direct, quadrature_var_direct
 
 
@@ -117,32 +117,59 @@ def test_ellipse_rejects_nonphysical_moments():
         ellipse(summary_from_dict(bad))
 
 
+# x_theta = (a e^{i theta} + a^dag e^{-i theta}) / sqrt(2) and p_theta = x_{theta - pi/2},
+# so [x, p] = i: the ladder oracle applies this convention, and the ellipse axes,
+# the scan objective and the canonical-pair rows must agree with it.
+
+def _p_mean_direct(state, theta):
+    return quadrature_mean_direct(state, theta - math.pi / 2)
+
+
+def _records(state):
+    s = summarize(state)
+    return s, full_report(s, ellipse(s)).records
+
+
 def test_quadrature_vacuum():
+    e = ellipse(summarize(fock(0)))
+    assert e.lambda_plus_sq == 0.5 and e.lambda_minus_sq == 0.5
     for theta in (0.0, 0.7, math.pi / 2):
-        q = quadrature_stats(fock(0), theta)
-        assert q.var_x == pytest.approx(0.5, abs=1e-13)
-        assert q.mean_x == pytest.approx(0.0, abs=1e-13)
+        assert quadrature_var_direct(fock(0), theta) == pytest.approx(0.5, abs=1e-13)
+        assert quadrature_mean_direct(fock(0), theta) == pytest.approx(0.0, abs=1e-13)
 
 
 def test_quadrature_coherent_imaginary():
-    q = quadrature_stats(coherent(1j), 0.0)
-    assert q.mean_p == pytest.approx(math.sqrt(2.0), abs=1e-10)
-    assert q.mean_x == pytest.approx(0.0, abs=1e-10)
+    state = coherent(1j)
+    assert _p_mean_direct(state, 0.0) == pytest.approx(math.sqrt(2.0), abs=1e-10)
+    assert quadrature_mean_direct(state, 0.0) == pytest.approx(0.0, abs=1e-10)
+    # Var n Var x >= <p>^2 / 4 and Var n Var p >= <x>^2 / 4 at theta = 0
+    records = _records(state)[1]
+    assert records["canonical_pair_x"].rhs == pytest.approx(0.5, abs=1e-10)
+    assert records["canonical_pair_p"].rhs == pytest.approx(0.0, abs=1e-10)
 
 
 def test_quadrature_convention_pin():
     # phi_s = 0 squeezing leaves the major axis along x at theta = 0
-    q = quadrature_stats(squeezed_coherent(0.0, 0.5), 0.0)
-    assert q.var_x == pytest.approx(1.3591409142295225, abs=1e-9)
+    state = squeezed_coherent(0.0, 0.5)
+    e = ellipse(summarize(state))
+    assert quadrature_var_direct(state, 0.0) == pytest.approx(1.3591409142295225, abs=1e-9)
+    assert e.lambda_plus_sq == pytest.approx(1.3591409142295225, abs=1e-9)
+    assert e.major_axis_angle == pytest.approx(0.0, abs=1e-12)
 
 
 def test_quadrature_matches_ladder_oracle():
     states = (coherent(0.8 - 0.3j), squeezed_coherent(0.7, 0.9, 0.4), cat(1.1, 0.0))
     for state in states:
+        s, records = _records(state)
+        x, p = records["canonical_pair_x"], records["canonical_pair_p"]
+        assert x.lhs == pytest.approx(s.var_n * quadrature_var_direct(state, 0.0), abs=1e-10)
+        assert p.lhs == pytest.approx(s.var_n * quadrature_var_direct(state, -math.pi / 2), abs=1e-10)
+        assert x.rhs == pytest.approx(_p_mean_direct(state, 0.0) ** 2 / 4.0, abs=1e-10)
+        assert p.rhs == pytest.approx(quadrature_mean_direct(state, 0.0) ** 2 / 4.0, abs=1e-10)
         for theta in np.linspace(0.0, 2 * math.pi, 9, endpoint=False):
-            q = quadrature_stats(state, theta)
-            assert q.var_x == pytest.approx(quadrature_var_direct(state, theta), abs=1e-10)
-            assert q.mean_x == pytest.approx(quadrature_mean_direct(state, theta), abs=1e-10)
+            # the scan objective |<p_theta>|^2 / (4 Var x_theta)
+            direct = _p_mean_direct(state, theta) ** 2 / (4.0 * quadrature_var_direct(state, theta))
+            assert _objective(s, theta) == pytest.approx(direct, abs=1e-10)
 
 
 def _refine(fun, center, halfwidth, maximize, iterations=80):
@@ -164,9 +191,7 @@ def test_quadrature_extremality():
     s = summarize(state)
     e = ellipse(s)
 
-    def var_at(theta):
-        return quadrature_stats(state, theta).var_x
-
+    var_at = functools.partial(quadrature_var_direct, state)
     thetas = np.linspace(0.0, math.pi, 720, endpoint=False)
     variances = np.array([var_at(t) for t in thetas])
     assert variances.max() <= e.lambda_plus_sq + 1e-9
@@ -183,32 +208,8 @@ def test_quadrature_pythagoras():
     state = cat(0.9, 0.3)
     s = summarize(state)
     for theta in (0.0, 0.4, 1.3):
-        total = quadrature_stats(state, theta).var_x + quadrature_stats(
-            state, theta + math.pi / 2
-        ).var_x
+        total = quadrature_var_direct(state, theta) + quadrature_var_direct(state, theta + math.pi / 2)
         assert total == pytest.approx(2.0 * s.cov_ada, abs=1e-10)
-
-
-def test_lambda_sq_interpolation():
-    e = ellipse(summarize(squeezed_coherent(0.0, 0.5)))
-    assert lambda_sq(e, 0.0) == pytest.approx(e.lambda_minus_sq)
-    assert lambda_sq(e, math.pi / 2) == pytest.approx(e.lambda_plus_sq)
-    circle = ellipse(summarize(coherent(1.0)))
-    for angle in (0.0, 0.3, 2.2):
-        assert lambda_sq(circle, angle) == pytest.approx(0.5, abs=1e-11)
-
-
-def test_phase_variance_values():
-    assert phase_variance(summarize(coherent(2.0))) == pytest.approx(0.25, abs=1e-9)
-    assert phase_variance(summarize(cat(1.0, 0.0))) is None
-    assert phase_variance(summarize(fock(3))) is None
-
-
-def test_phase_variance_pairs_with_number_variance():
-    # Var n times the operational phase variance is at least 1 by construction
-    for alpha in (0.7, 1.5 - 0.8j):
-        s = summarize(coherent(alpha))
-        assert s.var_n * phase_variance(s) >= 1.0 - 1e-9
 
 
 def test_summary_roundtrip_dict():

@@ -8,15 +8,15 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fockgauge import (
+    DensityMatrix,
     FockVector,
     ellipse,
-    fidelity,
-    gauge_g2,
+    full_report,
     normally_ordered_moment,
     summarize,
     tight_bound,
 )
-from _oracles import lowered, quadrature_var_direct, raised
+from _oracles import fidelity, lowered, quadrature_var_direct, raised
 
 finite = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
 
@@ -48,7 +48,7 @@ def test_moment_hermiticity(psi, j, k):
 @given(fock_vectors(max_dim=12))
 @settings(max_examples=40)
 def test_pure_equals_rank_one_density(psi):
-    rho = psi.to_density()
+    rho = DensityMatrix(np.outer(psi.amplitudes, psi.amplitudes.conj()))
     for j, k in ((0, 1), (1, 1), (0, 2), (2, 2)):
         assert normally_ordered_moment(psi, j, k) == pytest.approx(
             normally_ordered_moment(rho, j, k), abs=1e-12
@@ -74,7 +74,8 @@ def test_area_law_and_covariance_floor(psi):
 
 @given(fock_vectors())
 def test_pair_covariance_floor(psi):
-    assert gauge_g2(summarize(psi)).g2 >= 1.0 - 1e-9
+    s = summarize(psi)
+    assert full_report(s, ellipse(s)).g2 >= 1.0 - 1e-9
 
 
 @given(fock_vectors(max_dim=16))

@@ -12,7 +12,6 @@ from fockgauge import (
     coherent,
     crescent,
     ellipse,
-    fidelity,
     fock,
     full_report,
     normally_ordered_moment,
@@ -24,7 +23,12 @@ from fockgauge import (
 )
 from fockgauge.fock import BOUNDARY_PAD
 from fockgauge.states import strong_field_norm_inverse
-from _oracles import crescent_eigen_residual, laguerre_series, square_annihilate_residual
+from _oracles import (
+    crescent_eigen_residual,
+    fidelity,
+    laguerre_series,
+    square_annihilate_residual,
+)
 
 
 # ---------------------------------------------------------------- coherent
@@ -65,6 +69,35 @@ def test_coherent_cutoff_ceiling(monkeypatch):
     monkeypatch.setenv("FOCKGAUGE_MAX_CUTOFF", "16")
     with pytest.raises(CutoffExplosionError):
         coherent(4.0)
+
+
+@pytest.mark.parametrize(
+    "ceiling,build",
+    [
+        # the 64-amplitude chunk that converges may not end beyond the ceiling
+        ("100", lambda: squeezed_coherent(0.0, 0.5)),
+        ("4096", lambda: squeezed_coherent(0.0, 2.8)),
+        # M added photons on top of a coherent state already at the ceiling
+        ("16", lambda: photon_added(1.0, 16)),
+        ("16", lambda: crescent(1.0, 16)),
+        ("16", lambda: crescent(1.0, 16, method="laguerre")),
+        ("16", lambda: approx_strong_field(1.0, 0.5)),
+    ],
+    ids=["squeezed-chunk", "squeezed-r", "photon_added", "crescent", "laguerre", "strong_field"],
+)
+def test_grown_cutoffs_respect_the_ceiling(monkeypatch, ceiling, build):
+    monkeypatch.setenv("FOCKGAUGE_MAX_CUTOFF", ceiling)
+    with pytest.raises(CutoffExplosionError):
+        build()
+
+
+def test_cutoff_ceiling_is_inclusive_and_spares_random_states(monkeypatch):
+    # at the default ceiling of 4096 a squeezed vacuum builds up to |r| of about 2.79
+    assert squeezed_coherent(0.0, 2.75).cutoff - BOUNDARY_PAD == 3713
+    assert squeezed_coherent(0.0, -2.79).cutoff - BOUNDARY_PAD <= 4096
+    monkeypatch.setenv("FOCKGAUGE_MAX_CUTOFF", "16")
+    assert coherent(1.0).cutoff - BOUNDARY_PAD == 16
+    assert random_state(32, "pure", seed=1).cutoff - BOUNDARY_PAD == 32
 
 
 # ---------------------------------------------------------------- fock
