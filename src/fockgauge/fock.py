@@ -169,6 +169,6 @@ def normally_ordered_moment(state: QuantumState, j: int, k: int) -> complex:
 
 
 def boundary_mass(state: QuantumState) -> float:
-    """Occupation in the top four indices of the register (clamped at 0)."""
-    return float(np.sum(state.probabilities[max(0, state.cutoff - 3):]))
+    """Occupation in the top BOUNDARY_PAD indices of the register."""
+    return float(np.sum(state.probabilities[max(0, state.cutoff + 1 - BOUNDARY_PAD):]))
 

@@ -17,12 +17,15 @@ normalization it equals 1/2.  The relaxed bounds inherit their constants from
 the same calibration (see verify.calibrate, which also audits them against
 their commonly printed variants).
 
-G1 = Var n / B reads exactly 1 on the extremal (intelligent) states; for
-zero-amplitude states the scan is trivial and G2, built from the second-order
-pair covariance, takes over with value 1 exactly on eigenstates of a^2.
+G1 = Var n / B, the lhs/rhs ratio of the `tight_scan` row, reads exactly 1 on
+the extremal (intelligent) states; for zero-amplitude states the scan is
+trivial and G2, the ratio of the `second_order_floor` row, takes over with
+value 1 exactly on eigenstates of a^2.
 
 Every inequality is defined once, with its tolerance, in `INEQUALITIES`; the
-gauge report, the sweep tallies and the CLI exit code all read that table.
+gauge report, the sweep tallies and the CLI exit code all read that table,
+and the figures read the relaxed floors through `lambda_plus_floor` and
+`trace_floor`.
 """
 
 from __future__ import annotations
@@ -54,13 +57,13 @@ _COS = np.cos(_THETA_GRID)
 _SIN2 = np.sin(2.0 * _THETA_GRID)
 _COS2 = np.cos(2.0 * _THETA_GRID)
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_REFINE_TOL = 1e-10
 
 
 @dataclass(frozen=True)
 class InequalityRecord:
     """One inequality lhs >= rhs with its slack and saturation and violation flags."""
 
-    name: str
     lhs: float
     rhs: float
     slack: float
@@ -76,11 +79,9 @@ class InequalityRecord:
         }
 
 
-def _record(name: str, lhs: float, rhs: float, tolerance: float) -> InequalityRecord:
+def _record(lhs: float, rhs: float, tolerance: float) -> InequalityRecord:
     slack = lhs - rhs
-    return InequalityRecord(
-        name, lhs, rhs, slack, abs(slack) <= SATURATION_TOL, slack < -tolerance
-    )
+    return InequalityRecord(lhs, rhs, slack, abs(slack) <= SATURATION_TOL, slack < -tolerance)
 
 
 @dataclass(frozen=True)
@@ -97,84 +98,83 @@ class TightBoundReport:
         return dict(vars(self))  # the fields, in declaration order
 
 
-_Side = Callable[[MomentSummary, NoiseEllipse, TightBoundReport], float]
+def lambda_plus_floor(amp_sq: float, lambda_plus_sq: float) -> float:
+    """Relaxed floor on Var n from the major semiaxis: C_LAMBDA_PLUS |<a>|^2 / lp^2."""
+    return C_LAMBDA_PLUS * amp_sq / lambda_plus_sq
+
+
+def trace_floor(amp_sq: float, cov_ada: float) -> float:
+    """Relaxed floor on Var n from the covariance: C_TRACE |<a>|^2 / Cov(a^dag, a)."""
+    return C_TRACE * amp_sq / cov_ada
 
 
 class Inequality(NamedTuple):
     """One registry row: lhs >= rhs, violated when lhs - rhs < -tolerance.
 
-    Both sides read (summary s, ellipse e, tight report t).  Rows that need a
-    nonzero amplitude apply only where the tight scan does.
+    `sides` maps (summary s, ellipse e, tight report t) to (lhs, rhs).  Rows
+    that need a nonzero amplitude apply only where the tight scan does.
     """
 
     name: str
-    lhs: _Side
-    rhs: _Side
+    sides: Callable[[MomentSummary, NoiseEllipse, TightBoundReport], tuple[float, float]]
     tolerance: float
     needs_amplitude: bool
 
 
 INEQUALITIES = (
-    Inequality("tight_scan", lambda s, e, t: s.var_n, lambda s, e, t: t.bound_scan, 1e-9, True),
+    Inequality("tight_scan", lambda s, e, t: (s.var_n, t.bound_scan), 1e-9, True),
     # relative deviation; lhs -0.0 keeps the slack exactly -deviation, signed zero included
     Inequality(
         "closed_form_agreement",
-        lambda s, e, t: -0.0,
-        lambda s, e, t: abs(t.bound_closed - t.bound_scan) / (1.0 + t.bound_scan),
+        lambda s, e, t: (-0.0, abs(t.bound_closed - t.bound_scan) / (1.0 + t.bound_scan)),
         1e-9,
         True,
     ),
     # theta = 0 canonical pair: Var n Var x >= <p>^2 / 4 and Var n Var p >= <x>^2 / 4
     Inequality(
         "canonical_pair_x",
-        lambda s, e, t: s.var_n * (s.cov_ada + s.var_a.real),
-        lambda s, e, t: (math.sqrt(2.0) * s.mean_a.imag) ** 2 / 4.0,
+        lambda s, e, t: (
+            s.var_n * (s.cov_ada + s.var_a.real), (math.sqrt(2.0) * s.mean_a.imag) ** 2 / 4.0
+        ),
         1e-9,
         False,
     ),
     Inequality(
         "canonical_pair_p",
-        lambda s, e, t: s.var_n * (s.cov_ada - s.var_a.real),
-        lambda s, e, t: (math.sqrt(2.0) * s.mean_a.real) ** 2 / 4.0,
+        lambda s, e, t: (
+            s.var_n * (s.cov_ada - s.var_a.real), (math.sqrt(2.0) * s.mean_a.real) ** 2 / 4.0
+        ),
         1e-9,
         False,
     ),
-    Inequality("covariance_floor", lambda s, e, t: s.cov_ada, lambda s, e, t: 0.5, 1e-9, False),
+    Inequality("covariance_floor", lambda s, e, t: (s.cov_ada, 0.5), 1e-9, False),
     Inequality(
-        "uncertainty_area",
-        lambda s, e, t: s.cov_ada**2 - 0.25,
-        lambda s, e, t: abs(s.var_a) ** 2,
-        1e-9,
-        False,
+        "uncertainty_area", lambda s, e, t: (s.cov_ada**2 - 0.25, abs(s.var_a) ** 2), 1e-9, False
     ),
     Inequality(
-        "second_order_floor",
-        lambda s, e, t: s.cov_a2,
-        lambda s, e, t: 2.0 * s.mean_n + 1.0,
-        1e-9,
-        False,
+        "second_order_floor", lambda s, e, t: (s.cov_a2, 2.0 * s.mean_n + 1.0), 1e-9, False
     ),
     Inequality(
         "relaxed_lambda_plus",
-        lambda s, e, t: s.var_n * e.lambda_plus_sq,
-        lambda s, e, t: C_LAMBDA_PLUS * abs(s.mean_a) ** 2,
+        lambda s, e, t: (s.var_n * e.lambda_plus_sq, C_LAMBDA_PLUS * abs(s.mean_a) ** 2),
         1e-9,
         False,
     ),
     Inequality(
         "relaxed_trace",
-        lambda s, e, t: s.var_n * s.cov_ada,
-        lambda s, e, t: C_TRACE * abs(s.mean_a) ** 2,
+        lambda s, e, t: (s.var_n * s.cov_ada, C_TRACE * abs(s.mean_a) ** 2),
         1e-9,
         False,
     ),
     # the scanned bound dominates both relaxed floors on Var n
     Inequality(
         "hierarchy",
-        lambda s, e, t: t.bound_scan,
-        lambda s, e, t: max(
-            C_LAMBDA_PLUS * abs(s.mean_a) ** 2 / e.lambda_plus_sq,
-            C_TRACE * abs(s.mean_a) ** 2 / s.cov_ada,
+        lambda s, e, t: (
+            t.bound_scan,
+            max(
+                lambda_plus_floor(abs(s.mean_a) ** 2, e.lambda_plus_sq),
+                trace_floor(abs(s.mean_a) ** 2, s.cov_ada),
+            ),
         ),
         1e-10,
         True,
@@ -182,8 +182,7 @@ INEQUALITIES = (
     # physicality: Cov(a^dag, a) lies on or above the hyperboloid sqrt(1/4 + |Var a|^2)
     Inequality(
         "hyperboloid_surface",
-        lambda s, e, t: s.cov_ada,
-        lambda s, e, t: math.sqrt(0.25 + abs(s.var_a) ** 2),
+        lambda s, e, t: (s.cov_ada, math.sqrt(0.25 + abs(s.var_a) ** 2)),
         1e-10,
         False,
     ),
@@ -195,7 +194,8 @@ class GaugeReport:
     """Every bound, slack and gauge value for one state.
 
     `records` holds the registry rows that apply to the state, in table
-    order; `squeezing` is a classification record outside the registry.
+    order; `squeezing` is a classification record outside the registry, and
+    `squeezed` is its `violated` flag.
     """
 
     tight: TightBoundReport
@@ -207,27 +207,12 @@ class GaugeReport:
     squeezing: InequalityRecord
     squeezed: bool
 
-    @property
-    def constraints(self) -> dict[str, InequalityRecord]:
-        """Second-order moment constraints with the squeezing classification."""
-        return {
-            "covariance_floor": self.records["covariance_floor"],
-            "uncertainty_area": self.records["uncertainty_area"],
-            "squeezing": self.squeezing,
-            "second_order_floor": self.records["second_order_floor"],
-        }
-
-    @property
-    def hierarchy_ok(self) -> bool:
-        """False only when the hierarchy row applies and is violated."""
-        hierarchy = self.records.get("hierarchy")
-        return hierarchy is None or not hierarchy.violated
-
     def violated_names(self) -> list[str]:
         return [name for name, record in self.records.items() if record.violated]
 
     def to_dict(self) -> dict:
         records = self.records
+        hierarchy = records.get("hierarchy")
         return {
             "tight": self.tight.to_dict(),
             "g1": self.g1,
@@ -240,9 +225,15 @@ class GaugeReport:
                 records["canonical_pair_x"].to_dict(),
                 records["canonical_pair_p"].to_dict(),
             ],
-            "constraints": {name: rec.to_dict() for name, rec in self.constraints.items()},
+            "constraints": {
+                "covariance_floor": records["covariance_floor"].to_dict(),
+                "uncertainty_area": records["uncertainty_area"].to_dict(),
+                "squeezing": self.squeezing.to_dict(),
+                "second_order_floor": records["second_order_floor"].to_dict(),
+            },
             "squeezed": self.squeezed,
-            "hierarchy_ok": self.hierarchy_ok,
+            # false only when the hierarchy row applies and is violated
+            "hierarchy_ok": hierarchy is None or not hierarchy.violated,
         }
 
 
@@ -258,12 +249,12 @@ def _objective(summary: MomentSummary, theta: float) -> float:
     return p * p / (2.0 * var_x)
 
 
-def scan_bound(summary: MomentSummary, refine_tol: float = 1e-10) -> tuple[float, float]:
+def scan_bound(summary: MomentSummary) -> tuple[float, float]:
     """Maximize the angle-dependent floor over a half period.
 
     A 1024-point grid brackets the maximum (the objective is a ratio of two
     second-degree trigonometric polynomials, so the grid cannot miss it);
-    golden-section refinement then narrows the angle below refine_tol.
+    golden-section refinement then narrows the angle below _REFINE_TOL.
     """
     ar, ai = summary.mean_a.real, summary.mean_a.imag
     p = ar * _SIN + ai * _COS
@@ -275,7 +266,7 @@ def scan_bound(summary: MomentSummary, refine_tol: float = 1e-10) -> tuple[float
     c = hi - _GOLDEN * (hi - lo)
     d = lo + _GOLDEN * (hi - lo)
     fc, fd = _objective(summary, c), _objective(summary, d)
-    while hi - lo > refine_tol:
+    while hi - lo > _REFINE_TOL:
         if fc > fd:
             hi, d, fd = d, c, fc
             c = hi - _GOLDEN * (hi - lo)
@@ -288,14 +279,18 @@ def scan_bound(summary: MomentSummary, refine_tol: float = 1e-10) -> tuple[float
     return _objective(summary, theta), theta
 
 
+def stick_variance(ell: NoiseEllipse) -> float:
+    """Lambda^2: the quadrature variance along the stick (the <a> direction)."""
+    chi = ell.stick_angle - ell.major_axis_angle
+    return ell.lambda_plus_sq * math.cos(chi) ** 2 + ell.lambda_minus_sq * math.sin(chi) ** 2
+
+
 def closed_bound(summary: MomentSummary, ell: NoiseEllipse) -> float:
     """Closed form of the scanned bound (rank-1 Rayleigh maximization)."""
-    chi = ell.stick_angle - ell.major_axis_angle
-    lam2 = ell.lambda_plus_sq * math.cos(chi) ** 2 + ell.lambda_minus_sq * math.sin(chi) ** 2
     return (
         C_TIGHT
         * abs(summary.mean_a) ** 2
-        * lam2
+        * stick_variance(ell)
         / (ell.lambda_plus_sq * ell.lambda_minus_sq)
     )
 
@@ -329,9 +324,7 @@ def full_report(summary: MomentSummary, ell: NoiseEllipse) -> GaugeReport:
     """
     tight = tight_bound(summary, ell)
     records = {
-        row.name: _record(
-            row.name, row.lhs(summary, ell, tight), row.rhs(summary, ell, tight), row.tolerance
-        )
+        row.name: _record(*row.sides(summary, ell, tight), row.tolerance)
         for row in INEQUALITIES
         if tight.applicable or not row.needs_amplitude
     }
@@ -341,13 +334,15 @@ def full_report(summary: MomentSummary, ell: NoiseEllipse) -> GaugeReport:
         g2_alt = (
             summary.var_n + 4.0 * (ell.lambda_plus_sq - 0.5) * (ell.lambda_minus_sq + 0.5)
         ) / summary.mean_n
+    scan, floor = records.get("tight_scan"), records["second_order_floor"]
+    squeezing = _record(ell.lambda_minus_sq, 0.5, SQUEEZING_TOL)
     return GaugeReport(
         tight=tight,
-        g1=summary.var_n / tight.bound_scan if tight.applicable else None,
-        g2=summary.cov_a2 / (2.0 * summary.mean_n + 1.0),
+        g1=None if scan is None else scan.lhs / scan.rhs,
+        g2=floor.lhs / floor.rhs,
         g2_alt=g2_alt,
         g2_amplitude_warning=abs(summary.mean_a) > AMPLITUDE_FLAG_TOL,
         records=records,
-        squeezing=_record("squeezing", ell.lambda_minus_sq, 0.5, SQUEEZING_TOL),
-        squeezed=ell.lambda_minus_sq < 0.5 - SQUEEZING_TOL,
+        squeezing=squeezing,
+        squeezed=squeezing.violated,
     )

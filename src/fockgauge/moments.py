@@ -92,15 +92,15 @@ def summarize(state: QuantumState) -> MomentSummary:
 class NoiseEllipse:
     """Extremal quadrature variances and phase-space angles of one state.
 
-    Angles are phase-space angles; flagged degenerate angles are 0 by
-    convention and consumers must branch on the flags, never on magnitudes.
+    Angles are phase-space angles.  A degenerate angle (a circle's major
+    axis, a zero stick's direction) is 0 by convention; consumers branch on
+    `zero_stick_flag`, never on magnitudes.
     """
 
     lambda_plus_sq: float
     lambda_minus_sq: float
     major_axis_angle: float
     stick_angle: float
-    circle_flag: bool
     zero_stick_flag: bool
 
 
@@ -120,14 +120,12 @@ def ellipse(summary: MomentSummary) -> NoiseEllipse:
         raise NonphysicalMomentError(
             f"minor quadrature variance {lam_minus!r} is not positive; moments are nonphysical"
         )
-    circle = spread < FLAG_TOL
     zero_stick = abs(summary.mean_a) < FLAG_TOL
     return NoiseEllipse(
         lambda_plus_sq=lam_plus,
         lambda_minus_sq=lam_minus,
-        major_axis_angle=0.0 if circle else cmath.phase(summary.var_a) / 2.0,
+        major_axis_angle=0.0 if spread < FLAG_TOL else cmath.phase(summary.var_a) / 2.0,
         stick_angle=0.0 if zero_stick else cmath.phase(summary.mean_a),
-        circle_flag=circle,
         zero_stick_flag=zero_stick,
     )
 

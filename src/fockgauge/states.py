@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from typing import Union
 
 import numpy as np
@@ -131,30 +132,35 @@ def squeezed_coherent(
         raise ValueError("squeezing magnitude |r| is limited to 3 for truncation safety")
     alpha = complex(alpha)
     mu = math.cosh(r)
-    nu = -np.exp(1j * phi_s) * math.sinh(r)
-    beta = mu * alpha + nu * np.conjugate(alpha)
     ceiling = max_cutoff()
     chunk = 64
-    c = [1.0 + 0.0j, beta / mu]
-    while True:
-        for _ in range(chunk):
-            n = len(c) - 1
-            c.append((beta * c[n] - nu * math.sqrt(n) * c[n - 1]) / (mu * math.sqrt(n + 1)))
-        if len(c) - 1 > ceiling:
-            raise CutoffExplosionError(
-                f"squeezed state (alpha={alpha!r}, r={r}) needs a cutoff beyond {ceiling}"
-            )
-        p = np.abs(np.array(c)) ** 2
-        cum = float(p.sum())
-        w_last = float(p[-chunk:].sum())
-        if w_last == 0.0:
-            break
-        if len(p) >= 2 * chunk:
-            w_prev = float(p[-2 * chunk:-chunk].sum())
-            if 0.0 < w_last < w_prev:
-                q = w_last / w_prev
-                if w_last * q / (1.0 - q) < eps_tail * cum:
-                    break
+    # Amplitudes that leave the float range make the run end in one of the two
+    # errors below; numpy's overflow warnings on the way there are silenced.
+    with np.errstate(over="ignore", invalid="ignore"):
+        nu = -np.exp(1j * phi_s) * math.sinh(r)
+        beta = mu * alpha + nu * np.conjugate(alpha)
+        c = [1.0 + 0.0j, beta / mu]
+        while True:
+            for _ in range(chunk):
+                n = len(c) - 1
+                c.append((beta * c[n] - nu * math.sqrt(n) * c[n - 1]) / (mu * math.sqrt(n + 1)))
+            if len(c) - 1 > ceiling:
+                raise CutoffExplosionError(
+                    f"squeezed state (alpha={alpha!r}, r={r}) needs a cutoff beyond {ceiling}"
+                )
+            p = np.abs(np.array(c)) ** 2
+            cum = float(p.sum())
+            w_last = float(p[-chunk:].sum())
+            if w_last == 0.0:
+                break
+            if len(p) >= 2 * chunk:
+                w_prev = float(p[-2 * chunk:-chunk].sum())
+                if 0.0 < w_last < w_prev:
+                    q = w_last / w_prev
+                    if w_last * q / (1.0 - q) < eps_tail * cum:
+                        break
+    if not math.isfinite(cum):
+        raise ValueError(f'field "alpha" = {alpha!r} at r = {r} overflows the squeezed amplitudes')
     return _finalize(np.array(c, dtype=np.complex128))
 
 
@@ -177,11 +183,13 @@ def _crescent_laguerre_amps(alpha: complex, added: int, eps_tail: float) -> np.n
     # tail values drown in cancellation noise.
     top = _coherent_amps(alpha, eps_tail, added).size - 1 + added
     aa2 = abs(alpha) ** 2
+    # a |alpha|^2 below the normal range has lost bits or underflowed to 0
+    log_aa2 = math.log(aa2) if aa2 >= sys.float_info.min else 2.0 * math.log(abs(alpha))
     phase = np.exp(-1j * np.angle(alpha))
     logs = np.empty(top + 1)
     for n in range(top + 1):
         terms = [
-            math.log(math.comb(added, n - i)) + i * math.log(aa2) - math.lgamma(i + 1)
+            math.log(math.comb(added, n - i)) + i * log_aa2 - math.lgamma(i + 1)
             for i in range(max(0, n - added), n + 1)
         ]
         peak = max(terms)
@@ -234,10 +242,14 @@ def photon_added(alpha: complex, added: int, eps_tail: float = DEFAULT_EPS_TAIL)
 def strong_field_norm_inverse(alpha: complex, gamma: complex) -> float:
     """Analytic squared norm of |alpha> + gamma a^dag |alpha| before normalization."""
     alpha, gamma = complex(alpha), complex(gamma)
+    try:
+        gamma_sq = abs(gamma) ** 2
+    except OverflowError:  # |gamma|^2, and with it the norm, is beyond the float range
+        return math.inf
     return float(
         1.0
         + 2.0 * (gamma * np.conjugate(alpha)).real
-        + abs(gamma) ** 2 * (1.0 + abs(alpha) ** 2)
+        + gamma_sq * (1.0 + abs(alpha) ** 2)
     )
 
 
@@ -247,13 +259,20 @@ def approx_strong_field(
     """Normalized superposition |alpha> + gamma a^dag |alpha>.
 
     With gamma = added/alpha^* this approximates the crescent state in the
-    strong-field regime.  Raises ZeroNormError on cancellation.
+    strong-field regime.  Raises ZeroNormError on cancellation.  From |gamma|
+    of 2^500 on, the same ray is built with gamma divided out, so that its
+    norm stays in the float range.
     """
     _check_eps(eps_tail)
     alpha, gamma = complex(alpha), complex(gamma)
     c = _coherent_amps(alpha, eps_tail, 1)
-    combined = gamma * _raised(c)
-    combined[: c.size] += c
+    # below 2^500 no square of gamma a^dag |alpha> can overflow its norm
+    if max(abs(gamma.real), abs(gamma.imag)) < 2.0**500:
+        combined = gamma * _raised(c)
+        combined[: c.size] += c
+    else:
+        combined = _raised(c)
+        combined[: c.size] += c * (1.0 / gamma)
     return _finalize(combined)
 
 

@@ -18,7 +18,9 @@ from typing import Optional
 import numpy as np
 
 from .errors import CalibrationError, SchemaError
-from .gauges import C_LAMBDA_PLUS, C_TRACE, INEQUALITIES, full_report, tight_bound
+from .gauges import (
+    C_TRACE, INEQUALITIES, full_report, lambda_plus_floor, stick_variance, tight_bound, trace_floor
+)
 from .moments import ellipse, summarize
 from .schema import check_fields, integer
 from .states import MAX_RANDOM_CUTOFF, approx_strong_field, coherent, random_state
@@ -179,8 +181,7 @@ def calibrate() -> CalibrationReport:
         summary = summarize(coherent(alpha))
         ell = ellipse(summary)
         tight = tight_bound(summary, ell)
-        chi = ell.stick_angle - ell.major_axis_angle
-        lam2 = ell.lambda_plus_sq * math.cos(chi) ** 2 + ell.lambda_minus_sq * math.sin(chi) ** 2
+        lam2 = stick_variance(ell)
         amp_sq = abs(summary.mean_a) ** 2
         estimate = summary.var_n * ell.lambda_plus_sq * ell.lambda_minus_sq / (amp_sq * lam2)
         estimates.append(estimate)
@@ -198,7 +199,7 @@ def calibrate() -> CalibrationReport:
         )
     c_tight = sum(estimates) / len(estimates)
     c1 = c_tight
-    c2 = 0.25  # (|<x>|^2 + |<p>|^2) / 4 = |<a>|^2 / 2, spread over 2 Cov
+    c2 = C_TRACE  # (|<x>|^2 + |<p>|^2) / 4 = |<a>|^2 / 2, spread over 2 Cov
     for anchor, (var_n, shape) in zip(anchors, geometry):
         anchor["closed_slack"] = var_n - c_tight * shape
     table = [
@@ -234,9 +235,7 @@ def figure_rows(which: str, resolution: int) -> tuple[list[str], list[tuple]]:
         for v in np.linspace(0.0, 2.0, resolution):
             floor = math.sqrt(0.25 + v * v)
             for c in np.linspace(floor, floor + 2.0, resolution):
-                rows.append(
-                    (float(v), float(c), C_LAMBDA_PLUS / (c + v), C_TRACE / c)
-                )
+                rows.append((float(v), float(c), lambda_plus_floor(1.0, c + v), trace_floor(1.0, c)))
         return header, rows
     if which == "fig3":
         header = ["re_var_a", "im_var_a", "hyperboloid", "cone"]
@@ -257,8 +256,7 @@ def figure_rows(which: str, resolution: int) -> tuple[list[str], list[tuple]]:
             for mag in np.linspace(0.0, 1.0, resolution):
                 gamma = mag * complex(math.cos(phase), math.sin(phase))
                 summary = summarize(approx_strong_field(alpha, gamma))
-                amp_sq = abs(summary.mean_a) ** 2
-                bound = C_TRACE * amp_sq / summary.cov_ada
+                bound = trace_floor(abs(summary.mean_a) ** 2, summary.cov_ada)
                 rows.append(
                     (
                         gamma.real,

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from fockgauge import cli, coherent, fock, summarize
 from fockgauge.cli import dumps, format_number, run
 from fockgauge.errors import NonFiniteOutputError
+from fockgauge.gauges import SQUEEZING_TOL
 from fockgauge.states import _FIELDS, _KINDS
 
 
@@ -151,6 +152,17 @@ def test_gauge_applies_every_registry_row(capsys):
     assert code == 1
     assert captured.err.strip() == "physics violation in: hyperboloid_surface"
     assert _strict(captured.out)["hierarchy_ok"] is True
+
+
+def test_squeezed_flag_reads_the_squeezing_record(capsys):
+    # Var a = 0 and Cov(a^dag, a) = 0.4999999999: the minor variance sits one
+    # rounding beyond the squeezing margin, where two copies of the test disagreed
+    code = run(["gauge", "--moments", _vacuum_table("cov_ada", "0.4999999999")])
+    data = _strict(capsys.readouterr().out)
+    assert code == 1  # the hyperboloid row catches the table
+    squeezing = data["constraints"]["squeezing"]
+    assert data["squeezed"] is (squeezing["slack"] < -SQUEEZING_TOL)
+    assert data["squeezed"] is True
 
 
 def test_schema_error_exit_code(capsys):
@@ -381,6 +393,17 @@ ARGV = st.one_of(
 @example(("gauge", "--spec", {"kind": "cat", "alpha": {"re": 1e200, "im": 0}, "beta": 0}))
 @example(("gauge", "--spec", {"kind": "crescent", "alpha": {"re": 0, "im": 1e200}, "M": 1,
                               "method": "laguerre"}))
+# |alpha|^2 underflows in the Laguerre expansion
+@example(("gauge", "--spec", {"kind": "crescent", "alpha": {"re": 1e-200, "im": 0}, "M": 2,
+                              "method": "laguerre"}))
+# the norm of |alpha> + gamma a^dag |alpha>, and the analytic one `state` prints, overflow
+@example(("gauge", "--spec", {"kind": "approx_strong_field", "alpha": {"re": 1, "im": 0},
+                              "gamma": {"re": 1e200, "im": 0}}))
+@example(("state", "--spec", {"kind": "approx_strong_field", "alpha": {"re": 1, "im": 0},
+                              "gamma": {"re": 1e200, "im": 0}}))
+# the squeezed recurrence overflows on its way to the cutoff ceiling
+@example(("gauge", "--spec", {"kind": "squeezed_coherent", "alpha": {"re": 1e300, "im": 0},
+                              "r": 0.5, "phi_s": 0}))
 # squares of moment-table entries overflow in the uncertainty_area and closed-form rows
 @example(("gauge", "--moments", {**TABLE, "cov_ada": 1e300}))
 @example(("gauge", "--moments", {**TABLE, "mean_a": {"re": 1e200, "im": 0}}))

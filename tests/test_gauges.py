@@ -100,13 +100,13 @@ def test_relaxed_bounds_random_states():
 
 def test_constraints_coherent_saturates_covariance_floor():
     report = full_report(*_se(coherent(1.3)))
-    assert report.constraints["covariance_floor"].saturated
+    assert report.records["covariance_floor"].saturated
     assert not report.squeezed
 
 
 def test_constraints_squeezed_saturates_area():
     report = full_report(*_se(squeezed_coherent(0.0, 1.0)))
-    assert report.constraints["uncertainty_area"].saturated
+    assert report.records["uncertainty_area"].saturated
     assert report.squeezed
 
 
@@ -115,7 +115,7 @@ def test_constraints_number_state():
     report = full_report(s, e)
     assert not report.squeezed
     assert e.lambda_minus_sq == pytest.approx(2.5)
-    assert report.constraints["second_order_floor"].slack == pytest.approx(2.0, abs=1e-12)
+    assert report.records["second_order_floor"].slack == pytest.approx(2.0, abs=1e-12)
 
 
 # ------------------------------------------------------------- gauges
@@ -175,7 +175,7 @@ def test_g2_floor_on_random_states():
 def test_hierarchy(state):
     report = full_report(*_se(state))
     assert report.tight.applicable
-    assert report.hierarchy_ok
+    assert report.to_dict()["hierarchy_ok"] is True
     assert not report.records["hierarchy"].violated
 
 
@@ -183,14 +183,14 @@ def test_full_report_shape():
     s, e = _se(coherent(1.0 + 0.5j))
     report = full_report(s, e)
     assert report.g1 == pytest.approx(1.0, abs=1e-8)
-    assert report.hierarchy_ok
-    assert set(report.constraints) == {
-        "covariance_floor",
-        "uncertainty_area",
-        "squeezing",
-        "second_order_floor",
-    }
     data = report.to_dict()
+    assert data["hierarchy_ok"] is True
+    assert data["constraints"] == {
+        "covariance_floor": report.records["covariance_floor"].to_dict(),
+        "uncertainty_area": report.records["uncertainty_area"].to_dict(),
+        "squeezing": report.squeezing.to_dict(),
+        "second_order_floor": report.records["second_order_floor"].to_dict(),
+    }
     assert data["tight"]["applicable"] is True
     assert len(data["canonical_pair"]) == 2
 

@@ -86,7 +86,7 @@ def test_ellipse_coherent_is_minimal_circle():
     e = ellipse(summarize(coherent(1.3 + 0.4j)))
     assert e.lambda_plus_sq == pytest.approx(0.5, abs=1e-11)
     assert e.lambda_minus_sq == pytest.approx(0.5, abs=1e-11)
-    assert e.circle_flag
+    assert e.major_axis_angle == 0.0  # a circle has no major axis; 0 by convention
     assert not e.zero_stick_flag
 
 
@@ -101,7 +101,7 @@ def test_ellipse_single_photon_circle():
     e = ellipse(summarize(fock(1)))
     assert e.lambda_plus_sq == pytest.approx(1.5)
     assert e.lambda_minus_sq == pytest.approx(1.5)
-    assert e.circle_flag and e.zero_stick_flag
+    assert e.zero_stick_flag
     assert e.major_axis_angle == 0.0 and e.stick_angle == 0.0
 
 

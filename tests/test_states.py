@@ -141,6 +141,14 @@ def test_squeezed_displacement_moves_stick_only():
     assert moved.cov_ada == pytest.approx(plain.cov_ada, abs=1e-10)
 
 
+@pytest.mark.filterwarnings("error")
+def test_squeezed_overflow_ends_in_a_named_error_without_warnings():
+    with pytest.raises(ValueError, match='field "alpha"'):
+        squeezed_coherent(40.0, 0.3)  # amplitudes near e^800 leave the float range
+    with pytest.raises(CutoffExplosionError):
+        squeezed_coherent(1e300, 0.3)
+
+
 def test_squeezed_r_limit():
     with pytest.raises(ValueError):
         squeezed_coherent(0.0, 3.5)
@@ -159,6 +167,14 @@ def test_crescent_vacuum_gives_number_states():
 def test_crescent_construction_equivalence():
     f = fidelity(crescent(1.0, 2), crescent(1.0, 2, method="laguerre"))
     assert f >= 1 - 1e-10
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("size", [1e-200, 1e-160])
+def test_crescent_laguerre_at_tiny_amplitude(size, m):
+    # |alpha|^2 underflows to 0 (1e-200) or is subnormal (1e-160)
+    laguerre = crescent(size, m, method="laguerre")
+    assert fidelity(laguerre, crescent(size, m)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_crescent_eigenvector_property():
@@ -237,6 +253,14 @@ def test_strong_field_mean_occupation_analytic():
 
 def test_strong_field_large_admixture_tends_to_photon_added():
     assert fidelity(approx_strong_field(0.5, 1e6), photon_added(0.5, 1)) >= 1 - 1e-9
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("gamma", [1e154, 1e200j, complex(1.7e308, -1.7e308)])
+def test_strong_field_beyond_the_float_range_of_its_norm(gamma):
+    # gamma a^dag |alpha> alone outgrows the float range; the ray is still built
+    assert fidelity(approx_strong_field(2.0, gamma), photon_added(2.0, 1)) >= 1 - 1e-12
+    assert strong_field_norm_inverse(2.0, gamma) == math.inf
 
 
 def test_strong_field_norm_never_cancels():
