@@ -89,8 +89,11 @@ def _emit(text: str, out: Optional[str]) -> None:
     if out is None or out == "-":
         sys.stdout.write(text)
     else:
-        with open(out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise SchemaError(f"cannot write --out file {out!r}: {exc}") from exc
 
 
 def _parse_json_argument(raw: str, what: str) -> object:

@@ -10,15 +10,13 @@ is the constructor's responsibility and is tracked through the boundary mass.
 from __future__ import annotations
 
 import functools
-import os
 from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
 
-from .errors import MomentOrderError, SchemaError
+from .errors import MomentOrderError
 
-DEFAULT_MAX_CUTOFF = 4096
 MAX_MOMENT_ORDER = 4
 NORM_TOL = 1e-12
 
@@ -26,14 +24,6 @@ NORM_TOL = 1e-12
 # the register empty for exactly representable states, so the boundary
 # heuristic behind `truncation_warning` does not fire on exact constructions.
 BOUNDARY_PAD = 4
-
-
-def max_cutoff() -> int:
-    """Cutoff ceiling for state constructors (env FOCKGAUGE_MAX_CUTOFF overrides)."""
-    raw = os.environ.get("FOCKGAUGE_MAX_CUTOFF", str(DEFAULT_MAX_CUTOFF))
-    if not raw.strip().isdecimal() or int(raw) < 1:
-        raise SchemaError(f"FOCKGAUGE_MAX_CUTOFF must be a positive integer, got {raw!r}")
-    return int(raw)
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,13 +93,6 @@ class DensityMatrix:
 
 
 QuantumState = Union[FockVector, DensityMatrix]
-
-
-def _raised(amps: np.ndarray) -> np.ndarray:
-    """Amplitudes of a^dag|psi>: c_n |n> -> c_n sqrt(n+1) |n+1>."""
-    out = np.zeros(amps.size + 1, dtype=np.complex128)
-    out[1:] = amps * np.sqrt(np.arange(1, amps.size + 1))
-    return out
 
 
 # Bounded so that a long process over many cutoffs keeps a fixed footprint.

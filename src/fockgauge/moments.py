@@ -18,15 +18,12 @@ from dataclasses import dataclass, fields
 
 from .errors import NonphysicalMomentError
 from .fock import QuantumState, boundary_mass, normally_ordered_moment
-from .schema import boolean, check_fields, complex_number, real
+from .schema import SQUARE_LIMIT, boolean, check_fields, complex_number, real
 
 BOUNDARY_MASS_WARN = 1e-10
 FLAG_TOL = 1e-12
 # the rounding margin of most inequality rows; a smaller deficit is left to them
 MEAN_N_TOL = 1e-9
-# The gauges square moments as Python floats, which raise on overflow rather
-# than give infinity; below 2^500 in magnitude no such square can overflow.
-MOMENT_LIMIT = 2.0**500
 
 
 @dataclass(frozen=True)
@@ -52,16 +49,17 @@ class MomentSummary:
         return out
 
 
+# the gauges square moments as Python floats
 _READERS = {
-    "complex": functools.partial(complex_number, limit=MOMENT_LIMIT),
-    "float": functools.partial(real, limit=MOMENT_LIMIT),
+    "complex": functools.partial(complex_number, limit=SQUARE_LIMIT),
+    "float": functools.partial(real, limit=SQUARE_LIMIT),
     "bool": boolean,
 }
 
 
 def summary_from_dict(data: dict) -> MomentSummary:
     """Parse a MomentSummary JSON object (all fields required, none extra,
-    every number of magnitude at most MOMENT_LIMIT)."""
+    every number of magnitude at most SQUARE_LIMIT)."""
     columns = fields(MomentSummary)
     check_fields(data, "moment summary", [c.name for c in columns])
     return MomentSummary(**{c.name: _READERS[c.type](data, c.name) for c in columns})

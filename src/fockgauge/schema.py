@@ -16,6 +16,10 @@ from typing import Collection
 
 from .errors import SchemaError
 
+# A Python float square that overflows raises instead of giving infinity; neither a
+# number below this magnitude nor the modulus of a complex one with such parts gets there.
+SQUARE_LIMIT = 2.0**500
+
 
 def check_fields(data, what: str, required: Collection[str], optional: Collection[str] = ()) -> None:
     """Require a JSON object with every `required` field and nothing else but `optional` ones."""

@@ -16,28 +16,31 @@ from __future__ import annotations
 
 import math
 import operator
+import os
 import sys
 from typing import Union
 
 import numpy as np
 
 from .errors import CutoffExplosionError, SchemaError, ZeroNormError
-from .fock import (
-    BOUNDARY_PAD,
-    DensityMatrix,
-    FockVector,
-    QuantumState,
-    _raised,
-    max_cutoff,
-)
-from .schema import check_fields, complex_number, integer, real
+from .fock import BOUNDARY_PAD, DensityMatrix, FockVector, QuantumState
+from .schema import SQUARE_LIMIT, check_fields, complex_number, integer, real
 
 DEFAULT_EPS_TAIL = 1e-14
+DEFAULT_MAX_CUTOFF = 4096
 EPS_TAIL_CEILING = 1e-6
 MAX_ADDED_PHOTONS = 16
 MAX_RANDOM_CUTOFF = 256
 
 Seed = Union[int, tuple, list]
+
+
+def max_cutoff() -> int:
+    """Cutoff ceiling for state constructors (env FOCKGAUGE_MAX_CUTOFF overrides)."""
+    raw = os.environ.get("FOCKGAUGE_MAX_CUTOFF", str(DEFAULT_MAX_CUTOFF))
+    if not raw.strip().isdecimal() or int(raw) < 1:
+        raise SchemaError(f"FOCKGAUGE_MAX_CUTOFF must be a positive integer, got {raw!r}")
+    return int(raw)
 
 
 def _check_eps(eps_tail: float) -> None:
@@ -52,9 +55,30 @@ def _finalize(amps: np.ndarray) -> FockVector:
     return FockVector(np.concatenate((amps / norm, np.zeros(BOUNDARY_PAD))))
 
 
+def _raised(amps: np.ndarray) -> np.ndarray:
+    """Amplitudes of a^dag|psi>: c_n |n> -> c_n sqrt(n+1) |n+1>."""
+    out = np.zeros(amps.size + 1, dtype=np.complex128)
+    out[1:] = amps * np.sqrt(np.arange(1, amps.size + 1))
+    return out
+
+
 def _beyond_ceiling(alpha: complex, added: int) -> CutoffExplosionError:
     room = f" with room for {added} added photons" if added else ""
     return CutoffExplosionError(f"coherent amplitude {alpha!r}{room} needs a cutoff beyond {max_cutoff()}")
+
+
+def _room_for(alpha: complex, added: int = 0) -> tuple[float, int]:
+    """|alpha|^2 and the cutoff room left below the ceiling for `added` photons.
+
+    A state displaced by alpha holds at least |alpha|^2 photons on average, so
+    from |alpha|^2 = room + 2 on its tail cannot be cut off within the room.
+    Such amplitudes are refused here, before squaring them can overflow.
+    """
+    room = max_cutoff() - added
+    lam = abs(alpha) ** 2 if max(abs(alpha.real), abs(alpha.imag)) < SQUARE_LIMIT else math.inf
+    if room < 0 or lam >= room + 2:
+        raise _beyond_ceiling(alpha, added)
+    return lam, room
 
 
 def _coherent_amps(alpha: complex, eps_tail: float, added: int = 0) -> np.ndarray:
@@ -67,13 +91,7 @@ def _coherent_amps(alpha: complex, eps_tail: float, added: int = 0) -> np.ndarra
     stays `added` below the ceiling, for callers that add photons on top.
     """
     alpha = complex(alpha)
-    room = max_cutoff() - added
-    # From |alpha|^2 = room + 2 on, the tail test below cannot pass before the
-    # cutoff outgrows the room, so such amplitudes are refused up front,
-    # before squaring them can overflow.
-    lam = abs(alpha) ** 2 if max(abs(alpha.real), abs(alpha.imag)) < 2.0**500 else math.inf
-    if room < 0 or lam >= room + 2:
-        raise _beyond_ceiling(alpha, added)
+    lam, room = _room_for(alpha, added)
     if lam == 0.0:
         return np.ones(1, dtype=np.complex128)
     amps = [1.0 + 0.0j]
@@ -125,42 +143,41 @@ def squeezed_coherent(
     (mu a + nu a^dag)|psi> = (mu alpha + nu alpha^*)|psi> with mu = cosh r and
     nu = -e^{i phi_s} sinh r.  At the default cutoff ceiling of 4096 a squeezed
     vacuum builds up to |r| of about 2.79 (cutoff 4033); displacement lowers
-    the limit, and beyond it CutoffExplosionError is raised.
+    the limit, and beyond it CutoffExplosionError is raised.  The mean photon
+    number |alpha|^2 + sinh^2 r is at least |alpha|^2, so alpha is refused, and
+    the running amplitudes rescaled by powers of two, as in `_coherent_amps`.
     """
     _check_eps(eps_tail)
     if abs(r) > 3.0:
         raise ValueError("squeezing magnitude |r| is limited to 3 for truncation safety")
     alpha = complex(alpha)
+    _, ceiling = _room_for(alpha)
     mu = math.cosh(r)
-    ceiling = max_cutoff()
+    nu = -np.exp(1j * phi_s) * math.sinh(r)
+    beta = mu * alpha + nu * np.conjugate(alpha)
+    c = [1.0 + 0.0j, beta / mu]
     chunk = 64
-    # Amplitudes that leave the float range make the run end in one of the two
-    # errors below; numpy's overflow warnings on the way there are silenced.
-    with np.errstate(over="ignore", invalid="ignore"):
-        nu = -np.exp(1j * phi_s) * math.sinh(r)
-        beta = mu * alpha + nu * np.conjugate(alpha)
-        c = [1.0 + 0.0j, beta / mu]
-        while True:
-            for _ in range(chunk):
-                n = len(c) - 1
-                c.append((beta * c[n] - nu * math.sqrt(n) * c[n - 1]) / (mu * math.sqrt(n + 1)))
-            if len(c) - 1 > ceiling:
-                raise CutoffExplosionError(
-                    f"squeezed state (alpha={alpha!r}, r={r}) needs a cutoff beyond {ceiling}"
-                )
-            p = np.abs(np.array(c)) ** 2
-            cum = float(p.sum())
-            w_last = float(p[-chunk:].sum())
-            if w_last == 0.0:
-                break
-            if len(p) >= 2 * chunk:
-                w_prev = float(p[-2 * chunk:-chunk].sum())
-                if 0.0 < w_last < w_prev:
-                    q = w_last / w_prev
-                    if w_last * q / (1.0 - q) < eps_tail * cum:
-                        break
-    if not math.isfinite(cum):
-        raise ValueError(f'field "alpha" = {alpha!r} at r = {r} overflows the squeezed amplitudes')
+    while True:
+        for _ in range(chunk):
+            n = len(c) - 1
+            c.append((beta * c[n] - nu * math.sqrt(n) * c[n - 1]) / (mu * math.sqrt(n + 1)))
+            if abs(c[-1]) > SQUARE_LIMIT:  # exact in binary; the sums below stay finite
+                c = [x / SQUARE_LIMIT for x in c]
+        if len(c) - 1 > ceiling:
+            raise CutoffExplosionError(
+                f"squeezed state (alpha={alpha!r}, r={r}) needs a cutoff beyond {ceiling}"
+            )
+        p = np.abs(np.array(c)) ** 2
+        cum = float(p.sum())
+        w_last = float(p[-chunk:].sum())
+        if w_last == 0.0:
+            break
+        if len(p) >= 2 * chunk:
+            w_prev = float(p[-2 * chunk:-chunk].sum())
+            if 0.0 < w_last < w_prev:
+                q = w_last / w_prev
+                if w_last * q / (1.0 - q) < eps_tail * cum:
+                    break
     return _finalize(np.array(c, dtype=np.complex128))
 
 
@@ -240,17 +257,17 @@ def photon_added(alpha: complex, added: int, eps_tail: float = DEFAULT_EPS_TAIL)
 
 
 def strong_field_norm_inverse(alpha: complex, gamma: complex) -> float:
-    """Analytic squared norm of |alpha> + gamma a^dag |alpha| before normalization."""
+    """Analytic squared norm of |alpha> + gamma a^dag |alpha>, or infinity beyond the float range."""
     alpha, gamma = complex(alpha), complex(gamma)
+    cross = 2.0 * (gamma * alpha.conjugate()).real
     try:
-        gamma_sq = abs(gamma) ** 2
-    except OverflowError:  # |gamma|^2, and with it the norm, is beyond the float range
-        return math.inf
-    return float(
-        1.0
-        + 2.0 * (gamma * np.conjugate(alpha)).real
-        + gamma_sq * (1.0 + abs(alpha) ** 2)
-    )
+        norm_sq = 1.0 + cross + abs(gamma) ** 2 * (1.0 + abs(alpha) ** 2)
+    except OverflowError:  # ** and complex abs raise where * and hypot give infinity
+        g = math.hypot(gamma.real, gamma.imag)
+        ga = math.hypot(g * alpha.real, g * alpha.imag)
+        norm_sq = 1.0 + cross + g * g + ga * ga
+    # NaN comes from inf - inf or inf * 0, each only where the norm is beyond the float range
+    return math.inf if math.isnan(norm_sq) else norm_sq
 
 
 def approx_strong_field(
@@ -267,7 +284,7 @@ def approx_strong_field(
     alpha, gamma = complex(alpha), complex(gamma)
     c = _coherent_amps(alpha, eps_tail, 1)
     # below 2^500 no square of gamma a^dag |alpha> can overflow its norm
-    if max(abs(gamma.real), abs(gamma.imag)) < 2.0**500:
+    if max(abs(gamma.real), abs(gamma.imag)) < SQUARE_LIMIT:
         combined = gamma * _raised(c)
         combined[: c.size] += c
     else:

@@ -165,7 +165,7 @@ def test_squeezed_flag_reads_the_squeezing_record(capsys):
     assert data["squeezed"] is True
 
 
-def test_schema_error_exit_code(capsys):
+def test_schema_error_exit_code(tmp_path, capsys):
     assert run(["gauge", "--spec", '{"kind":"coherent"}']) == 2
     assert run(["moments", "--spec", "{not json"]) == 2
     assert run(["sweep", "--config", '{"n_pure":1}']) == 2
@@ -185,6 +185,8 @@ def test_schema_error_exit_code(capsys):
         (["sweep", "--config", '{"n_pure":1,"n_mixed":0,"cutoff":4,"seed":-1}'], "seed"),
         (["sweep", "--config", '{"n_pure":0,"n_mixed":5,"cutoff":2,"rank":9}'], "rank"),
         (["sweep", "--config", '{"n_pure":0,"n_mixed":5,"cutoff":2,"rank":0}'], "rank"),
+        (["calibrate", "--out", "/nonexistent/x.json"], "--out file '/nonexistent/x.json'"),
+        (["gauge", "--spec", '{"kind":"fock","n":1}', "--out", str(tmp_path)], f"--out file {str(tmp_path)!r}"),
     ]
     for argv, field in rows:
         code = run(argv)
@@ -322,9 +324,10 @@ def test_number_formatting():
 
 
 # ---------------------------------------------------------------- fuzzing
-# Whatever the input, `run` returns 0, 1 or 2, lets no exception escape and prints
-# nothing or strict JSON.  Specs, moment tables and sweep configs carry NaN, infinities,
-# huge, negative and mistyped values; only `cutoff` and state counts stay small, for speed.
+# Whatever the input, `run` returns 0, 1 or 2 (or the code an example pins as a fourth
+# element), lets no exception escape and prints nothing or strict JSON.  Specs, moment
+# tables and sweep configs carry NaN, infinities, huge, negative and mistyped values;
+# only `cutoff` and state counts stay small, for speed.
 
 NUMBERS = st.one_of(
     st.floats(),  # NaN and both infinities included
@@ -401,17 +404,19 @@ ARGV = st.one_of(
                               "gamma": {"re": 1e200, "im": 0}}))
 @example(("state", "--spec", {"kind": "approx_strong_field", "alpha": {"re": 1, "im": 0},
                               "gamma": {"re": 1e200, "im": 0}}))
-# the squeezed recurrence overflows on its way to the cutoff ceiling
+# the squeezed recurrence is refused before it starts, or rescaled on the way up
 @example(("gauge", "--spec", {"kind": "squeezed_coherent", "alpha": {"re": 1e300, "im": 0},
                               "r": 0.5, "phi_s": 0}))
+@example(("gauge", "--spec", {"kind": "squeezed_coherent", "alpha": {"re": 27, "im": 0},
+                              "r": 0, "phi_s": 0}, 0))
 # squares of moment-table entries overflow in the uncertainty_area and closed-form rows
 @example(("gauge", "--moments", {**TABLE, "cov_ada": 1e300}))
 @example(("gauge", "--moments", {**TABLE, "mean_a": {"re": 1e200, "im": 0}}))
 def test_cli_exits_cleanly_with_strict_json(argv):
-    command, flag, payload = argv
+    command, flag, payload, *pinned = argv
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         code = run([command, flag, json.dumps(payload)])
-    assert code in (0, 1, 2), err.getvalue()
+    assert code in (pinned or (0, 1, 2)), err.getvalue()
     if out.getvalue():
         _strict(out.getvalue())

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fockgauge import (
     CutoffExplosionError,
@@ -141,12 +143,42 @@ def test_squeezed_displacement_moves_stick_only():
     assert moved.cov_ada == pytest.approx(plain.cov_ada, abs=1e-10)
 
 
+def _assert_analytic_squeezed_moments(alpha, r, state):
+    s = summarize(state)
+    mean_n = abs(alpha) ** 2 + math.sinh(r) ** 2
+    assert abs(s.mean_n - mean_n) <= 1e-12 * max(1.0, mean_n), (alpha, r, s.mean_n, mean_n)
+    assert abs(s.mean_a - alpha) <= 1e-12 * max(1.0, abs(alpha)), (alpha, r, s.mean_a)
+    assert not s.truncation_warning
+
+
 @pytest.mark.filterwarnings("error")
-def test_squeezed_overflow_ends_in_a_named_error_without_warnings():
-    with pytest.raises(ValueError, match='field "alpha"'):
-        squeezed_coherent(40.0, 0.3)  # amplitudes near e^800 leave the float range
+def test_squeezed_beyond_float_range_of_unscaled_amplitudes():
+    # the unscaled recurrence leaves the float range from |alpha| of about 27 at r = 0
+    for alpha, r, phi_s in [(27.0, 0.0, 0.0), (21.0, 1.0, 3.14159), (40.0, 0.3, 0.0)]:
+        _assert_analytic_squeezed_moments(alpha, r, squeezed_coherent(alpha, r, phi_s))
     with pytest.raises(CutoffExplosionError):
         squeezed_coherent(1e300, 0.3)
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(
+    st.floats(0.0, 64.0),
+    st.floats(-math.pi, math.pi),
+    st.floats(-3.0, 3.0),
+    st.floats(-10.0, 10.0),
+)
+def test_squeezed_builds_with_analytic_moments_or_meets_the_ceiling(size, phase, r, phi_s):
+    alpha = size * complex(math.cos(phase), math.sin(phase))
+    try:
+        state = squeezed_coherent(alpha, r, phi_s)
+    except CutoffExplosionError:
+        return
+    _assert_analytic_squeezed_moments(alpha, r, state)
+
+
+def test_squeezed_range_follows_a_raised_ceiling(monkeypatch):
+    monkeypatch.setenv("FOCKGAUGE_MAX_CUTOFF", "8192")
+    _assert_analytic_squeezed_moments(80.0, 0.5, squeezed_coherent(80.0, 0.5, 1.0))
 
 
 def test_squeezed_r_limit():
@@ -261,6 +293,14 @@ def test_strong_field_beyond_the_float_range_of_its_norm(gamma):
     # gamma a^dag |alpha> alone outgrows the float range; the ray is still built
     assert fidelity(approx_strong_field(2.0, gamma), photon_added(2.0, 1)) >= 1 - 1e-12
     assert strong_field_norm_inverse(2.0, gamma) == math.inf
+
+
+@pytest.mark.filterwarnings("error")
+def test_strong_field_norm_beyond_the_float_range_of_its_parts():
+    assert strong_field_norm_inverse(1e300, 1.0) == math.inf
+    assert strong_field_norm_inverse(1e154, 1e154) == math.inf
+    # with no admixture the norm stays 1, however large alpha is
+    assert strong_field_norm_inverse(1e300, 0.0) == 1.0
 
 
 def test_strong_field_norm_never_cancels():
