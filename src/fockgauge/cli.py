@@ -78,9 +78,11 @@ def dumps(obj) -> str:
 
 
 def format_csv(header: Sequence[str], rows: Sequence[Sequence[float]]) -> str:
+    """CSV with one 17-significant-digit field per header column in every row."""
+    # "%.17g" % x gives the bytes of format_number(x) for every real x
+    fmt = ",".join(["%.17g"] * len(header))
     lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(format_number(x) for x in row))
+    lines.extend(fmt % tuple(row) for row in rows)
     return "\n".join(lines) + "\n"
 
 

@@ -15,10 +15,11 @@ ray; tests enforce this cross-validation.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 import os
 import sys
-from typing import Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -142,7 +143,7 @@ def squeezed_coherent(
     Amplitudes follow the two-term recurrence of Gaussian pure states,
     (mu a + nu a^dag)|psi> = (mu alpha + nu alpha^*)|psi> with mu = cosh r and
     nu = -e^{i phi_s} sinh r.  At the default cutoff ceiling of 4096 a squeezed
-    vacuum builds up to |r| of about 2.79 (cutoff 4033); displacement lowers
+    vacuum builds up to |r| of about 2.805 (cutoff 4096); displacement lowers
     the limit, and beyond it CutoffExplosionError is raised.  The mean photon
     number |alpha|^2 + sinh^2 r is at least |alpha|^2, so alpha is refused, and
     the running amplitudes rescaled by powers of two, as in `_coherent_amps`.
@@ -158,15 +159,17 @@ def squeezed_coherent(
     c = [1.0 + 0.0j, beta / mu]
     chunk = 64
     while True:
-        for _ in range(chunk):
+        # the last round stops at the ceiling; the tail test reads whole chunks
+        step = min(chunk, ceiling + 1 - len(c))
+        if step <= 0:
+            raise CutoffExplosionError(
+                f"squeezed state (alpha={alpha!r}, r={r}) needs a cutoff beyond {ceiling}"
+            )
+        for _ in range(step):
             n = len(c) - 1
             c.append((beta * c[n] - nu * math.sqrt(n) * c[n - 1]) / (mu * math.sqrt(n + 1)))
             if abs(c[-1]) > SQUARE_LIMIT:  # exact in binary; the sums below stay finite
                 c = [x / SQUARE_LIMIT for x in c]
-        if len(c) - 1 > ceiling:
-            raise CutoffExplosionError(
-                f"squeezed state (alpha={alpha!r}, r={r}) needs a cutoff beyond {ceiling}"
-            )
         p = np.abs(np.array(c)) ** 2
         cum = float(p.sum())
         w_last = float(p[-chunk:].sum())
@@ -271,26 +274,33 @@ def strong_field_norm_inverse(alpha: complex, gamma: complex) -> float:
 
 
 def approx_strong_field(
-    alpha: complex, gamma: complex, eps_tail: float = DEFAULT_EPS_TAIL
-) -> FockVector:
+    alpha: complex, gamma: Union[complex, Sequence[complex]], eps_tail: float = DEFAULT_EPS_TAIL
+) -> Union[FockVector, list[FockVector]]:
     """Normalized superposition |alpha> + gamma a^dag |alpha>.
 
     With gamma = added/alpha^* this approximates the crescent state in the
     strong-field regime.  Raises ZeroNormError on cancellation.  From |gamma|
     of 2^500 on, the same ray is built with gamma divided out, so that its
-    norm stays in the float range.
+    norm stays in the float range.  A 1-D sequence of gammas gives a list of
+    states, one per gamma, built on one coherent run.
     """
     _check_eps(eps_tail)
-    alpha, gamma = complex(alpha), complex(gamma)
+    alpha = complex(alpha)
+    scalar = isinstance(gamma, numbers.Number)
     c = _coherent_amps(alpha, eps_tail, 1)
-    # below 2^500 no square of gamma a^dag |alpha> can overflow its norm
-    if max(abs(gamma.real), abs(gamma.imag)) < SQUARE_LIMIT:
-        combined = gamma * _raised(c)
-        combined[: c.size] += c
-    else:
-        combined = _raised(c)
-        combined[: c.size] += c * (1.0 / gamma)
-    return _finalize(combined)
+    raised = _raised(c)
+    states = []
+    for g in [gamma] if scalar else gamma:
+        g = complex(g)
+        # below 2^500 no square of gamma a^dag |alpha> can overflow its norm
+        if max(abs(g.real), abs(g.imag)) < SQUARE_LIMIT:
+            combined = g * raised
+            combined[: c.size] += c
+        else:
+            combined = raised.copy()
+            combined[: c.size] += c * (1.0 / g)
+        states.append(_finalize(combined))
+    return states[0] if scalar else states
 
 
 def cat(alpha: complex, beta: float = 0.0, eps_tail: float = DEFAULT_EPS_TAIL) -> FockVector:

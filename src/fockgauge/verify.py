@@ -232,30 +232,28 @@ def figure_rows(which: str, resolution: int) -> tuple[list[str], list[tuple]]:
     if which == "fig2":
         header = ["var_a_abs", "cov_ada", "bound_lambda_plus", "bound_trace"]
         rows = []
-        for v in np.linspace(0.0, 2.0, resolution):
+        for v in np.linspace(0.0, 2.0, resolution).tolist():
             floor = math.sqrt(0.25 + v * v)
-            for c in np.linspace(floor, floor + 2.0, resolution):
-                rows.append((float(v), float(c), lambda_plus_floor(1.0, c + v), trace_floor(1.0, c)))
+            for c in np.linspace(floor, floor + 2.0, resolution).tolist():
+                rows.append((v, c, lambda_plus_floor(1.0, c + v), trace_floor(1.0, c)))
         return header, rows
     if which == "fig3":
         header = ["re_var_a", "im_var_a", "hyperboloid", "cone"]
-        axis = np.linspace(-2.0, 2.0, resolution)
+        axis = np.linspace(-2.0, 2.0, resolution).tolist()
         rows = []
         for re in axis:
             for im in axis:
                 spread = math.hypot(re, im)
-                rows.append(
-                    (float(re), float(im), math.sqrt(0.25 + spread * spread), spread + 0.5)
-                )
+                rows.append((re, im, math.sqrt(0.25 + spread * spread), spread + 0.5))
         return header, rows
     if which == "fig4":
         header = ["gamma_re", "gamma_im", "cov_ada", "var_n", "bound", "rel_gap"]
         alpha = 3.0
         rows = []
         for phase in (0.0, math.pi / 4.0, math.pi / 2.0):
-            for mag in np.linspace(0.0, 1.0, resolution):
-                gamma = mag * complex(math.cos(phase), math.sin(phase))
-                summary = summarize(approx_strong_field(alpha, gamma))
+            gammas = np.linspace(0.0, 1.0, resolution) * complex(math.cos(phase), math.sin(phase))
+            for gamma, state in zip(gammas.tolist(), approx_strong_field(alpha, gammas)):
+                summary = summarize(state)
                 bound = trace_floor(abs(summary.mean_a) ** 2, summary.cov_ada)
                 rows.append(
                     (

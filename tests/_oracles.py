@@ -162,3 +162,11 @@ def fidelity(s1, s2) -> float:
     root = (u * np.sqrt(np.clip(w, 0.0, None))) @ u.conj().T
     ev = np.clip(np.linalg.eigvalsh(root @ _as_matrix(s2, dim) @ root), 0.0, None)
     return float(min(1.0, np.sum(np.sqrt(ev)) ** 2))
+
+
+def csv_text(header, rows) -> str:
+    """CSV rendered one `format(float(x), ".17g")` cell at a time."""
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(format(float(x), ".17g") for x in row))
+    return "\n".join(lines) + "\n"

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import math
@@ -303,6 +304,21 @@ def test_figure_writes_csv(tmp_path, capsys):
     assert text.splitlines()[0] == "re_var_a,im_var_a,hyperboloid,cone"
     assert len(text.splitlines()) == 1 + 16 * 16
     capsys.readouterr()
+
+
+# sha256 of each figure's stdout at resolution 64, pinned so that no speed-up
+# can change a byte
+@pytest.mark.parametrize(
+    "which,digest",
+    [
+        ("fig2", "3d6d9ce4a4bbcdc10fa0fa87ab6a702d15f05467b217b21ab0290d36b17f9997"),
+        ("fig3", "79c98259f0271099c7ace8a9c7c0f8c3de626217a501992083524af2d6e93566"),
+        ("fig4", "420f1aca12f01f5f376af389b12ee122636bb99eeb181a8f51971a7dca3e1dbd"),
+    ],
+)
+def test_figure_bytes_are_pinned(capsys, which, digest):
+    assert run(["figure", "--which", which, "--resolution", "64"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == digest
 
 
 def test_spec_from_file(tmp_path, capsys):

@@ -76,9 +76,9 @@ def test_coherent_cutoff_ceiling(monkeypatch):
 @pytest.mark.parametrize(
     "ceiling,build",
     [
-        # the 64-amplitude chunk that converges may not end beyond the ceiling
+        # the recurrence may not grow past the ceiling before its tail test passes
         ("100", lambda: squeezed_coherent(0.0, 0.5)),
-        ("4096", lambda: squeezed_coherent(0.0, 2.8)),
+        ("4096", lambda: squeezed_coherent(0.0, 2.81)),
         # M added photons on top of a coherent state already at the ceiling
         ("16", lambda: photon_added(1.0, 16)),
         ("16", lambda: crescent(1.0, 16)),
@@ -94,9 +94,9 @@ def test_grown_cutoffs_respect_the_ceiling(monkeypatch, ceiling, build):
 
 
 def test_cutoff_ceiling_is_inclusive_and_spares_random_states(monkeypatch):
-    # at the default ceiling of 4096 a squeezed vacuum builds up to |r| of about 2.79
+    # at the default ceiling of 4096 a squeezed vacuum builds up to |r| of about 2.805
     assert squeezed_coherent(0.0, 2.75).cutoff - BOUNDARY_PAD == 3713
-    assert squeezed_coherent(0.0, -2.79).cutoff - BOUNDARY_PAD <= 4096
+    assert squeezed_coherent(0.0, -2.805).cutoff - BOUNDARY_PAD == 4096
     monkeypatch.setenv("FOCKGAUGE_MAX_CUTOFF", "16")
     assert coherent(1.0).cutoff - BOUNDARY_PAD == 16
     assert random_state(32, "pure", seed=1).cutoff - BOUNDARY_PAD == 32
@@ -174,6 +174,17 @@ def test_squeezed_builds_with_analytic_moments_or_meets_the_ceiling(size, phase,
     except CutoffExplosionError:
         return
     _assert_analytic_squeezed_moments(alpha, r, state)
+
+
+def test_squeezed_reaches_the_ceiling_like_coherent():
+    # the recurrence's last round stops at the ceiling instead of passing it
+    for alpha, cutoff in [(58.0, 3845), (59.0, 3973), (60.0, 4096 + BOUNDARY_PAD)]:
+        state = squeezed_coherent(alpha, 0.0)
+        assert state.cutoff == cutoff
+        assert coherent(alpha).cutoff <= cutoff
+        _assert_analytic_squeezed_moments(alpha, 0.0, state)
+    with pytest.raises(CutoffExplosionError):
+        squeezed_coherent(61.0, 0.0)
 
 
 def test_squeezed_range_follows_a_raised_ceiling(monkeypatch):
@@ -285,6 +296,19 @@ def test_strong_field_mean_occupation_analytic():
 
 def test_strong_field_large_admixture_tends_to_photon_added():
     assert fidelity(approx_strong_field(0.5, 1e6), photon_added(0.5, 1)) >= 1 - 1e-9
+
+
+def test_strong_field_batch_matches_scalar_calls():
+    gammas = [0, 1 / 3, 0.5j, -1 + 1j, 2**500, 1e6]
+    for alpha in (3.0, 1.3 + 0.4j):
+        batch = approx_strong_field(alpha, gammas)
+        assert len(batch) == len(gammas)
+        for gamma, state in zip(gammas, batch):
+            assert np.array_equal(state.amplitudes, approx_strong_field(alpha, gamma).amplitudes)
+    assert approx_strong_field(3.0, []) == []
+    for gammas in ([], [0.5, 1.0]):
+        with pytest.raises(ValueError, match="eps_tail"):
+            approx_strong_field(3.0, gammas, eps_tail=0.0)
 
 
 @pytest.mark.filterwarnings("error")

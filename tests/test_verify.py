@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from fockgauge import SweepConfig, calibrate, figure_rows, sweep
@@ -7,6 +8,7 @@ from fockgauge.cli import dumps, format_csv
 from fockgauge.errors import SchemaError
 from fockgauge.gauges import INEQUALITIES
 from fockgauge.verify import sweep_config_from_dict
+from _oracles import csv_text
 
 
 # ------------------------------------------------------------------ sweep
@@ -194,3 +196,24 @@ def test_figure_csv_determinism():
     header2, rows2 = figure_rows("fig3", 16)
     assert format_csv(header2, rows2) == text
     assert text.startswith("re_var_a,im_var_a,hyperboloid,cone\n")
+
+
+@pytest.mark.parametrize("resolution", [16, 64])
+@pytest.mark.parametrize("which", ["fig2", "fig3", "fig4"])
+def test_figure_csv_matches_the_per_cell_oracle(which, resolution):
+    header, rows = figure_rows(which, resolution)
+    assert format_csv(header, rows) == csv_text(header, rows)
+
+
+def test_csv_edge_values_match_the_per_cell_oracle():
+    header = ["a", "b", "c", "d", "e", "f"]
+    rows = [
+        (-0.0, 5e-324, 1e16, 1.7976931348623157e308, np.float64(1 / 3), 7),
+        [0.1, -5e-324, -1e16, -1.7976931348623157e308, np.float64(-0.0), -(2**60)],
+    ]
+    text = format_csv(header, rows)
+    assert text == csv_text(header, rows)
+    assert text.splitlines()[1].split(",") == [
+        "-0", "4.9406564584124654e-324", "10000000000000000", "1.7976931348623157e+308",
+        "0.33333333333333331", "7",
+    ]
