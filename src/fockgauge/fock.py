@@ -57,7 +57,13 @@ class FockVector:
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
-    """Mixed state as a Hermitian, positive-semidefinite, unit-trace matrix."""
+    """Mixed state as a Hermitian, positive-semidefinite, unit-trace matrix.
+
+    Positive semidefinite means a smallest eigenvalue of at least
+    EIGENVALUE_FLOOR.  A Cholesky factorization of the matrix with half the
+    floor's magnitude added to its diagonal certifies that; only a matrix the
+    factorization refuses is decided by its smallest eigenvalue (`eigvalsh`).
+    """
 
     entries: np.ndarray
 
@@ -80,8 +86,16 @@ class DensityMatrix:
         trace = np.trace(rho)
         if not (abs(trace.real - 1.0) <= self.TRACE_TOL and abs(trace.imag) <= self.TRACE_TOL):
             raise ValueError("density matrix trace differs from 1 beyond tolerance")
-        if float(np.linalg.eigvalsh(rho)[0]) < self.EIGENVALUE_FLOOR:
-            raise ValueError("density matrix has a negative eigenvalue beyond tolerance")
+        # A factorable Hermitian matrix of unit trace has its diagonal in (0, 1],
+        # so Cholesky's backward error is about n^2 u, far below the shift: a
+        # factorization proves lambda_min >= 0.5 * floor - n^2 u > floor.
+        shifted = rho.copy()
+        shifted.flat[:: shifted.shape[0] + 1] -= 0.5 * self.EIGENVALUE_FLOOR
+        try:
+            np.linalg.cholesky(shifted)
+        except np.linalg.LinAlgError:
+            if float(np.linalg.eigvalsh(rho)[0]) < self.EIGENVALUE_FLOOR:
+                raise ValueError("density matrix has a negative eigenvalue beyond tolerance") from None
 
     @property
     def cutoff(self) -> int:

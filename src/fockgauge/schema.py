@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numbers
 import sys
-from typing import Collection
+from typing import Collection, Union
 
 from .errors import SchemaError
 
@@ -47,12 +47,25 @@ def real(data: dict, field: str, limit: float = sys.float_info.max) -> float:
     return _finite(data[field], field, limit)
 
 
+def _is_count(value) -> bool:
+    return not isinstance(value, bool) and isinstance(value, numbers.Integral) and value >= 0
+
+
 def integer(data: dict, field: str) -> int:
     """A non-negative integer; booleans are rejected."""
     value = data[field]
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
+    if not _is_count(value):
         raise SchemaError(f'field "{field}" must be a non-negative integer')
     return int(value)
+
+
+def integer_or_list(data: dict, field: str) -> Union[int, list[int]]:
+    """A non-negative integer or a non-empty list of them, each read as `integer` reads one."""
+    value = data[field]
+    items = value if isinstance(value, list) else [value]
+    if not items or not all(map(_is_count, items)):
+        raise SchemaError(f'field "{field}" must be a non-negative integer or a non-empty list of them')
+    return [int(item) for item in items] if isinstance(value, list) else int(value)
 
 
 def complex_number(data: dict, field: str, limit: float = sys.float_info.max) -> complex:

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import CutoffExplosionError, SchemaError, ZeroNormError
 from .fock import BOUNDARY_PAD, DensityMatrix, FockVector, QuantumState
-from .schema import SQUARE_LIMIT, check_fields, complex_number, integer, real
+from .schema import SQUARE_LIMIT, check_fields, complex_number, integer, integer_or_list, real
 
 DEFAULT_EPS_TAIL = 1e-14
 DEFAULT_MAX_CUTOFF = 4096
@@ -342,7 +342,9 @@ def random_state(cutoff: int, kind: str, rank: int = 1, seed: Seed = 0) -> Quant
 # JSON reader of every spec field; `crescent` itself rejects an unknown method
 _FIELDS = {"alpha": complex_number, "gamma": complex_number, "method": operator.getitem}
 _FIELDS.update(dict.fromkeys(("r", "phi_s", "beta", "eps_tail"), real))
-_FIELDS.update(dict.fromkeys(("n", "M", "cutoff", "rank", "seed"), integer))
+_FIELDS.update(dict.fromkeys(("n", "M", "cutoff", "rank"), integer))
+# a list seed [S, i] replays state i of a sweep with seed S
+_FIELDS["seed"] = integer_or_list
 
 # kind: (required fields, optional fields, builder).  An omitted optional field
 # takes the constructor's default; the builders look constructors up at call

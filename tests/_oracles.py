@@ -164,6 +164,11 @@ def fidelity(s1, s2) -> float:
     return float(min(1.0, np.sum(np.sqrt(ev)) ** 2))
 
 
+def eigvalsh_accepts(rho: np.ndarray, floor: float) -> bool:
+    """Positivity decided by the full spectrum: the smallest eigenvalue is at least `floor`."""
+    return float(np.linalg.eigvalsh(rho)[0]) >= floor
+
+
 def csv_text(header, rows) -> str:
     """CSV rendered one `format(float(x), ".17g")` cell at a time."""
     lines = [",".join(header)]

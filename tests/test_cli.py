@@ -8,11 +8,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fockgauge import cli, coherent, fock, summarize
+from fockgauge import cli, coherent, ellipse, fock, full_report, summarize
 from fockgauge.cli import dumps, format_number, run
 from fockgauge.errors import NonFiniteOutputError
-from fockgauge.gauges import SQUEEZING_TOL
-from fockgauge.states import _FIELDS, _KINDS
+from fockgauge.gauges import INEQUALITIES, SQUEEZING_TOL
+from fockgauge.states import _FIELDS, _KINDS, state_from_spec
 
 
 def _reject_constant(token):
@@ -321,6 +321,60 @@ def test_figure_bytes_are_pinned(capsys, which, digest):
     assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == digest
 
 
+# sha256 of a small pure + mixed sweep's stdout, pinned for the same reason
+def test_sweep_bytes_are_pinned(capsys):
+    config = '{"n_pure":50,"n_mixed":50,"cutoff":16,"rank":4,"seed":3}'
+    assert run(["sweep", "--config", config]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
+    assert digest == "1a3d6bfc141f1fa45d4c676c728e14f30fd1da5a3807d72bd2ba667cc2228570"
+
+
+# where `gauge` prints each sweep row's slack; the other rows are read from `full_report`
+GAUGE_SLACKS = {
+    "tight_scan": ("tight", "slack"),
+    "canonical_pair_x": ("canonical_pair", 0, "slack"),
+    "canonical_pair_p": ("canonical_pair", 1, "slack"),
+    "covariance_floor": ("constraints", "covariance_floor", "slack"),
+    "uncertainty_area": ("constraints", "uncertainty_area", "slack"),
+    "second_order_floor": ("constraints", "second_order_floor", "slack"),
+    "relaxed_lambda_plus": ("relaxed_lambda_plus", "slack"),
+    "relaxed_trace": ("relaxed_trace", "slack"),
+}
+
+
+def _run_floats(capsys, argv):
+    # every number as a float: a zero slack prints as the JSON integer 0 or -0
+    code = run(argv)
+    return code, json.loads(capsys.readouterr().out, parse_int=float, parse_constant=_reject_constant)
+
+
+def test_sweep_witnesses_replay_from_the_command_line(capsys):
+    n_pure, cutoff, rank, seed = 6, 8, 3, 4
+    config = {"n_pure": n_pure, "n_mixed": 6, "cutoff": cutoff, "rank": rank, "seed": seed}
+    code, data = _run_floats(capsys, ["sweep", "--config", json.dumps(config)])
+    assert code == 0
+    assert set(data["tallies"]) == {row.name for row in INEQUALITIES}
+    kinds = set()
+    for name, tally in data["tallies"].items():
+        i = int(tally["worst_seed_index"])
+        if i < n_pure:
+            spec = {"kind": "random_pure", "cutoff": cutoff, "seed": [seed, i]}
+        else:
+            spec = {"kind": "random_mixed", "cutoff": cutoff, "rank": 1 + (i - n_pure) % rank,
+                    "seed": [seed, i]}
+        kinds.add(spec["kind"])
+        summary = summarize(state_from_spec(spec))
+        slack = full_report(summary, ellipse(summary)).records[name].slack
+        assert slack.hex() == tally["worst_slack"].hex(), name
+        if name in GAUGE_SLACKS:
+            code, report = _run_floats(capsys, ["gauge", "--spec", json.dumps(spec)])
+            assert code == 0
+            for key in GAUGE_SLACKS[name]:
+                report = report[key]
+            assert report.hex() == tally["worst_slack"].hex(), name
+    assert kinds == {"random_pure", "random_mixed"}
+
+
 def test_spec_from_file(tmp_path, capsys):
     path = tmp_path / "spec.json"
     path.write_text('{"kind":"fock","n":1}')
@@ -356,7 +410,8 @@ INTEGERS = st.one_of(st.integers(-3, 20), st.sampled_from([4096, 4097, 10**6, 10
 VALUES = {
     **dict.fromkeys(("alpha", "gamma"), COMPLEX),
     **dict.fromkeys(("r", "phi_s", "beta", "eps_tail"), NUMBERS),
-    **dict.fromkeys(("n", "M", "rank", "seed"), INTEGERS),
+    **dict.fromkeys(("n", "M", "rank"), INTEGERS),
+    "seed": st.one_of(INTEGERS, st.lists(INTEGERS, max_size=3)),
     "cutoff": st.integers(-1, 12),
     "method": st.sampled_from(["operator", "laguerre", "newton"]),
 }

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,7 +13,8 @@ from fockgauge import (
     normally_ordered_moment,
     random_state,
 )
-from _oracles import dense_moment, fidelity, lowered, poisson_tail, raised
+from fockgauge.fock import BOUNDARY_PAD
+from _oracles import dense_moment, eigvalsh_accepts, fidelity, lowered, poisson_tail, raised
 
 
 def test_vector_invariants():
@@ -201,3 +203,88 @@ def test_density_matrix_validation():
         DensityMatrix(bad_herm)
     with pytest.raises(ValueError):
         DensityMatrix(np.diag([1.5, -0.5]).astype(complex))  # negative eigenvalue
+
+
+# ---------------------------------------------------------------- positivity
+
+FLOOR = DensityMatrix.EIGENVALUE_FLOOR
+# smallest eigenvalues on both sides of the floor and of the Cholesky shift (-FLOOR / 2)
+LAMBDA_MINS = (-2e-10, FLOOR * (1 + 1e-7), FLOOR * (1 - 1e-7), -7e-11, -5e-11, 0.0, 1e-12)
+
+
+def _with_spectrum(rng, dim, lam_min):
+    """U diag(lam) U^dag for a Haar unitary U, unit trace, smallest eigenvalue lam_min."""
+    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    q, r = np.linalg.qr(z)
+    u = q * (np.diag(r) / np.abs(np.diag(r)))
+    rest = rng.uniform(0.1, 1.0, dim - 1)
+    lam = np.concatenate(([lam_min], rest * (1.0 - lam_min) / rest.sum()))
+    rho = (u * lam) @ u.conj().T
+    return (rho + rho.conj().T) / 2.0
+
+
+def _accepts(rho):
+    try:
+        DensityMatrix(rho)
+    except ValueError:
+        return False
+    return True
+
+
+@pytest.fixture
+def eigvalsh_calls(monkeypatch):
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(a, *args, **kwargs):
+        calls.append(a.shape)
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    return calls
+
+
+@pytest.mark.parametrize("dim", [2, 17, 69, 130])
+def test_positivity_decision_matches_the_eigvalsh_oracle(dim):
+    rng = np.random.default_rng(dim)
+    for lam_min in LAMBDA_MINS:
+        for _ in range(4):
+            rho = _with_spectrum(rng, dim, lam_min)
+            expected = eigvalsh_accepts(rho, FLOOR)
+            assert _accepts(rho) == expected, (dim, lam_min)
+            # within 1e-17 of the floor the oracle's own round-off decides
+            if abs(lam_min - FLOOR) > 1e-15:
+                assert expected == (lam_min > FLOOR), (dim, lam_min)
+
+
+@pytest.mark.parametrize("dim", [2, 17, 69, 130])
+def test_only_a_refused_factorization_reaches_eigvalsh(dim, eigvalsh_calls):
+    rng = np.random.default_rng(dim + 1)
+    DensityMatrix(_with_spectrum(rng, dim, 0.0))
+    assert eigvalsh_calls == []
+    # below the shifted floor the factorization fails, and the spectrum accepts
+    DensityMatrix(_with_spectrum(rng, dim, -7e-11))
+    assert eigvalsh_calls == [(dim, dim)]
+
+
+@pytest.mark.parametrize("big", [1e200, 1e300])
+def test_huge_indefinite_matrices_are_refused_without_warnings(big):
+    rng = np.random.default_rng(5)
+    off = rng.standard_normal((17, 17)) * big
+    cases = [
+        np.array([[0.5, big], [big, 0.5]], dtype=complex),
+        np.array([[0.5, 1j * big], [-1j * big, 0.5]]),
+        np.diag(np.full(17, 1.0 / 17)) + np.triu(off, 1) + np.triu(off, 1).T,
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for rho in cases:
+            with pytest.raises(ValueError, match="negative eigenvalue"):
+                DensityMatrix(rho)
+
+
+@pytest.mark.parametrize("rank", [1, 2, 257])
+def test_largest_random_mixed_states_build_on_the_factorization(rank, eigvalsh_calls):
+    state = random_state(256, "mixed", rank=rank, seed=rank)
+    assert state.cutoff == 256 + BOUNDARY_PAD
+    assert eigvalsh_calls == []

@@ -441,6 +441,14 @@ def test_spec_roundtrip_examples():
     assert state.cutoff >= 8
 
 
+def test_spec_seed_is_an_integer_or_a_list_of_them():
+    for seed in (5, [5], [5, 2], [0, 10**30]):
+        built = state_from_spec({"kind": "random_mixed", "cutoff": 8, "rank": 2, "seed": seed})
+        assert np.array_equal(built.entries, random_state(8, "mixed", rank=2, seed=seed).entries)
+        built = state_from_spec({"kind": "random_pure", "cutoff": 8, "seed": seed})
+        assert np.array_equal(built.amplitudes, random_state(8, "pure", seed=seed).amplitudes)
+
+
 def test_spec_rejects_irrelevant_fields():
     with pytest.raises(SchemaError):
         state_from_spec({"kind": "fock", "n": 2, "alpha": {"re": 1, "im": 0}})
@@ -468,6 +476,11 @@ def test_spec_rejects_missing_and_unknown():
         ({"kind": ["coherent"], "alpha": one}, "kind"),
         ({"kind": "random_pure", "cutoff": 4, "seed": -1}, "seed"),
         ({"kind": "random_mixed", "cutoff": 4, "rank": 2, "seed": -7}, "seed"),
+        ({"kind": "random_pure", "cutoff": 4, "seed": []}, "seed"),
+        ({"kind": "random_pure", "cutoff": 4, "seed": [3, -1]}, "seed"),
+        ({"kind": "random_pure", "cutoff": 4, "seed": [3, True]}, "seed"),
+        ({"kind": "random_mixed", "cutoff": 4, "rank": 2, "seed": [3, 1.0]}, "seed"),
+        ({"kind": "random_mixed", "cutoff": 4, "rank": 2, "seed": [[3]]}, "seed"),
     ):
         with pytest.raises(SchemaError, match=field):
             state_from_spec(spec)
