@@ -48,7 +48,7 @@ class FockVector:
 
     @property
     def norm_sq(self) -> float:
-        return float(np.sum(np.abs(self.amplitudes) ** 2))
+        return float(np.add.reduce(np.abs(self.amplitudes) ** 2))
 
     @property
     def probabilities(self) -> np.ndarray:
@@ -139,7 +139,7 @@ def _pure_moment(amps: np.ndarray, j: int, k: int) -> complex:
     if window is None:
         return 0.0 + 0.0j
     n, m, weight = window
-    return complex(np.sum(np.conj(amps[m]) * amps[n] * weight))
+    return complex(np.add.reduce(amps[m].conj() * amps[n] * weight))
 
 
 def _mixed_moment(rho: np.ndarray, j: int, k: int) -> complex:
@@ -149,7 +149,7 @@ def _mixed_moment(rho: np.ndarray, j: int, k: int) -> complex:
     if window is None:
         return 0.0 + 0.0j
     n, m, weight = window
-    return complex(np.sum(np.diagonal(rho[n, m]) * weight))
+    return complex(np.add.reduce(np.diagonal(rho[n, m]) * weight))
 
 
 def normally_ordered_moment(state: QuantumState, j: int, k: int) -> complex:
@@ -167,5 +167,8 @@ def normally_ordered_moment(state: QuantumState, j: int, k: int) -> complex:
 
 def boundary_mass(state: QuantumState) -> float:
     """Occupation in the top BOUNDARY_PAD indices of the register."""
-    return float(np.sum(state.probabilities[max(0, state.cutoff + 1 - BOUNDARY_PAD):]))
+    top = slice(max(0, state.cutoff + 1 - BOUNDARY_PAD), None)
+    if isinstance(state, FockVector):
+        return float(np.add.reduce(np.abs(state.amplitudes[top]) ** 2))
+    return float(np.add.reduce(state.probabilities[top]))
 

@@ -56,12 +56,12 @@ _SIN = np.sin(_THETA_GRID)
 _COS = np.cos(_THETA_GRID)
 _SIN2 = np.sin(2.0 * _THETA_GRID)
 _COS2 = np.cos(2.0 * _THETA_GRID)
+_STEP = math.pi / _GRID_SIZE
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _REFINE_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class InequalityRecord:
+class InequalityRecord(NamedTuple):
     """One inequality lhs >= rhs with its slack and saturation and violation flags."""
 
     lhs: float
@@ -237,16 +237,11 @@ class GaugeReport:
         }
 
 
-def _objective(summary: MomentSummary, theta: float) -> float:
-    # |<p_theta>|^2 / (4 Var x_theta), written out for scalar speed
+def _objective(ar: float, ai: float, cov: float, vr: float, vi: float, theta: float) -> float:
+    # |<p_theta>|^2 / (4 Var x_theta) from <a> = ar + i ai, Cov(a^dag, a) and Var a = vr + i vi
     s, c = math.sin(theta), math.cos(theta)
-    p = summary.mean_a.real * s + summary.mean_a.imag * c
-    var_x = (
-        summary.cov_ada
-        + summary.var_a.real * (c * c - s * s)
-        - summary.var_a.imag * 2.0 * s * c
-    )
-    return p * p / (2.0 * var_x)
+    p = ar * s + ai * c
+    return p * p / (2.0 * (cov + vr * (c * c - s * s) - vi * 2.0 * s * c))
 
 
 def scan_bound(summary: MomentSummary) -> tuple[float, float]:
@@ -257,26 +252,32 @@ def scan_bound(summary: MomentSummary) -> tuple[float, float]:
     golden-section refinement then narrows the angle below _REFINE_TOL.
     """
     ar, ai = summary.mean_a.real, summary.mean_a.imag
-    p = ar * _SIN + ai * _COS
-    var_x = summary.cov_ada + summary.var_a.real * _COS2 - summary.var_a.imag * _SIN2
-    values = p * p / (2.0 * var_x)
-    best = int(np.argmax(values))
-    step = math.pi / _GRID_SIZE
-    lo, hi = _THETA_GRID[best] - step, _THETA_GRID[best] + step
+    cov, vr, vi = summary.cov_ada, summary.var_a.real, summary.var_a.imag
+    # p^2 / (2 var_x) on the grid, in place but with every operation of that formula
+    p = ar * _SIN
+    p += ai * _COS
+    v = vr * _COS2
+    v += cov
+    v -= vi * _SIN2
+    v *= 2.0
+    p *= p
+    p /= v
+    best = _THETA_GRID.item(p.argmax())
+    lo, hi = best - _STEP, best + _STEP
     c = hi - _GOLDEN * (hi - lo)
     d = lo + _GOLDEN * (hi - lo)
-    fc, fd = _objective(summary, c), _objective(summary, d)
+    fc, fd = _objective(ar, ai, cov, vr, vi, c), _objective(ar, ai, cov, vr, vi, d)
     while hi - lo > _REFINE_TOL:
         if fc > fd:
             hi, d, fd = d, c, fc
             c = hi - _GOLDEN * (hi - lo)
-            fc = _objective(summary, c)
+            fc = _objective(ar, ai, cov, vr, vi, c)
         else:
             lo, c, fc = c, d, fd
             d = lo + _GOLDEN * (hi - lo)
-            fd = _objective(summary, d)
+            fd = _objective(ar, ai, cov, vr, vi, d)
     theta = ((lo + hi) / 2.0) % math.pi
-    return _objective(summary, theta), theta
+    return _objective(ar, ai, cov, vr, vi, theta), theta
 
 
 def stick_variance(ell: NoiseEllipse) -> float:

@@ -50,7 +50,9 @@ def _check_eps(eps_tail: float) -> None:
 
 
 def _finalize(amps: np.ndarray) -> FockVector:
-    norm = float(np.linalg.norm(amps))
+    # numpy's own 2-norm of a complex vector, without linalg.norm's dispatch
+    re, im = amps.real, amps.imag
+    norm = math.sqrt(re.dot(re) + im.dot(im))
     if norm < 1e-13:
         raise ZeroNormError("state construction cancelled to zero norm")
     return FockVector(np.concatenate((amps / norm, np.zeros(BOUNDARY_PAD))))

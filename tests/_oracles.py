@@ -175,3 +175,54 @@ def csv_text(header, rows) -> str:
     for row in rows:
         lines.append(",".join(format(float(x), ".17g") for x in row))
     return "\n".join(lines) + "\n"
+
+
+# The tight-bound scan as the package first wrote it: a 1024-point grid over
+# a half period brackets the maximum and golden section refines it, reading
+# the moments through the summary's attributes.  The package's scan must
+# return the same (bound, theta) bit for bit.
+_GRID_SIZE = 1024
+_THETA_GRID = np.linspace(0.0, math.pi, _GRID_SIZE, endpoint=False)
+_SIN = np.sin(_THETA_GRID)
+_COS = np.cos(_THETA_GRID)
+_SIN2 = np.sin(2.0 * _THETA_GRID)
+_COS2 = np.cos(2.0 * _THETA_GRID)
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_REFINE_TOL = 1e-10
+
+
+def reference_objective(summary, theta: float) -> float:
+    """|<p_theta>|^2 / (4 Var x_theta) from a moment summary."""
+    s, c = math.sin(theta), math.cos(theta)
+    p = summary.mean_a.real * s + summary.mean_a.imag * c
+    var_x = (
+        summary.cov_ada
+        + summary.var_a.real * (c * c - s * s)
+        - summary.var_a.imag * 2.0 * s * c
+    )
+    return p * p / (2.0 * var_x)
+
+
+def reference_scan(summary) -> tuple[float, float]:
+    """Grid-bracketed golden-section maximum of `reference_objective` over [0, pi)."""
+    ar, ai = summary.mean_a.real, summary.mean_a.imag
+    p = ar * _SIN + ai * _COS
+    var_x = summary.cov_ada + summary.var_a.real * _COS2 - summary.var_a.imag * _SIN2
+    values = p * p / (2.0 * var_x)
+    best = int(np.argmax(values))
+    step = math.pi / _GRID_SIZE
+    lo, hi = _THETA_GRID[best] - step, _THETA_GRID[best] + step
+    c = hi - _GOLDEN * (hi - lo)
+    d = lo + _GOLDEN * (hi - lo)
+    fc, fd = reference_objective(summary, c), reference_objective(summary, d)
+    while hi - lo > _REFINE_TOL:
+        if fc > fd:
+            hi, d, fd = d, c, fc
+            c = hi - _GOLDEN * (hi - lo)
+            fc = reference_objective(summary, c)
+        else:
+            lo, c, fc = c, d, fd
+            d = lo + _GOLDEN * (hi - lo)
+            fd = reference_objective(summary, d)
+    theta = ((lo + hi) / 2.0) % math.pi
+    return reference_objective(summary, theta), theta

@@ -329,6 +329,50 @@ def test_sweep_bytes_are_pinned(capsys):
     assert digest == "1a3d6bfc141f1fa45d4c676c728e14f30fd1da5a3807d72bd2ba667cc2228570"
 
 
+# sha256 of `gauge` stdout for one request of each spec kind and one moment table,
+# pinned for the same reason
+GAUGE_TABLE = (
+    '{"mean_a":{"re":0.5,"im":0.25},"mean_a2":{"re":0.3,"im":-0.1},"mean_n":0.6,'
+    '"mean_n2":1.1,"mean_a2da2":0.5,"var_n":0.74,"var_a":{"re":0.1125,"im":-0.35},'
+    '"cov_ada":0.7875,"cov_a2":2.6,"truncation_warning":false}'
+)
+
+
+@pytest.mark.parametrize(
+    "argv,digest",
+    [
+        (["--spec", '{"kind":"coherent","alpha":{"re":1.3,"im":-0.4}}'],
+         "c33f4f007df3aec3fb363ae865ce5fd2133abcb772fe40fd81e9ddc8d10ff7c6"),
+        (["--spec", '{"kind":"cat","alpha":{"re":1.1,"im":0.2},"beta":0.7}'],
+         "ae90e31e7b98e4d78f7315b76d88f289f7bda7fd1bd04aa29005033baeaecaa2"),
+        (["--spec", '{"kind":"squeezed_coherent","alpha":{"re":0.7,"im":0.3},"r":0.9,"phi_s":0.4}'],
+         "26b56577e5ebd6c6a43d656dc80537cf131859c32f44761b9799abdad3ca9576"),
+        (["--spec", '{"kind":"crescent","alpha":{"re":1.2,"im":0.5},"M":3,"method":"operator"}'],
+         "0d5ed8dac0b015896591c538f12baa891c0bd637fc38eb555393caaf19f5d82b"),
+        (["--spec", '{"kind":"crescent","alpha":{"re":1.2,"im":0.5},"M":3,"method":"laguerre"}'],
+         "f95ae928848a52f2ac6fb7769ec02c41c72c0175d12dec079d721c9c2525773e"),
+        (["--spec", '{"kind":"photon_added","alpha":{"re":0.8,"im":-0.6},"M":2}'],
+         "a4970c143a2f3b6395c8c3bf505bbaf12c87d5fa6e2e4c447a394530284ad3f0"),
+        (["--spec", '{"kind":"approx_strong_field","alpha":{"re":2,"im":1},"gamma":{"re":0.3,"im":-0.2}}'],
+         "a8af743ab245af9d2cd1002312dfd0107c718d45636788cfdab08b01e695d559"),
+        (["--spec", '{"kind":"random_pure","cutoff":32,"seed":[5,17]}'],
+         "36516d5ed829523a701a1fa370dfaf36fc409d8f4d24a8f0e6f7f0afc6cac398"),
+        (["--moments", GAUGE_TABLE],
+         "d88310b19a1665526707c59cb751e73244b82a1ceb7016bef9ce554fd830953d"),
+    ],
+)
+def test_gauge_bytes_are_pinned(capsys, argv, digest):
+    assert run(["gauge", *argv]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == digest
+
+
+def test_inequality_records_are_read_only():
+    summary = summarize(coherent(0.8 - 0.4j))
+    record = full_report(summary, ellipse(summary)).records["tight_scan"]
+    with pytest.raises(AttributeError):
+        record.slack = 0.0
+
+
 # where `gauge` prints each sweep row's slack; the other rows are read from `full_report`
 GAUGE_SLACKS = {
     "tight_scan": ("tight", "slack"),

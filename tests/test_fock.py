@@ -13,7 +13,9 @@ from fockgauge import (
     normally_ordered_moment,
     random_state,
 )
-from fockgauge.fock import BOUNDARY_PAD
+from fockgauge import states
+from fockgauge.errors import ZeroNormError
+from fockgauge.fock import BOUNDARY_PAD, _moment_window, boundary_mass
 from _oracles import dense_moment, eigvalsh_accepts, fidelity, lowered, poisson_tail, raised
 
 
@@ -112,6 +114,77 @@ def test_moment_windows_are_cached_and_read_only():
     with pytest.raises(ValueError):
         weight[0] = 0.0
     assert _moment_window(4, 0, 4) is None
+
+
+def _bits(x):
+    x = complex(x)
+    return x.real.hex(), x.imag.hex()
+
+
+def test_reductions_are_bit_identical_to_their_np_sum_forms():
+    # The moment engine calls np.add.reduce directly; np.sum dispatches to the
+    # same reduction, so each value must agree bit for bit.  Registers shorter
+    # than BOUNDARY_PAD are the edge case of the boundary slice.
+    for dim in MOMENT_DIMS:
+        pure, mixed = _pure_of_dim(dim, seed=dim), _mixed_of_dim(dim, seed=dim)
+        amps, rho = pure.amplitudes, mixed.entries
+        for j, k in ((0, 1), (0, 2), (1, 1), (2, 2)):
+            window = _moment_window(dim, j, k)
+            if window is None:
+                want_pure = want_mixed = 0.0j
+            else:
+                n, m, weight = window
+                want_pure = np.sum(np.conj(amps[m]) * amps[n] * weight)
+                want_mixed = np.sum(np.diagonal(rho[n, m]) * weight)
+            assert _bits(normally_ordered_moment(pure, j, k)) == _bits(want_pure), (dim, j, k)
+            assert _bits(normally_ordered_moment(mixed, j, k)) == _bits(want_mixed), (dim, j, k)
+        top = max(0, dim - BOUNDARY_PAD)
+        for state in (pure, mixed):
+            want = float(np.sum(state.probabilities[top:]))
+            assert boundary_mass(state).hex() == want.hex(), (dim, type(state).__name__)
+        assert pure.norm_sq.hex() == float(np.sum(np.abs(amps) ** 2)).hex(), dim
+
+
+FINALIZED_FAMILIES = (
+    lambda: coherent(0.9 - 0.4j),
+    lambda: fock(3),
+    lambda: states.squeezed_coherent(0.7 + 0.2j, 0.8, 0.5),
+    lambda: states.crescent(1.1 + 0.3j, 3, method="operator"),
+    lambda: states.crescent(1.1 + 0.3j, 3, method="laguerre"),
+    lambda: states.photon_added(0.6 - 0.2j, 2),
+    lambda: states.approx_strong_field(2.0 + 1.0j, [0.3 - 0.2j, 5.0]),
+    lambda: states.cat(1.2 + 0.5j, 0.7),
+    lambda: random_state(32, "pure", seed=[3, 5]),
+)
+
+
+def test_finalize_norm_is_linalg_norm_bit_for_bit(monkeypatch):
+    seen = []
+    finalize = states._finalize
+
+    def recording(amps):
+        out = finalize(amps)
+        seen.append((np.array(amps), out))
+        return out
+
+    monkeypatch.setattr(states, "_finalize", recording)
+    for build in FINALIZED_FAMILIES:
+        before = len(seen)
+        build()
+        assert len(seen) > before
+    for raw, out in seen:
+        re, im = raw.real, raw.imag
+        norm = float(np.linalg.norm(raw))
+        assert math.sqrt(re.dot(re) + im.dot(im)).hex() == norm.hex()
+        want = np.concatenate((raw / norm, np.zeros(BOUNDARY_PAD)))
+        assert np.array_equal(out.amplitudes.view(np.uint64), want.view(np.uint64))
+
+
+def test_cancelled_state_still_raises_zero_norm():
+    with pytest.raises(ZeroNormError):
+        states.cat(0.0, math.pi)
+    with pytest.raises(ZeroNormError):
+        states._finalize(np.zeros(3, dtype=np.complex128))
 
 
 @pytest.mark.filterwarnings("error")  # inf - inf must not warn on its way to the ValueError

@@ -16,6 +16,7 @@ from fockgauge import (
     tight_bound,
 )
 from fockgauge.gauges import C_LAMBDA_PLUS, C_TIGHT, C_TRACE, scan_bound
+from _oracles import reference_scan
 
 
 def _se(state):
@@ -69,6 +70,35 @@ def test_scan_dominates_every_angle():
         p = math.sqrt(2) * (s.mean_a * np.exp(1j * theta)).imag
         var_x = s.cov_ada + (s.var_a * np.exp(2j * theta)).real
         assert p * p / (4 * var_x) <= bound + 1e-12
+
+
+# The scan reads the moments into locals and builds its grid in place; every
+# operation and its order are the reference scan's, so (bound, theta) must
+# agree bit for bit, not merely to a tolerance.
+SCAN_FAMILIES = {
+    "haar": lambda: (random_state(32, "pure", seed=[21, i]) for i in range(2000)),
+    "ginibre": lambda: (
+        random_state(16, "mixed", rank=1 + i % 8, seed=[22, i]) for i in range(500)
+    ),
+    "coherent_and_cat": lambda: [
+        *(coherent(alpha) for alpha in (0.05, 1.0, -0.7 + 1.3j, 3.0j, 4.5 - 2.0j)),
+        *(cat(alpha, beta) for alpha in (0.4 + 0.1j, 1.5 - 0.8j, 2.2) for beta in (0.0, 0.9, math.pi)),
+    ],
+    "squeezed_coherent": lambda: [
+        squeezed_coherent(alpha, r, phi_s)
+        for alpha in (0.3 + 0.2j, -0.05 + 0.4j)
+        for r in (0.0, 0.4, 1.1, 1.9, 2.5, 2.8)
+        for phi_s in (0.0, 1.3)
+    ],
+}
+
+
+@pytest.mark.parametrize("family", SCAN_FAMILIES)
+def test_scan_is_bit_identical_to_the_reference_scan(family):
+    for state in SCAN_FAMILIES[family]():
+        s = summarize(state)
+        got, want = scan_bound(s), reference_scan(s)
+        assert [x.hex() for x in got] == [float(x).hex() for x in want], (family, got, want)
 
 
 # ------------------------------------------------------------- relaxed bounds
