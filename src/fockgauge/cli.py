@@ -17,6 +17,8 @@ import math
 import sys
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .errors import FockgaugeError, NonFiniteOutputError, NonphysicalMomentError, SchemaError
 from .fock import FockVector, boundary_mass
 from .gauges import full_report
@@ -77,12 +79,36 @@ def dumps(obj) -> str:
     return "".join(pieces)
 
 
-def format_csv(header: Sequence[str], rows: Sequence[Sequence[float]]) -> str:
-    """CSV with one 17-significant-digit field per header column in every row."""
-    # "%.17g" % x gives the bytes of format_number(x) for every real x
-    fmt = ",".join(["%.17g"] * len(header))
+def format_csv(header: Sequence[str], rows: np.ndarray | Sequence[Sequence[float]]) -> str:
+    """CSV with one 17-significant-digit field per header column in every row.
+
+    `rows` is anything `np.asarray` reads as a float64 table of shape
+    (rows, len(header)); a table of any other width raises ValueError.
+    """
+    table = np.asarray(rows, dtype=np.float64)
+    if table.ndim != 2 or table.shape[1] != len(header):
+        raise ValueError(f"a table of shape {table.shape} does not fit {len(header)} CSV columns")
+    # "%.17g" % x gives the bytes of format_number(x) for every real x.  A
+    # column with at most half as many distinct values (bit patterns, so that
+    # 0.0 and -0.0 stay apart) as rows formats each value once and its cells
+    # take the text through "%s"; every other column formats per cell.
+    fields, columns = [], []
+    for column in table.T:
+        bits = column.view(np.int64)
+        keys = np.sort(bits)
+        first = np.ones(len(keys), dtype=bool)
+        first[1:] = keys[1:] != keys[:-1]
+        keys = keys[first]
+        if 2 * len(keys) <= len(bits):
+            texts = np.array(["%.17g" % x for x in keys.view(np.float64).tolist()], dtype=object)
+            fields.append("%s")
+            columns.append(texts[np.searchsorted(keys, bits)].tolist())
+        else:
+            fields.append("%.17g")
+            columns.append(column.tolist())
+    fmt = ",".join(fields)
     lines = [",".join(header)]
-    lines.extend(fmt % tuple(row) for row in rows)
+    lines.extend(fmt % row for row in zip(*columns))
     return "\n".join(lines) + "\n"
 
 

@@ -219,33 +219,36 @@ def check_resolution(resolution: int) -> None:
         )
 
 
-def figure_rows(which: str, resolution: int) -> tuple[list[str], list[tuple]]:
-    """Deterministic figure datasets as (header, rows).
+def figure_rows(which: str, resolution: int) -> tuple[list[str], np.ndarray]:
+    """Deterministic figure datasets as (header, table).
 
-    fig2: grid over (|Var a|, Cov) with both relaxed Var-n floors at unit
-    amplitude.  fig3: the physicality hyperboloid and the squeezing cone over
-    the complex Var a plane.  fig4: moment trajectories of the strong-field
-    superposition at alpha = 3 over an admixture grid, against the trace
-    floor; the relative gap is reported, never asserted against.
+    The table is a float64 array of shape (rows, len(header)), one row per
+    CSV line.  fig2: grid over (|Var a|, Cov) with both relaxed Var-n floors
+    at unit amplitude.  fig3: the physicality hyperboloid and the squeezing
+    cone over the complex Var a plane.  fig4: moment trajectories of the
+    strong-field superposition at alpha = 3 over an admixture grid, against
+    the trace floor; the relative gap is reported, never asserted against.
     """
     check_resolution(resolution)
     if which == "fig2":
         header = ["var_a_abs", "cov_ada", "bound_lambda_plus", "bound_trace"]
-        rows = []
+        blocks = []
         for v in np.linspace(0.0, 2.0, resolution).tolist():
             floor = math.sqrt(0.25 + v * v)
-            for c in np.linspace(floor, floor + 2.0, resolution).tolist():
-                rows.append((v, c, lambda_plus_floor(1.0, c + v), trace_floor(1.0, c)))
-        return header, rows
+            c = np.linspace(floor, floor + 2.0, resolution)
+            blocks.append(
+                np.column_stack(
+                    (np.full(resolution, v), c, lambda_plus_floor(1.0, c + v), trace_floor(1.0, c))
+                )
+            )
+        return header, np.concatenate(blocks)
     if which == "fig3":
         header = ["re_var_a", "im_var_a", "hyperboloid", "cone"]
-        axis = np.linspace(-2.0, 2.0, resolution).tolist()
-        rows = []
-        for re in axis:
-            for im in axis:
-                spread = math.hypot(re, im)
-                rows.append((re, im, math.sqrt(0.25 + spread * spread), spread + 0.5))
-        return header, rows
+        axis = np.linspace(-2.0, 2.0, resolution)
+        re, im = np.repeat(axis, resolution), np.tile(axis, resolution)
+        # math.hypot, not np.hypot: the two differ in the last bit at some points
+        spread = np.fromiter(map(math.hypot, re.tolist(), im.tolist()), float, len(re))
+        return header, np.column_stack((re, im, np.sqrt(0.25 + spread * spread), spread + 0.5))
     if which == "fig4":
         header = ["gamma_re", "gamma_im", "cov_ada", "var_n", "bound", "rel_gap"]
         alpha = 3.0
@@ -265,5 +268,5 @@ def figure_rows(which: str, resolution: int) -> tuple[list[str], list[tuple]]:
                         (summary.var_n - bound) / bound,
                     )
                 )
-        return header, rows
+        return header, np.array(rows)
     raise ValueError(f"unknown figure {which!r}; expected one of {FIGURE_NAMES}")

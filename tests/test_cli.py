@@ -306,18 +306,23 @@ def test_figure_writes_csv(tmp_path, capsys):
     capsys.readouterr()
 
 
-# sha256 of each figure's stdout at resolution 64, pinned so that no speed-up
-# can change a byte
+# sha256 of each figure's stdout, pinned so that no speed-up can change a
+# byte; at resolution 256 fig3 checks math.hypot bit for bit (np.hypot differs
+# in the last bit at some grid points) and both CSV column paths run at scale
+FIGURE_PINS = [
+    ("fig2", 64, "3d6d9ce4a4bbcdc10fa0fa87ab6a702d15f05467b217b21ab0290d36b17f9997"),
+    ("fig3", 64, "79c98259f0271099c7ace8a9c7c0f8c3de626217a501992083524af2d6e93566"),
+    ("fig4", 64, "420f1aca12f01f5f376af389b12ee122636bb99eeb181a8f51971a7dca3e1dbd"),
+    ("fig2", 256, "a0bae21484520b62d4bc6f608010ec3ba80b427ffdebc8564d5419617ea6b818"),
+    ("fig3", 256, "c2602eb6c921acc10f5858cd0b1cf2412343e9c7940976c42c6ff320c4ede136"),
+]
+
+
 @pytest.mark.parametrize(
-    "which,digest",
-    [
-        ("fig2", "3d6d9ce4a4bbcdc10fa0fa87ab6a702d15f05467b217b21ab0290d36b17f9997"),
-        ("fig3", "79c98259f0271099c7ace8a9c7c0f8c3de626217a501992083524af2d6e93566"),
-        ("fig4", "420f1aca12f01f5f376af389b12ee122636bb99eeb181a8f51971a7dca3e1dbd"),
-    ],
+    "which,resolution,digest", FIGURE_PINS, ids=[f"{w}-{d}" for w, _, d in FIGURE_PINS]
 )
-def test_figure_bytes_are_pinned(capsys, which, digest):
-    assert run(["figure", "--which", which, "--resolution", "64"]) == 0
+def test_figure_bytes_are_pinned(capsys, which, resolution, digest):
+    assert run(["figure", "--which", which, "--resolution", str(resolution)]) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == digest
 
 

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fockgauge import SweepConfig, calibrate, figure_rows, sweep
 from fockgauge.cli import dumps, format_csv
@@ -181,6 +183,14 @@ def test_fig4_rows():
         assert rel_gap == pytest.approx((var_n - bound) / bound)
 
 
+@pytest.mark.parametrize("which,rows", [("fig2", 17 * 17), ("fig3", 17 * 17), ("fig4", 3 * 17)])
+def test_figure_rows_is_one_float64_table(which, rows):
+    header, table = figure_rows(which, 17)
+    assert isinstance(table, np.ndarray) and table.dtype == np.float64
+    assert table.shape == (rows, len(header))
+    assert len(table) == rows
+
+
 def test_figure_validation():
     with pytest.raises(ValueError):
         figure_rows("fig9", 16)
@@ -217,3 +227,36 @@ def test_csv_edge_values_match_the_per_cell_oracle():
         "-0", "4.9406564584124654e-324", "10000000000000000", "1.7976931348623157e+308",
         "0.33333333333333331", "7",
     ]
+
+
+# Few distinct values per column, so that short columns are formatted per cell
+# and long ones once per distinct value, and both meet signed zeros, NaN,
+# infinities, a subnormal and integers.
+CSV_POOL = (0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 1e16, 1 / 3, -(2**60), 7)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(
+    st.integers(1, 5).flatmap(
+        lambda width: st.lists(
+            st.tuples(*[st.sampled_from(CSV_POOL)] * width), min_size=1, max_size=40
+        )
+    )
+)
+def test_csv_matches_the_per_cell_oracle_on_random_tables(rows):
+    header = [f"c{j}" for j in range(len(rows[0]))]
+    assert format_csv(header, rows) == csv_text(header, rows)
+
+
+def test_csv_keeps_signed_zeros_apart_in_repeated_and_per_cell_columns():
+    header = ["repeated", "per_cell"]
+    rows = [(0.0, 0.0), (-0.0, -0.0), (0.0, 1.0), (-0.0, 2.0)]
+    text = format_csv(header, rows)
+    assert text == csv_text(header, rows)
+    assert text == "repeated,per_cell\n0,0\n-0,-0\n0,1\n-0,2\n"
+
+
+@pytest.mark.parametrize("rows", [[(1.0, 2.0, 3.0)], [(1.0,)], [(1.0, 2.0), (3.0,)], [1.0, 2.0]])
+def test_csv_refuses_a_table_that_does_not_fit_the_header(rows):
+    with pytest.raises(ValueError):
+        format_csv(["a", "b"], rows)
