@@ -15,7 +15,7 @@ import functools
 import json
 import math
 import sys
-from typing import Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -79,47 +79,85 @@ def dumps(obj) -> str:
     return "".join(pieces)
 
 
+# "%.17g" text of any float64 fits in CSV_FIELD_WIDTH bytes ("-1.7976931348623157e+308")
+CSV_FIELD_WIDTH = 24
+# rows rendered at a time, so that a CSV's working memory does not grow with the table
+CSV_BLOCK_ROWS = 1 << 15
+_PADDED_FIELD = f"%-{CSV_FIELD_WIDTH}.17g"
+
+
+def _field_bytes(values: np.ndarray) -> np.ndarray:
+    """The "%.17g" texts of `values`, left-justified, as a uint8 matrix of CSV_FIELD_WIDTH columns."""
+    text = _PADDED_FIELD * len(values) % tuple(values.tolist())
+    return np.frombuffer(text.encode("ascii"), dtype=np.uint8).reshape(-1, CSV_FIELD_WIDTH)
+
+
+def csv_blocks(header: Sequence[str], rows: np.ndarray | Sequence[Sequence[float]]) -> Iterator[str]:
+    """The text of `format_csv` in pieces: the header line, then one piece per CSV_BLOCK_ROWS rows.
+
+    The table is read and checked before this returns, so a table that does
+    not fit raises here, before any piece is made.
+    """
+    table = np.asarray(rows, dtype=np.float64)
+    if table.ndim != 2 or table.shape[1] != len(header) or not header:
+        raise ValueError(f"a table of shape {table.shape} does not fit {len(header)} CSV columns")
+    return _csv_pieces(header, table)
+
+
+def _csv_pieces(header: Sequence[str], table: np.ndarray) -> Iterator[str]:
+    yield ",".join(header) + "\n"
+    # "%.17g" % x gives the bytes of format_number(x) for every real x.  A
+    # column with at most half as many distinct values (bit patterns, so that
+    # 0.0 and -0.0 stay apart) as rows formats each value once and its cells
+    # copy the bytes; every other column formats per cell.
+    distinct = []
+    for column in table.T:
+        keys = np.sort(column.view(np.int64))
+        first = np.ones(len(keys), dtype=bool)
+        first[1:] = keys[1:] != keys[:-1]
+        keys = keys[first]
+        distinct.append((keys, _field_bytes(keys.view(np.float64))) if 2 * len(keys) <= len(table) else None)
+    # each row is a matrix row of one padded field and one separator per
+    # column; the padding spaces are then dropped in one pass
+    separators = np.full(len(header), ord(","), dtype=np.uint8)
+    separators[-1] = ord("\n")
+    for start in range(0, len(table), CSV_BLOCK_ROWS):
+        block = table[start : start + CSV_BLOCK_ROWS]
+        matrix = np.empty((len(block), len(header), CSV_FIELD_WIDTH + 1), dtype=np.uint8)
+        matrix[:, :, CSV_FIELD_WIDTH] = separators
+        for j, column in enumerate(block.T):
+            if distinct[j] is None:
+                matrix[:, j, :CSV_FIELD_WIDTH] = _field_bytes(column)
+            else:
+                keys, texts = distinct[j]
+                matrix[:, j, :CSV_FIELD_WIDTH] = texts[np.searchsorted(keys, column.view(np.int64))]
+        flat = matrix.reshape(-1)
+        yield flat[flat != ord(" ")].tobytes().decode("ascii")
+
+
 def format_csv(header: Sequence[str], rows: np.ndarray | Sequence[Sequence[float]]) -> str:
     """CSV with one 17-significant-digit field per header column in every row.
 
     `rows` is anything `np.asarray` reads as a float64 table of shape
-    (rows, len(header)); a table of any other width raises ValueError.
+    (rows, len(header)), with at least one column; a table of any other shape
+    raises ValueError.
     """
-    table = np.asarray(rows, dtype=np.float64)
-    if table.ndim != 2 or table.shape[1] != len(header):
-        raise ValueError(f"a table of shape {table.shape} does not fit {len(header)} CSV columns")
-    # "%.17g" % x gives the bytes of format_number(x) for every real x.  A
-    # column with at most half as many distinct values (bit patterns, so that
-    # 0.0 and -0.0 stay apart) as rows formats each value once and its cells
-    # take the text through "%s"; every other column formats per cell.
-    fields, columns = [], []
-    for column in table.T:
-        bits = column.view(np.int64)
-        keys = np.sort(bits)
-        first = np.ones(len(keys), dtype=bool)
-        first[1:] = keys[1:] != keys[:-1]
-        keys = keys[first]
-        if 2 * len(keys) <= len(bits):
-            texts = np.array(["%.17g" % x for x in keys.view(np.float64).tolist()], dtype=object)
-            fields.append("%s")
-            columns.append(texts[np.searchsorted(keys, bits)].tolist())
-        else:
-            fields.append("%.17g")
-            columns.append(column.tolist())
-    fmt = ",".join(fields)
-    lines = [",".join(header)]
-    lines.extend(fmt % row for row in zip(*columns))
-    return "\n".join(lines) + "\n"
+    return "".join(csv_blocks(header, rows))
 
 
-def _emit(text: str, out: Optional[str]) -> None:
-    text = text if text.endswith("\n") else text + "\n"
+def _emit(text: str | Iterable[str], out: Optional[str]) -> None:
+    """Write `text`, or each piece of an iterable as it is made, to stdout or the --out file.
+
+    The file is opened before the first piece is made, so an unwritable --out
+    is a schema error (exit 2) before any output exists.
+    """
+    pieces = [text if text.endswith("\n") else text + "\n"] if isinstance(text, str) else text
     if out is None or out == "-":
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
     else:
         try:
             with open(out, "w", encoding="utf-8") as handle:
-                handle.write(text)
+                handle.writelines(pieces)
         except OSError as exc:
             raise SchemaError(f"cannot write --out file {out!r}: {exc}") from exc
 
@@ -200,7 +238,7 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
 
 def _cmd_figure(args: argparse.Namespace) -> int:
     header, rows = figure_rows(args.which, args.resolution)
-    _emit(format_csv(header, rows), args.out)
+    _emit(csv_blocks(header, rows), args.out)
     return 0
 
 

@@ -28,27 +28,44 @@ BOUNDARY_PAD = 4
 
 @dataclass(frozen=True, eq=False)
 class FockVector:
-    """Normalized pure state c_0|0> + ... + c_N|N> on a truncated Fock space."""
+    """Normalized pure state c_0|0> + ... + c_N|N> on a truncated Fock space.
+
+    `amplitudes` may also be an (N, D) block: N pure states on one register
+    of D levels, one state per row.  The moment functions below and
+    `moments.summarize` reduce over the last axis, so a block gives one
+    result per row, bit for bit what that row alone gives.
+    """
 
     amplitudes: np.ndarray
 
     def __post_init__(self) -> None:
         amps = np.array(self.amplitudes, dtype=np.complex128)
-        if amps.ndim != 1 or amps.size == 0:
-            raise ValueError("amplitudes must be a non-empty 1-d sequence")
+        if amps.ndim not in (1, 2) or amps.shape[-1] == 0:
+            raise ValueError("amplitudes must be a non-empty 1-d sequence or an (N, D) block")
         amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)
-        # written so that a NaN norm fails too
-        if not abs(self.norm_sq - 1.0) <= NORM_TOL:
-            raise ValueError(f"amplitudes are not normalized: sum p = {self.norm_sq!r}")
+        norm_sq = np.add.reduce(np.abs(amps) ** 2, -1)
+        # written so that a NaN norm fails too; one state is checked in Python
+        # floats, which are cheaper than numpy's scalar arithmetic
+        if amps.ndim == 1:
+            norm_sq = float(norm_sq)
+            if not abs(norm_sq - 1.0) <= NORM_TOL:
+                raise ValueError(f"amplitudes are not normalized: sum p = {norm_sq!r}")
+            return
+        normalized = abs(norm_sq - 1.0) <= NORM_TOL
+        if not normalized.all():
+            row = int(normalized.argmin())
+            raise ValueError(f"amplitudes are not normalized in row {row}: sum p = {norm_sq[row].item()!r}")
 
     @property
     def cutoff(self) -> int:
-        return self.amplitudes.size - 1
+        return self.amplitudes.shape[-1] - 1
 
     @property
-    def norm_sq(self) -> float:
-        return float(np.add.reduce(np.abs(self.amplitudes) ** 2))
+    def norm_sq(self) -> Union[float, np.ndarray]:
+        """Sum of the probabilities; one per row of a block."""
+        norm_sq = np.add.reduce(self.probabilities, -1)
+        return norm_sq if norm_sq.ndim else float(norm_sq)
 
     @property
     def probabilities(self) -> np.ndarray:
@@ -111,6 +128,8 @@ QuantumState = Union[FockVector, DensityMatrix]
 
 # Bounded so that a long process over many cutoffs keeps a fixed footprint.
 _WINDOW_CACHE_SIZE = 256
+# the top BOUNDARY_PAD levels of the last axis; the whole register when it is shorter
+_TOP = (..., slice(-BOUNDARY_PAD, None))
 
 
 @functools.lru_cache(maxsize=_WINDOW_CACHE_SIZE)
@@ -134,12 +153,22 @@ def _moment_window(dim: int, j: int, k: int):
     return slice(lo, hi + 1), slice(lo - k + j, hi + 1 - k + j), weight
 
 
-def _pure_moment(amps: np.ndarray, j: int, k: int) -> complex:
-    window = _moment_window(amps.size, j, k)
+@functools.lru_cache(maxsize=_WINDOW_CACHE_SIZE)
+def _last_axis_window(dim: int, j: int, k: int):
+    # `_moment_window` with its slices on the last axis, so that one state and
+    # a block of rows index alike; cached, because building the (..., slice)
+    # tuples on every call measurably slowed the per-state sweep
+    window = _moment_window(dim, j, k)
+    return None if window is None else ((..., window[0]), (..., window[1]), window[2])
+
+
+def _pure_moment(amps: np.ndarray, j: int, k: int) -> np.ndarray:
+    # one moment per row of a block; a 0-d array for one state
+    window = _last_axis_window(amps.shape[-1], j, k)
     if window is None:
-        return 0.0 + 0.0j
+        return np.zeros(amps.shape[:-1], dtype=np.complex128)
     n, m, weight = window
-    return complex(np.add.reduce(amps[m].conj() * amps[n] * weight))
+    return np.add.reduce(amps[m].conj() * amps[n] * weight, -1)
 
 
 def _mixed_moment(rho: np.ndarray, j: int, k: int) -> complex:
@@ -152,23 +181,25 @@ def _mixed_moment(rho: np.ndarray, j: int, k: int) -> complex:
     return complex(np.add.reduce(np.diagonal(rho[n, m]) * weight))
 
 
-def normally_ordered_moment(state: QuantumState, j: int, k: int) -> complex:
+def normally_ordered_moment(state: QuantumState, j: int, k: int) -> Union[complex, np.ndarray]:
     """Exact <a^dag^j a^k> of the stored state, for orders j, k <= 4.
 
+    A FockVector block gives a complex array with one moment per row.
     Conversions used elsewhere: <n> = moment(1, 1) and
     <n^2> = moment(2, 2) + moment(1, 1).
     """
     if not (0 <= j <= MAX_MOMENT_ORDER and 0 <= k <= MAX_MOMENT_ORDER):
         raise MomentOrderError(f"moment order ({j}, {k}) exceeds the supported maximum {MAX_MOMENT_ORDER}")
     if isinstance(state, FockVector):
-        return _pure_moment(state.amplitudes, j, k)
+        moment = _pure_moment(state.amplitudes, j, k)
+        return moment if moment.ndim else complex(moment)
     return _mixed_moment(state.entries, j, k)
 
 
-def boundary_mass(state: QuantumState) -> float:
-    """Occupation in the top BOUNDARY_PAD indices of the register."""
-    top = slice(max(0, state.cutoff + 1 - BOUNDARY_PAD), None)
+def boundary_mass(state: QuantumState) -> Union[float, np.ndarray]:
+    """Occupation in the top BOUNDARY_PAD indices of the register; one per row of a block."""
     if isinstance(state, FockVector):
-        return float(np.add.reduce(np.abs(state.amplitudes[top]) ** 2))
-    return float(np.add.reduce(state.probabilities[top]))
+        mass = np.add.reduce(np.abs(state.amplitudes[_TOP]) ** 2, -1)
+        return mass if mass.ndim else float(mass)
+    return float(np.add.reduce(state.probabilities[_TOP]))
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 import cmath
 import functools
 from dataclasses import dataclass, fields
+from typing import Union
 
 from .errors import NonphysicalMomentError
 from .fock import QuantumState, boundary_mass, normally_ordered_moment
@@ -65,24 +66,42 @@ def summary_from_dict(data: dict) -> MomentSummary:
     return MomentSummary(**{c.name: _READERS[c.type](data, c.name) for c in columns})
 
 
-def summarize(state: QuantumState) -> MomentSummary:
-    """Reduce a state to its full first/second-order moment summary."""
+def summarize(state: QuantumState) -> Union[MomentSummary, list[MomentSummary]]:
+    """Reduce a state to its full first/second-order moment summary.
+
+    A FockVector block gives a list with one summary per row.  Its four
+    moments are each reduced once over the whole block; the derived fields
+    are computed per row in Python floats, as for a single state (numpy's
+    complex square differs from Python's in the last bit).
+    """
     mean_a = normally_ordered_moment(state, 0, 1)
     mean_a2 = normally_ordered_moment(state, 0, 2)
     mean_n = normally_ordered_moment(state, 1, 1).real
     mean_a2da2 = normally_ordered_moment(state, 2, 2).real
+    truncated = boundary_mass(state) > BOUNDARY_MASS_WARN
+    if isinstance(mean_a, complex):
+        return _summary(mean_a, mean_a2, mean_n, mean_a2da2, truncated)
+    return list(
+        map(_summary, mean_a.tolist(), mean_a2.tolist(), mean_n.tolist(), mean_a2da2.tolist(), truncated.tolist())
+    )
+
+
+def _summary(
+    mean_a: complex, mean_a2: complex, mean_n: float, mean_a2da2: float, truncated: bool
+) -> MomentSummary:
     mean_n2 = mean_a2da2 + mean_n
+    # in field order: a frozen dataclass builds faster from positional arguments
     return MomentSummary(
-        mean_a=mean_a,
-        mean_a2=mean_a2,
-        mean_n=mean_n,
-        mean_n2=mean_n2,
-        mean_a2da2=mean_a2da2,
-        var_n=mean_n2 - mean_n**2,
-        var_a=mean_a2 - mean_a**2,
-        cov_ada=mean_n + 0.5 - abs(mean_a) ** 2,
-        cov_a2=mean_a2da2 + 2.0 * mean_n + 1.0 - abs(mean_a2) ** 2,
-        truncation_warning=boundary_mass(state) > BOUNDARY_MASS_WARN,
+        mean_a,
+        mean_a2,
+        mean_n,
+        mean_n2,
+        mean_a2da2,
+        mean_n2 - mean_n**2,  # var_n
+        mean_a2 - mean_a**2,  # var_a
+        mean_n + 0.5 - abs(mean_a) ** 2,  # cov_ada
+        mean_a2da2 + 2.0 * mean_n + 1.0 - abs(mean_a2) ** 2,  # cov_a2
+        truncated,
     )
 
 

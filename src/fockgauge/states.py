@@ -49,13 +49,22 @@ def _check_eps(eps_tail: float) -> None:
         raise ValueError(f"eps_tail must lie in (0, {EPS_TAIL_CEILING}], got {eps_tail!r}")
 
 
-def _finalize(amps: np.ndarray) -> FockVector:
+def _norm(amps: np.ndarray) -> float:
     # numpy's own 2-norm of a complex vector, without linalg.norm's dispatch
     re, im = amps.real, amps.imag
     norm = math.sqrt(re.dot(re) + im.dot(im))
     if norm < 1e-13:
         raise ZeroNormError("state construction cancelled to zero norm")
-    return FockVector(np.concatenate((amps / norm, np.zeros(BOUNDARY_PAD))))
+    return norm
+
+
+def _finalize(amps: np.ndarray) -> FockVector:
+    """The padded, normalized state of `amps`; an (N, D) block row by row."""
+    norm = _norm(amps) if amps.ndim == 1 else np.array(list(map(_norm, amps))).reshape(-1, 1)
+    size = amps.shape[-1]
+    padded = np.zeros(amps.shape[:-1] + (size + BOUNDARY_PAD,), dtype=np.complex128)
+    np.divide(amps, norm, out=padded[..., :size])
+    return FockVector(padded)
 
 
 def _raised(amps: np.ndarray) -> np.ndarray:
@@ -277,23 +286,24 @@ def strong_field_norm_inverse(alpha: complex, gamma: complex) -> float:
 
 def approx_strong_field(
     alpha: complex, gamma: Union[complex, Sequence[complex]], eps_tail: float = DEFAULT_EPS_TAIL
-) -> Union[FockVector, list[FockVector]]:
+) -> FockVector:
     """Normalized superposition |alpha> + gamma a^dag |alpha>.
 
     With gamma = added/alpha^* this approximates the crescent state in the
     strong-field regime.  Raises ZeroNormError on cancellation.  From |gamma|
     of 2^500 on, the same ray is built with gamma divided out, so that its
-    norm stays in the float range.  A 1-D sequence of gammas gives a list of
-    states, one per gamma, built on one coherent run.
+    norm stays in the float range.  A 1-D sequence of N gammas gives one
+    (N, D) FockVector block, one state per row, built on one coherent run.
     """
     _check_eps(eps_tail)
     alpha = complex(alpha)
-    scalar = isinstance(gamma, numbers.Number)
+    ndim = 0 if isinstance(gamma, numbers.Number) else np.ndim(gamma)
+    if ndim > 1:
+        raise ValueError(f"gamma must be a number or a 1-d sequence of numbers, got shape {np.shape(gamma)}")
     c = _coherent_amps(alpha, eps_tail, 1)
     raised = _raised(c)
-    states = []
-    for g in [gamma] if scalar else gamma:
-        g = complex(g)
+    rows = []
+    for g in map(complex, gamma if ndim else [gamma]):
         # below 2^500 no square of gamma a^dag |alpha> can overflow its norm
         if max(abs(g.real), abs(g.imag)) < SQUARE_LIMIT:
             combined = g * raised
@@ -301,8 +311,8 @@ def approx_strong_field(
         else:
             combined = raised.copy()
             combined[: c.size] += c * (1.0 / g)
-        states.append(_finalize(combined))
-    return states[0] if scalar else states
+        rows.append(combined)
+    return _finalize(np.array(rows).reshape(-1, raised.size) if ndim else rows[0])
 
 
 def cat(alpha: complex, beta: float = 0.0, eps_tail: float = DEFAULT_EPS_TAIL) -> FockVector:

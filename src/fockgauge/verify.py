@@ -255,8 +255,7 @@ def figure_rows(which: str, resolution: int) -> tuple[list[str], np.ndarray]:
         rows = []
         for phase in (0.0, math.pi / 4.0, math.pi / 2.0):
             gammas = np.linspace(0.0, 1.0, resolution) * complex(math.cos(phase), math.sin(phase))
-            for gamma, state in zip(gammas.tolist(), approx_strong_field(alpha, gammas)):
-                summary = summarize(state)
+            for gamma, summary in zip(gammas.tolist(), summarize(approx_strong_field(alpha, gammas))):
                 bound = trace_floor(abs(summary.mean_a) ** 2, summary.cov_ada)
                 rows.append(
                     (

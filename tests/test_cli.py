@@ -187,6 +187,7 @@ def test_schema_error_exit_code(tmp_path, capsys):
         (["sweep", "--config", '{"n_pure":0,"n_mixed":5,"cutoff":2,"rank":9}'], "rank"),
         (["sweep", "--config", '{"n_pure":0,"n_mixed":5,"cutoff":2,"rank":0}'], "rank"),
         (["calibrate", "--out", "/nonexistent/x.json"], "--out file '/nonexistent/x.json'"),
+        (["figure", "--which", "fig4", "--resolution", "16", "--out", "/nonexistent/f.csv"], "--out file '/nonexistent/f.csv'"),
         (["gauge", "--spec", '{"kind":"fock","n":1}', "--out", str(tmp_path)], f"--out file {str(tmp_path)!r}"),
     ]
     for argv, field in rows:
@@ -304,6 +305,19 @@ def test_figure_writes_csv(tmp_path, capsys):
     assert text.splitlines()[0] == "re_var_a,im_var_a,hyperboloid,cone"
     assert len(text.splitlines()) == 1 + 16 * 16
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("which,resolution", [("fig4", 16), ("fig3", 200)])
+def test_figure_out_file_bytes_equal_stdout_bytes(tmp_path, capsys, which, resolution):
+    # fig3 at 200 streams 40,000 rows, more than one CSV block
+    argv = ["figure", "--which", which, "--resolution", str(resolution)]
+    assert run(argv) == 0
+    stdout = capsys.readouterr().out.encode("utf-8")
+    out = tmp_path / "figure.csv"
+    assert run([*argv, "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_bytes() == stdout
+    assert stdout.count(b"\n") == 1 + (3 * resolution if which == "fig4" else resolution**2)
 
 
 # sha256 of each figure's stdout, pinned so that no speed-up can change a

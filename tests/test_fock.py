@@ -172,12 +172,15 @@ def test_finalize_norm_is_linalg_norm_bit_for_bit(monkeypatch):
         before = len(seen)
         build()
         assert len(seen) > before
+    assert any(raw.ndim == 2 for raw, _ in seen)  # approx_strong_field's block
     for raw, out in seen:
-        re, im = raw.real, raw.imag
-        norm = float(np.linalg.norm(raw))
-        assert math.sqrt(re.dot(re) + im.dot(im)).hex() == norm.hex()
-        want = np.concatenate((raw / norm, np.zeros(BOUNDARY_PAD)))
-        assert np.array_equal(out.amplitudes.view(np.uint64), want.view(np.uint64))
+        # a block is normalized row by row
+        for raw_row, out_row in zip(np.atleast_2d(raw), np.atleast_2d(out.amplitudes)):
+            re, im = raw_row.real, raw_row.imag
+            norm = float(np.linalg.norm(raw_row))
+            assert math.sqrt(re.dot(re) + im.dot(im)).hex() == norm.hex()
+            want = np.concatenate((raw_row / norm, np.zeros(BOUNDARY_PAD)))
+            assert np.array_equal(out_row.view(np.uint64), want.view(np.uint64))
 
 
 def test_cancelled_state_still_raises_zero_norm():

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import math
 
@@ -5,7 +6,9 @@ import numpy as np
 import pytest
 
 from fockgauge import (
+    FockVector,
     MomentSummary,
+    approx_strong_field,
     NonphysicalMomentError,
     SchemaError,
     cat,
@@ -18,6 +21,7 @@ from fockgauge import (
     summarize,
     summary_from_dict,
 )
+from fockgauge.fock import boundary_mass
 from fockgauge.gauges import _objective
 from _oracles import dense_expectation, quadrature_mean_direct, quadrature_var_direct
 
@@ -70,6 +74,52 @@ def test_matrix_verification_mode():
         scale = 1.0 + abs(mean_n2)
         for name, value in dense.items():
             assert abs(getattr(s, name) - value) <= 1e-12 * scale, name
+
+
+def _summary_bits(summary):
+    out = []
+    for value in dataclasses.astuple(summary):
+        if isinstance(value, complex):
+            out += [type(value), value.real.hex(), value.imag.hex()]
+        else:
+            out += [type(value), value if isinstance(value, bool) else value.hex()]
+    return out
+
+
+def _haar_block():
+    # 2000 sweep states at cutoff 32 (padded) and 8 unpadded draws that fill
+    # the top of the register, so both truncation flags occur
+    rows = [random_state(32, "pure", seed=[7, i]).amplitudes for i in range(2000)]
+    rng = np.random.default_rng(7)
+    for _ in range(8):
+        raw = rng.standard_normal(37) + 1j * rng.standard_normal(37)
+        rows.append(raw / np.linalg.norm(raw))
+    return FockVector(np.array(rows))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        _haar_block,
+        lambda: approx_strong_field(3.0, np.linspace(0.0, 1.0, 256) * complex(math.cos(math.pi / 4), math.sin(math.pi / 4))),
+        lambda: approx_strong_field(2.0 - 0.5j, [2**500, 1e300j, complex(1.7e308, -1.7e308), 0.5, 0.0]),
+    ],
+    ids=["haar", "fig4-phase", "huge-gamma"],
+)
+def test_block_summaries_are_bit_identical_to_single_states(build):
+    block = build()
+    summaries = summarize(block)
+    assert len(summaries) == len(block.amplitudes)
+    masses, norms = boundary_mass(block), block.norm_sq
+    flags = set()
+    for i, row in enumerate(block.amplitudes):
+        state = FockVector(row)
+        assert _summary_bits(summaries[i]) == _summary_bits(summarize(state)), i
+        assert masses[i].item().hex() == boundary_mass(state).hex(), i
+        assert norms[i].item().hex() == state.norm_sq.hex(), i
+        flags.add(summaries[i].truncation_warning)
+    if build is _haar_block:
+        assert flags == {False, True}
 
 
 def test_truncation_warning_on_clipped_vector():

@@ -23,7 +23,8 @@ from fockgauge import (
     state_from_spec,
     summarize,
 )
-from fockgauge.fock import BOUNDARY_PAD
+from fockgauge import states
+from fockgauge.fock import BOUNDARY_PAD, FockVector
 from fockgauge.states import strong_field_norm_inverse
 from _oracles import (
     crescent_eigen_residual,
@@ -298,17 +299,43 @@ def test_strong_field_large_admixture_tends_to_photon_added():
     assert fidelity(approx_strong_field(0.5, 1e6), photon_added(0.5, 1)) >= 1 - 1e-9
 
 
+def _bits(amplitudes):
+    return amplitudes.view(np.uint64)
+
+
 def test_strong_field_batch_matches_scalar_calls():
     gammas = [0, 1 / 3, 0.5j, -1 + 1j, 2**500, 1e6]
     for alpha in (3.0, 1.3 + 0.4j):
-        batch = approx_strong_field(alpha, gammas)
-        assert len(batch) == len(gammas)
-        for gamma, state in zip(gammas, batch):
-            assert np.array_equal(state.amplitudes, approx_strong_field(alpha, gamma).amplitudes)
-    assert approx_strong_field(3.0, []) == []
+        block = approx_strong_field(alpha, gammas)
+        assert block.amplitudes.shape == (len(gammas), block.cutoff + 1)
+        for gamma, row in zip(gammas, block.amplitudes):
+            assert np.array_equal(_bits(row), _bits(approx_strong_field(alpha, gamma).amplitudes))
+    empty = approx_strong_field(3.0, [])
+    assert empty.amplitudes.shape == (0, approx_strong_field(3.0, 0.5).cutoff + 1)
+    assert summarize(empty) == []
     for gammas in ([], [0.5, 1.0]):
         with pytest.raises(ValueError, match="eps_tail"):
             approx_strong_field(3.0, gammas, eps_tail=0.0)
+
+
+def test_strong_field_gamma_shapes():
+    scalar = approx_strong_field(2.0, 0.5 - 0.25j).amplitudes
+    for zero_d in (np.array(0.5 - 0.25j), np.complex128(0.5 - 0.25j)):
+        assert np.array_equal(_bits(approx_strong_field(2.0, zero_d).amplitudes), _bits(scalar))
+    assert np.array_equal(_bits(approx_strong_field(2.0, np.array([0.5 - 0.25j])).amplitudes[0]), _bits(scalar))
+    for bad in (np.ones((2, 2)), [[0.5], [1.0]]):
+        with pytest.raises(ValueError, match="gamma"):
+            approx_strong_field(2.0, bad)
+
+
+def test_block_refuses_an_unnormalized_row():
+    with pytest.raises(ValueError, match="row 1"):
+        FockVector(np.array([[1.0, 0.0], [1.0, 1.0]]))
+    for bad in ([[[1.0]]], np.zeros((2, 0))):
+        with pytest.raises(ValueError):
+            FockVector(bad)
+    with pytest.raises(ZeroNormError):
+        states._finalize(np.array([[1.0, 1.0], [0.0, 0.0]], dtype=np.complex128))
 
 
 @pytest.mark.filterwarnings("error")

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fockgauge import SweepConfig, calibrate, figure_rows, sweep
-from fockgauge.cli import dumps, format_csv
+from fockgauge.cli import CSV_BLOCK_ROWS as BLOCK_ROWS, csv_blocks, dumps, format_csv
 from fockgauge.errors import SchemaError
 from fockgauge.gauges import INEQUALITIES
 from fockgauge.verify import sweep_config_from_dict
@@ -231,8 +231,11 @@ def test_csv_edge_values_match_the_per_cell_oracle():
 
 # Few distinct values per column, so that short columns are formatted per cell
 # and long ones once per distinct value, and both meet signed zeros, NaN,
-# infinities, a subnormal and integers.
-CSV_POOL = (0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 1e16, 1 / 3, -(2**60), 7)
+# infinities, subnormals, integers and the longest texts (24 characters).
+CSV_POOL = (
+    0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 1e16, 1 / 3, -(2**60), 7,
+    -1.2345678901234567e-308, -1.7976931348623157e308,
+)
 
 
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)
@@ -256,7 +259,28 @@ def test_csv_keeps_signed_zeros_apart_in_repeated_and_per_cell_columns():
     assert text == "repeated,per_cell\n0,0\n-0,-0\n0,1\n-0,2\n"
 
 
+@pytest.mark.parametrize("extra", [None, -1, 0, 1, BLOCK_ROWS + 1])
+def test_csv_matches_the_per_cell_oracle_across_row_blocks(extra):
+    # 0 rows, 1 row, and one block size -1, +0, +1 rows and two blocks +1
+    n = 1 if extra is None else BLOCK_ROWS + extra
+    rng = np.random.default_rng(n)
+    repeated = rng.choice(np.array(CSV_POOL), n)  # formatted once per value
+    per_cell = rng.standard_normal(n) * 10.0 ** rng.integers(-320, 300, n)
+    table = np.column_stack((repeated, per_cell, -np.abs(per_cell)))
+    header = ["repeated", "per_cell", "negative"]
+    for rows in (table, table[:0]):
+        assert format_csv(header, rows) == csv_text(header, rows)
+    assert format_csv(header, table[:0]) == "repeated,per_cell,negative\n"
+
+
 @pytest.mark.parametrize("rows", [[(1.0, 2.0, 3.0)], [(1.0,)], [(1.0, 2.0), (3.0,)], [1.0, 2.0]])
 def test_csv_refuses_a_table_that_does_not_fit_the_header(rows):
     with pytest.raises(ValueError):
         format_csv(["a", "b"], rows)
+    with pytest.raises(ValueError):  # refused when called, before any block is made
+        csv_blocks(["a", "b"], rows)
+
+
+def test_csv_refuses_a_table_without_columns():
+    with pytest.raises(ValueError):
+        format_csv([], [[], []])
