@@ -62,12 +62,6 @@ class FockVector:
         return self.amplitudes.shape[-1] - 1
 
     @property
-    def norm_sq(self) -> Union[float, np.ndarray]:
-        """Sum of the probabilities; one per row of a block."""
-        norm_sq = np.add.reduce(self.probabilities, -1)
-        return norm_sq if norm_sq.ndim else float(norm_sq)
-
-    @property
     def probabilities(self) -> np.ndarray:
         return np.abs(self.amplitudes) ** 2
 
@@ -126,8 +120,9 @@ class DensityMatrix:
 QuantumState = Union[FockVector, DensityMatrix]
 
 
-# Bounded so that a long process over many cutoffs keeps a fixed footprint.
-_WINDOW_CACHE_SIZE = 256
+# Bounded so that a long process over many cutoffs keeps a fixed footprint;
+# a stream of `gauge` requests touches about 300 windows.
+_WINDOW_CACHE_SIZE = 512
 # the top BOUNDARY_PAD levels of the last axis; the whole register when it is shorter
 _TOP = (..., slice(-BOUNDARY_PAD, None))
 
@@ -137,11 +132,11 @@ def _moment_window(dim: int, j: int, k: int):
     # <a^dag^j a^k> couples indices n and m = n - k + j; the weight is the
     # square root of an exact integer product, taken in one sqrt so that
     # equal-order moments (perfect squares) come out exactly.  Returns the
-    # n and m slices and the read-only weight, or None for an empty window.
+    # n and m windows as last-axis index tuples (..., slice), so that one
+    # state and a block of rows index alike, and the read-only weight.  A
+    # register too short for the orders gets empty windows, which sum to 0.
     lo = k
-    hi = dim - 1 - max(0, j - k)
-    if hi < lo:
-        return None
+    hi = max(lo - 1, dim - 1 - max(0, j - k))
     n = np.arange(lo, hi + 1)
     coeff = np.ones(n.size)
     for t in range(k):
@@ -150,56 +145,30 @@ def _moment_window(dim: int, j: int, k: int):
         coeff = coeff * (n - k + 1 + t)
     weight = np.sqrt(coeff)
     weight.flags.writeable = False
-    return slice(lo, hi + 1), slice(lo - k + j, hi + 1 - k + j), weight
-
-
-@functools.lru_cache(maxsize=_WINDOW_CACHE_SIZE)
-def _last_axis_window(dim: int, j: int, k: int):
-    # `_moment_window` with its slices on the last axis, so that one state and
-    # a block of rows index alike; cached, because building the (..., slice)
-    # tuples on every call measurably slowed the per-state sweep
-    window = _moment_window(dim, j, k)
-    return None if window is None else ((..., window[0]), (..., window[1]), window[2])
-
-
-def _pure_moment(amps: np.ndarray, j: int, k: int) -> np.ndarray:
-    # one moment per row of a block; a 0-d array for one state
-    window = _last_axis_window(amps.shape[-1], j, k)
-    if window is None:
-        return np.zeros(amps.shape[:-1], dtype=np.complex128)
-    n, m, weight = window
-    return np.add.reduce(amps[m].conj() * amps[n] * weight, -1)
-
-
-def _mixed_moment(rho: np.ndarray, j: int, k: int) -> complex:
-    # Tr(rho a^dag^j a^k) along the (j - k)-shifted diagonal; exact for
-    # states supported within the stored cutoff.
-    window = _moment_window(rho.shape[0], j, k)
-    if window is None:
-        return 0.0 + 0.0j
-    n, m, weight = window
-    return complex(np.add.reduce(np.diagonal(rho[n, m]) * weight))
+    return (..., slice(lo, hi + 1)), (..., slice(lo - k + j, hi + 1 - k + j)), weight
 
 
 def normally_ordered_moment(state: QuantumState, j: int, k: int) -> Union[complex, np.ndarray]:
     """Exact <a^dag^j a^k> of the stored state, for orders j, k <= 4.
 
-    A FockVector block gives a complex array with one moment per row.
-    Conversions used elsewhere: <n> = moment(1, 1) and
-    <n^2> = moment(2, 2) + moment(1, 1).
+    A FockVector block gives a complex array with one moment per row; a
+    density matrix is summed along its (j - k)-shifted diagonal.  Exact for
+    states supported within the stored cutoff.  Conversions used elsewhere:
+    <n> = moment(1, 1) and <n^2> = moment(2, 2) + moment(1, 1).
     """
     if not (0 <= j <= MAX_MOMENT_ORDER and 0 <= k <= MAX_MOMENT_ORDER):
         raise MomentOrderError(f"moment order ({j}, {k}) exceeds the supported maximum {MAX_MOMENT_ORDER}")
     if isinstance(state, FockVector):
-        moment = _pure_moment(state.amplitudes, j, k)
+        amps = state.amplitudes
+        n, m, weight = _moment_window(amps.shape[-1], j, k)
+        moment = np.add.reduce(amps[m].conj() * amps[n] * weight, -1)
         return moment if moment.ndim else complex(moment)
-    return _mixed_moment(state.entries, j, k)
+    rho = state.entries
+    n, m, weight = _moment_window(rho.shape[0], j, k)
+    return complex(np.add.reduce(np.diagonal(rho[n[-1], m[-1]]) * weight))
 
 
 def boundary_mass(state: QuantumState) -> Union[float, np.ndarray]:
     """Occupation in the top BOUNDARY_PAD indices of the register; one per row of a block."""
-    if isinstance(state, FockVector):
-        mass = np.add.reduce(np.abs(state.amplitudes[_TOP]) ** 2, -1)
-        return mass if mass.ndim else float(mass)
-    return float(np.add.reduce(state.probabilities[_TOP]))
-
+    mass = np.add.reduce(state.probabilities[_TOP], -1)
+    return mass if mass.ndim else float(mass)

@@ -49,6 +49,14 @@ def _check_eps(eps_tail: float) -> None:
         raise ValueError(f"eps_tail must lie in (0, {EPS_TAIL_CEILING}], got {eps_tail!r}")
 
 
+def _refuse_nan(**params: complex) -> None:
+    # NaN passes every range test below, then ends in an unrelated error; it
+    # is the one value unequal to itself, which also holds for a complex part
+    for name, value in params.items():
+        if value != value:
+            raise ValueError(f"{name} must not be NaN, got {value!r}")
+
+
 def _norm(amps: np.ndarray) -> float:
     # numpy's own 2-norm of a complex vector, without linalg.norm's dispatch
     re, im = amps.real, amps.imag
@@ -84,8 +92,10 @@ def _room_for(alpha: complex, added: int = 0) -> tuple[float, int]:
 
     A state displaced by alpha holds at least |alpha|^2 photons on average, so
     from |alpha|^2 = room + 2 on its tail cannot be cut off within the room.
-    Such amplitudes are refused here, before squaring them can overflow.
+    Such amplitudes are refused here, before squaring them can overflow, and
+    so is a NaN amplitude.
     """
+    _refuse_nan(alpha=alpha)
     room = max_cutoff() - added
     lam = abs(alpha) ** 2 if max(abs(alpha.real), abs(alpha.imag)) < SQUARE_LIMIT else math.inf
     if room < 0 or lam >= room + 2:
@@ -124,7 +134,7 @@ def _coherent_amps(alpha: complex, eps_tail: float, added: int = 0) -> np.ndarra
             if p_next / (1.0 - lam / (n + 2)) < eps_tail * cum:
                 break
     v = np.array(amps, dtype=np.complex128)
-    return v / np.linalg.norm(v)
+    return v / _norm(v)
 
 
 def coherent(alpha: complex, eps_tail: float = DEFAULT_EPS_TAIL) -> FockVector:
@@ -160,6 +170,7 @@ def squeezed_coherent(
     the running amplitudes rescaled by powers of two, as in `_coherent_amps`.
     """
     _check_eps(eps_tail)
+    _refuse_nan(r=r, phi_s=phi_s)
     if abs(r) > 3.0:
         raise ValueError("squeezing magnitude |r| is limited to 3 for truncation safety")
     alpha = complex(alpha)
@@ -300,10 +311,13 @@ def approx_strong_field(
     ndim = 0 if isinstance(gamma, numbers.Number) else np.ndim(gamma)
     if ndim > 1:
         raise ValueError(f"gamma must be a number or a 1-d sequence of numbers, got shape {np.shape(gamma)}")
+    gammas = list(map(complex, gamma if ndim else [gamma]))
+    for g in gammas:
+        _refuse_nan(gamma=g)
     c = _coherent_amps(alpha, eps_tail, 1)
     raised = _raised(c)
     rows = []
-    for g in map(complex, gamma if ndim else [gamma]):
+    for g in gammas:
         # below 2^500 no square of gamma a^dag |alpha> can overflow its norm
         if max(abs(g.real), abs(g.imag)) < SQUARE_LIMIT:
             combined = g * raised
@@ -322,6 +336,7 @@ def cat(alpha: complex, beta: float = 0.0, eps_tail: float = DEFAULT_EPS_TAIL) -
     Raises ZeroNormError on (numerically) exact cancellation.
     """
     _check_eps(eps_tail)
+    _refuse_nan(beta=beta)
     c = _coherent_amps(complex(alpha), eps_tail)
     signs = np.where(np.arange(c.size) % 2 == 0, 1.0, -1.0)
     return _finalize(c * (1.0 + np.exp(1j * beta) * signs))

@@ -232,16 +232,12 @@ def figure_rows(which: str, resolution: int) -> tuple[list[str], np.ndarray]:
     check_resolution(resolution)
     if which == "fig2":
         header = ["var_a_abs", "cov_ada", "bound_lambda_plus", "bound_trace"]
-        blocks = []
-        for v in np.linspace(0.0, 2.0, resolution).tolist():
-            floor = math.sqrt(0.25 + v * v)
-            c = np.linspace(floor, floor + 2.0, resolution)
-            blocks.append(
-                np.column_stack(
-                    (np.full(resolution, v), c, lambda_plus_floor(1.0, c + v), trace_floor(1.0, c))
-                )
-            )
-        return header, np.concatenate(blocks)
+        v = np.linspace(0.0, 2.0, resolution)
+        floor = np.sqrt(0.25 + v * v)
+        # one row of Cov values per v, each the 1-d linspace from its own floor
+        c = np.linspace(floor, floor + 2.0, resolution, axis=1).ravel()
+        v = np.repeat(v, resolution)
+        return header, np.column_stack((v, c, lambda_plus_floor(1.0, c + v), trace_floor(1.0, c)))
     if which == "fig3":
         header = ["re_var_a", "im_var_a", "hyperboloid", "cone"]
         axis = np.linspace(-2.0, 2.0, resolution)

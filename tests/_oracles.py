@@ -226,3 +226,19 @@ def reference_scan(summary) -> tuple[float, float]:
             fd = reference_objective(summary, d)
     theta = ((lo + hi) / 2.0) % math.pi
     return reference_objective(summary, theta), theta
+
+
+def reference_fig2(resolution: int) -> np.ndarray:
+    """fig2's table built one |Var a| value at a time, in Python floats.
+
+    The two floors are C_LAMBDA_PLUS |<a>|^2 / (Cov + |Var a|) and
+    C_TRACE |<a>|^2 / Cov at |<a>| = 1, with C_LAMBDA_PLUS = 1/2 and
+    C_TRACE = 1/4.
+    """
+    c_lambda_plus, c_trace = 0.5, 0.25
+    rows = []
+    for v in np.linspace(0.0, 2.0, resolution).tolist():
+        floor = math.sqrt(0.25 + v * v)
+        for c in np.linspace(floor, floor + 2.0, resolution).tolist():
+            rows.append((v, c, c_lambda_plus / (c + v), c_trace / c))
+    return np.array(rows)

@@ -402,7 +402,7 @@ def test_random_determinism():
 
 
 def test_random_pure_normalized():
-    assert abs(random_state(32, "pure", seed=7).norm_sq - 1.0) <= 1e-12
+    assert abs(np.add.reduce(random_state(32, "pure", seed=7).probabilities) - 1.0) <= 1e-12
 
 
 def test_random_mixed_is_physical():
@@ -511,6 +511,39 @@ def test_spec_rejects_missing_and_unknown():
     ):
         with pytest.raises(SchemaError, match=field):
             state_from_spec(spec)
+
+
+NAN = math.nan
+NAN_J = complex(0.0, math.nan)
+
+
+@pytest.mark.filterwarnings("error")  # refused up front, before any numpy arithmetic
+@pytest.mark.parametrize(
+    "build,name",
+    [
+        (lambda: coherent(NAN), "alpha"),
+        (lambda: coherent(NAN_J), "alpha"),
+        (lambda: photon_added(NAN, 2), "alpha"),
+        (lambda: crescent(NAN_J, 2, method="operator"), "alpha"),
+        (lambda: crescent(NAN, 2, method="laguerre"), "alpha"),
+        (lambda: approx_strong_field(NAN, 0.5), "alpha"),
+        (lambda: approx_strong_field(1.0, NAN_J), "gamma"),
+        (lambda: approx_strong_field(1.0, [0.5, NAN]), "gamma"),
+        (lambda: cat(NAN, 0.0), "alpha"),
+        (lambda: cat(1.0, NAN), "beta"),
+        (lambda: squeezed_coherent(NAN_J, 0.5), "alpha"),
+        (lambda: squeezed_coherent(1.0, NAN), "r"),
+        (lambda: squeezed_coherent(1.0, 0.5, NAN), "phi_s"),
+    ],
+    ids=[
+        "coherent", "coherent-imag", "photon_added", "crescent-operator", "crescent-laguerre",
+        "strong_field-alpha", "strong_field-gamma", "strong_field-gamma-row", "cat-alpha", "cat-beta",
+        "squeezed-alpha", "squeezed-r", "squeezed-phi_s",
+    ],
+)
+def test_constructors_refuse_nan_parameters_by_name(build, name):
+    with pytest.raises(ValueError, match=rf"^{name} must not be NaN"):
+        build()
 
 
 def test_spec_parameter_errors_surface_as_schema_errors():

@@ -10,7 +10,7 @@ from fockgauge.cli import CSV_BLOCK_ROWS as BLOCK_ROWS, csv_blocks, dumps, forma
 from fockgauge.errors import SchemaError
 from fockgauge.gauges import INEQUALITIES
 from fockgauge.verify import sweep_config_from_dict
-from _oracles import csv_text
+from _oracles import csv_text, reference_fig2
 
 
 # ------------------------------------------------------------------ sweep
@@ -153,6 +153,16 @@ def test_fig2_shape_and_bounds():
         assert b_lambda == pytest.approx(0.5 / (c + v))
         assert b_trace == pytest.approx(0.25 / c)
         assert b_lambda >= b_trace - 1e-12  # lambda-plus floor is the tighter one
+
+
+@pytest.mark.parametrize("resolution", [17, 100])
+def test_fig2_is_bit_identical_to_the_per_v_oracle(resolution):
+    # the one 2-d linspace must give each row what a 1-d linspace from that
+    # row's floor gives; odd sizes keep the grids off round binary steps
+    _, table = figure_rows("fig2", resolution)
+    want = reference_fig2(resolution)
+    assert table.shape == want.shape
+    assert np.array_equal(table.view(np.uint64), want.view(np.uint64))
 
 
 def test_fig3_vertex_and_surfaces():
