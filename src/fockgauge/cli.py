@@ -30,60 +30,68 @@ from .verify import (
 )
 
 
+# 17 significant digits, so that every float reads back exactly; the one number format
+NUMBER_FORMAT = "%.17g"
+
+
 def format_number(value: float) -> str:
     """Render a float with 17 significant digits (exact double round-trip)."""
-    return format(float(value), ".17g")
+    return NUMBER_FORMAT % float(value)
 
 
-def _dump(obj, pieces: list, indent: int) -> None:
-    pad = "  " * indent
-    if isinstance(obj, (dict, list, tuple)):
+def _walk(obj, pieces: list, floats: list, pad: str) -> None:
+    # a NUMBER_FORMAT slot in `pieces` for each float in `floats`, and "%" doubled elsewhere
+    if isinstance(obj, float):
+        if not math.isfinite(obj):
+            raise NonFiniteOutputError(obj)
+        pieces.append(NUMBER_FORMAT)
+        floats.append(obj)
+    elif isinstance(obj, (dict, list, tuple)):
         is_dict = isinstance(obj, dict)
         if not obj:
             pieces.append("{}" if is_dict else "[]")
             return
         pieces.append("{\n" if is_dict else "[\n")
-        last = len(obj) - 1
-        for i, (key, value) in enumerate(obj.items() if is_dict else enumerate(obj)):
-            pieces.append(f'{pad}  "{key}": ' if is_dict else pad + "  ")
-            try:
-                _dump(value, pieces, indent + 1)
-            except NonFiniteOutputError as exc:
-                exc.path.insert(0, key)  # built on the way out: free when nothing fails
-                raise
-            pieces.append(",\n" if i < last else "\n")
+        inner = pad + "  "
+        try:
+            for key, value in obj.items() if is_dict else enumerate(obj):
+                pieces.append(f'{inner}"{key}": '.replace("%", "%%") if is_dict else inner)
+                _walk(value, pieces, floats, inner)
+                pieces.append(",\n")
+        except NonFiniteOutputError as exc:
+            exc.path.insert(0, key)  # built on the way out: free when nothing fails
+            raise
+        pieces[-1] = "\n"
         pieces.append(pad + ("}" if is_dict else "]"))
     elif isinstance(obj, bool):
         pieces.append("true" if obj else "false")
     elif obj is None:
         pieces.append("null")
     elif isinstance(obj, int):
-        pieces.append(str(obj))
-    elif isinstance(obj, float):
-        if not math.isfinite(obj):
-            raise NonFiniteOutputError(obj)
-        pieces.append(format_number(obj))
+        pieces.append(str(obj).replace("%", "%%"))
     elif isinstance(obj, str):
-        pieces.append(json.dumps(obj))
+        pieces.append(json.dumps(obj).replace("%", "%%"))
     else:
         raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
 def dumps(obj) -> str:
-    """Deterministic strict JSON with 17-significant-digit floats.
+    """Deterministic strict JSON with 17-significant-digit floats, all printed by one format call.
 
     Raises NonFiniteOutputError, naming the key path, on a NaN or infinity.
     """
     pieces: list = []
-    _dump(obj, pieces, 0)
-    return "".join(pieces)
+    floats: list = []
+    _walk(obj, pieces, floats, "")
+    # float() as in format_number, so that a float subclass prints its float value
+    return "".join(pieces) % tuple(map(float, floats))
 
 
 # "%.17g" text of any float64 fits in CSV_FIELD_WIDTH bytes ("-1.7976931348623157e+308")
 CSV_FIELD_WIDTH = 24
 # rows rendered at a time, so that a CSV's working memory does not grow with the table
 CSV_BLOCK_ROWS = 1 << 15
-_PADDED_FIELD = f"%-{CSV_FIELD_WIDTH}.17g"
+_PADDED_FIELD = NUMBER_FORMAT.replace("%", f"%-{CSV_FIELD_WIDTH}")
 
 
 def _field_bytes(values: np.ndarray) -> np.ndarray:
@@ -106,8 +114,7 @@ def csv_blocks(header: Sequence[str], rows: np.ndarray | Sequence[Sequence[float
 
 def _csv_pieces(header: Sequence[str], table: np.ndarray) -> Iterator[str]:
     yield ",".join(header) + "\n"
-    # "%.17g" % x gives the bytes of format_number(x) for every real x.  A
-    # column with at most half as many distinct values (bit patterns, so that
+    # A column with at most half as many distinct values (bit patterns, so that
     # 0.0 and -0.0 stay apart) as rows formats each value once and its cells
     # copy the bytes; every other column formats per cell.
     distinct = []

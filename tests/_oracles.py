@@ -5,9 +5,14 @@ applications, dense matrices) so it shares no code path with the formulas it
 checks.
 """
 
+import json
 import math
+import sys
 
 import numpy as np
+
+from fockgauge.errors import NonFiniteOutputError
+from fockgauge.states import _coherent_amps
 
 
 def poisson_tail(lam: float, m: int, terms: int = 200) -> float:
@@ -242,3 +247,75 @@ def reference_fig2(resolution: int) -> np.ndarray:
         for c in np.linspace(floor, floor + 2.0, resolution).tolist():
             rows.append((v, c, c_lambda_plus / (c + v), c_trace / c))
     return np.array(rows)
+
+
+# The JSON writer as the package first wrote it: one recursive pass that
+# formats each float as it meets it.  The package's `cli.dumps` must give the
+# same text, and raise the same errors with the same messages.
+def _reference_dump(obj, pieces: list, indent: int) -> None:
+    pad = "  " * indent
+    if isinstance(obj, (dict, list, tuple)):
+        is_dict = isinstance(obj, dict)
+        if not obj:
+            pieces.append("{}" if is_dict else "[]")
+            return
+        pieces.append("{\n" if is_dict else "[\n")
+        last = len(obj) - 1
+        for i, (key, value) in enumerate(obj.items() if is_dict else enumerate(obj)):
+            pieces.append(f'{pad}  "{key}": ' if is_dict else pad + "  ")
+            try:
+                _reference_dump(value, pieces, indent + 1)
+            except NonFiniteOutputError as exc:
+                exc.path.insert(0, key)  # built on the way out: free when nothing fails
+                raise
+            pieces.append(",\n" if i < last else "\n")
+        pieces.append(pad + ("}" if is_dict else "]"))
+    elif isinstance(obj, bool):
+        pieces.append("true" if obj else "false")
+    elif obj is None:
+        pieces.append("null")
+    elif isinstance(obj, int):
+        pieces.append(str(obj))
+    elif isinstance(obj, float):
+        if not math.isfinite(obj):
+            raise NonFiniteOutputError(obj)
+        pieces.append(format(float(obj), ".17g"))
+    elif isinstance(obj, str):
+        pieces.append(json.dumps(obj))
+    else:
+        raise TypeError(f"cannot serialize {type(obj)!r}")
+
+
+def reference_dumps(obj) -> str:
+    """Deterministic strict JSON with 17-significant-digit floats, one float at a time."""
+    pieces: list = []
+    _reference_dump(obj, pieces, 0)
+    return "".join(pieces)
+
+
+def reference_laguerre_amps(alpha: complex, added: int, eps_tail: float) -> np.ndarray:
+    """The crescent's closed-form amplitudes with every log taken in the loop.
+
+    The package's `states._crescent_laguerre_amps` reads the integer-only logs
+    from tables and must give the same floats bit for bit.
+    """
+    top = _coherent_amps(alpha, eps_tail, added).size - 1 + added
+    aa2 = abs(alpha) ** 2
+    # a |alpha|^2 below the normal range has lost bits or underflowed to 0
+    log_aa2 = math.log(aa2) if aa2 >= sys.float_info.min else 2.0 * math.log(abs(alpha))
+    phase = np.exp(-1j * np.angle(alpha))
+    logs = np.empty(top + 1)
+    for n in range(top + 1):
+        terms = [
+            math.log(math.comb(added, n - i)) + i * log_aa2 - math.lgamma(i + 1)
+            for i in range(max(0, n - added), n + 1)
+        ]
+        peak = max(terms)
+        logs[n] = (
+            0.5 * math.lgamma(n + 1)
+            + (added - n) * math.log(abs(alpha))
+            + peak
+            + math.log(sum(math.exp(t - peak) for t in terms))
+        )
+    logs -= logs.max()
+    return np.exp(logs) * phase ** (added - np.arange(top + 1))

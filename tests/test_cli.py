@@ -4,6 +4,7 @@ import json
 import math
 from contextlib import redirect_stderr, redirect_stdout
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -13,6 +14,7 @@ from fockgauge.cli import dumps, format_number, run
 from fockgauge.errors import NonFiniteOutputError
 from fockgauge.gauges import INEQUALITIES, SQUEEZING_TOL
 from fockgauge.states import _FIELDS, _KINDS, state_from_spec
+from _oracles import reference_dumps
 
 
 def _reject_constant(token):
@@ -273,6 +275,61 @@ def test_dumps_refuses_non_finite_values():
             dumps({"anchors": [{"c": 0.5}, {"c": value}]})
         with pytest.raises(NonFiniteOutputError, match="<root>"):
             dumps(value)
+
+
+# Payloads for the writer: every JSON type the package prints, at any depth, with
+# the float edges of "%.17g", and keys and strings that carry "%", quotes or non-ASCII.
+EDGE_FLOATS = st.sampled_from(
+    [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e16, 1 / 3, 1.7976931348623157e308, -1.7976931348623157e308]
+)
+FLOATS = st.one_of(EDGE_FLOATS, st.floats(allow_nan=False, allow_infinity=False))
+TEXTS = st.one_of(st.text(max_size=6), st.sampled_from(["%", "%%", "%s", "%.17g", "100%", '"', '"%"', "é", "ü%"]))
+LEAVES = st.one_of(FLOATS, FLOATS.map(np.float64), st.integers(), st.booleans(), st.none(), TEXTS)
+
+
+def _payloads(leaves):
+    return st.recursive(
+        leaves,
+        lambda inner: st.one_of(
+            st.lists(inner, max_size=4),
+            st.lists(inner, max_size=4).map(tuple),
+            st.dictionaries(st.one_of(TEXTS, st.integers()), inner, max_size=4),
+        ),
+        max_leaves=24,
+    )
+
+
+def _outcome(write, payload):
+    """The text `write` makes of `payload`, or the type and message of what it raises."""
+    try:
+        return write(payload)
+    except (NonFiniteOutputError, TypeError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(_payloads(LEAVES))
+@example({})
+@example([])
+@example(())
+@example({"%": [], "a%b": {"%s": "%d %%", "\u00e9%": -0.0}, "": [{}, (), 1e16]})
+def test_dumps_matches_the_reference_writer(payload):
+    assert dumps(payload).encode("utf-8") == reference_dumps(payload).encode("utf-8")
+
+
+# one bad leaf among good ones, anywhere: NaN, an infinity or a type the writer refuses
+BAD_LEAVES = st.sampled_from(
+    [math.nan, math.inf, -math.inf, np.float64(math.nan), np.float64(-math.inf), 1j, b"x", {1}, np.int64(3), object]
+)
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(_payloads(st.one_of(LEAVES, BAD_LEAVES)))
+@example({"g1": 1.0, "tight": {"bound_scan": 0.5, "slack": math.nan}})
+@example([{"c": 0.5}, ({"%": -math.inf},)])
+@example({"a": [1.0, 2j]})
+def test_dumps_refuses_what_the_reference_writer_refuses(payload):
+    assert _outcome(dumps, payload) == _outcome(reference_dumps, payload)
 
 
 def test_non_finite_output_exits_1_with_empty_stdout(monkeypatch, capsys):

@@ -30,6 +30,7 @@ from _oracles import (
     crescent_eigen_residual,
     fidelity,
     laguerre_series,
+    reference_laguerre_amps,
     square_annihilate_residual,
 )
 
@@ -455,6 +456,19 @@ def test_laguerre_matches_series_oracle():
             assert np.allclose(amps, expected, rtol=0.0, atol=1e-12)
 
 
+@pytest.mark.parametrize("m", range(17))
+def test_laguerre_amps_are_bit_identical_to_the_reference(m):
+    # |alpha|^2 underflows to 0 (1e-200), is subnormal (1e-160, 1e-155) or is
+    # just inside the normal range (2e-154); the tables must not move a bit anywhere
+    for size in (1e-200, 1e-160, 1e-155, 2e-154, 1e-8, 0.05, 0.3, 1.0, 1.7, 3.2, 5.0):
+        for phase in (0.0, 0.7, -2.4, math.pi):
+            alpha = size * complex(math.cos(phase), math.sin(phase))
+            for eps_tail in (states.DEFAULT_EPS_TAIL, 1e-24):
+                got = states._crescent_laguerre_amps(alpha, m, eps_tail)
+                want = reference_laguerre_amps(alpha, m, eps_tail)
+                assert got.view(np.int64).tolist() == want.view(np.int64).tolist(), (size, phase, m)
+
+
 # ---------------------------------------------------------------- spec parsing
 
 def test_spec_roundtrip_examples():
@@ -544,6 +558,18 @@ NAN_J = complex(0.0, math.nan)
 def test_constructors_refuse_nan_parameters_by_name(build, name):
     with pytest.raises(ValueError, match=rf"^{name} must not be NaN"):
         build()
+
+
+@pytest.mark.filterwarnings("error")  # refused up front, before numpy takes e^{i phase}
+@pytest.mark.parametrize("value", [math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "build,name",
+    [(lambda phase: cat(1.0, phase), "beta"), (lambda phase: squeezed_coherent(1.0, 0.5, phase), "phi_s")],
+    ids=["cat-beta", "squeezed-phi_s"],
+)
+def test_constructors_refuse_infinite_phases_by_name(build, name, value):
+    with pytest.raises(ValueError, match=rf"^{name} must be finite, got -?inf$"):
+        build(value)
 
 
 def test_spec_parameter_errors_surface_as_schema_errors():
