@@ -30,8 +30,7 @@ from .verify import (
 )
 
 
-# 17 significant digits, so that every float reads back exactly; the one number format
-NUMBER_FORMAT = "%.17g"
+NUMBER_FORMAT = "%.17g"  # 17 significant digits, so every float reads back exactly; the one number format
 
 
 def format_number(value: float) -> str:

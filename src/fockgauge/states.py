@@ -14,7 +14,6 @@ ray; tests enforce this cross-validation.
 
 from __future__ import annotations
 
-import functools
 import math
 import numbers
 import operator
@@ -56,13 +55,6 @@ def _refuse_nan(**params: complex) -> None:
     for name, value in params.items():
         if value != value:
             raise ValueError(f"{name} must not be NaN, got {value!r}")
-
-
-def _refuse_infinite(**phases: float) -> None:
-    # e^{i phase} is NaN at an infinite phase: numpy would warn, and the state fail unnamed
-    for name, value in phases.items():
-        if abs(value) == math.inf:
-            raise ValueError(f"{name} must be finite, got {value!r}")
 
 
 def _norm(amps: np.ndarray) -> float:
@@ -179,7 +171,8 @@ def squeezed_coherent(
     """
     _check_eps(eps_tail)
     _refuse_nan(r=r, phi_s=phi_s)
-    _refuse_infinite(phi_s=phi_s)
+    if abs(phi_s) == math.inf:  # e^{i phi_s} would be NaN, and the state fail unnamed
+        raise ValueError(f"phi_s must be finite, got {phi_s!r}")
     if abs(r) > 3.0:
         raise ValueError("squeezing magnitude |r| is limited to 3 for truncation safety")
     alpha = complex(alpha)
@@ -224,17 +217,6 @@ def _crescent_operator_amps(alpha: complex, added: int, eps_tail: float) -> np.n
     return c
 
 
-@functools.cache
-def _log_binomials(added: int) -> tuple:
-    return tuple(math.log(math.comb(added, j)) for j in range(added + 1))
-
-
-@functools.cache
-def _log_factorials(size: int) -> tuple:
-    # lgamma(i + 1) for i < size; callers ask for powers of two, so few tables are kept
-    return tuple(map(math.lgamma, range(1, size + 1)))
-
-
 def _crescent_laguerre_amps(alpha: complex, added: int, eps_tail: float) -> np.ndarray:
     # Closed-form expansion: c_n proportional to
     #   sqrt(n!) (alpha^*)^{added-n} L_n^{(added-n)}(-|alpha|^2).
@@ -248,17 +230,19 @@ def _crescent_laguerre_amps(alpha: complex, added: int, eps_tail: float) -> np.n
     log_abs = math.log(abs(alpha))
     # a |alpha|^2 below the normal range has lost bits or underflowed to 0
     log_aa2 = math.log(aa2) if aa2 >= sys.float_info.min else 2.0 * log_abs
-    binomials, factorials = _log_binomials(added), _log_factorials(1 << top.bit_length())
     phase = np.exp(-1j * np.angle(alpha))
     logs = np.empty(top + 1)
     for n in range(top + 1):
-        terms = [binomials[n - i] + i * log_aa2 - factorials[i] for i in range(max(0, n - added), n + 1)]
+        terms = [
+            math.log(math.comb(added, n - i)) + i * log_aa2 - math.lgamma(i + 1)
+            for i in range(max(0, n - added), n + 1)
+        ]
         peak = max(terms)
         logs[n] = (
-            0.5 * factorials[n]
+            0.5 * math.lgamma(n + 1)
             + (added - n) * log_abs
             + peak
-            + math.log(sum([math.exp(t - peak) for t in terms]))
+            + math.log(sum(math.exp(t - peak) for t in terms))
         )
     logs -= logs.max()
     return np.exp(logs) * phase ** (added - np.arange(top + 1))
@@ -356,7 +340,8 @@ def cat(alpha: complex, beta: float = 0.0, eps_tail: float = DEFAULT_EPS_TAIL) -
     """
     _check_eps(eps_tail)
     _refuse_nan(beta=beta)
-    _refuse_infinite(beta=beta)
+    if abs(beta) == math.inf:  # e^{i beta} would be NaN, and the state fail unnamed
+        raise ValueError(f"beta must be finite, got {beta!r}")
     c = _coherent_amps(complex(alpha), eps_tail)
     signs = np.where(np.arange(c.size) % 2 == 0, 1.0, -1.0)
     return _finalize(c * (1.0 + np.exp(1j * beta) * signs))

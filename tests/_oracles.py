@@ -296,8 +296,8 @@ def reference_dumps(obj) -> str:
 def reference_laguerre_amps(alpha: complex, added: int, eps_tail: float) -> np.ndarray:
     """The crescent's closed-form amplitudes with every log taken in the loop.
 
-    The package's `states._crescent_laguerre_amps` reads the integer-only logs
-    from tables and must give the same floats bit for bit.
+    The package's `states._crescent_laguerre_amps` takes log|alpha| once and
+    must give the same floats bit for bit.
     """
     top = _coherent_amps(alpha, eps_tail, added).size - 1 + added
     aa2 = abs(alpha) ** 2

@@ -459,7 +459,7 @@ def test_laguerre_matches_series_oracle():
 @pytest.mark.parametrize("m", range(17))
 def test_laguerre_amps_are_bit_identical_to_the_reference(m):
     # |alpha|^2 underflows to 0 (1e-200), is subnormal (1e-160, 1e-155) or is
-    # just inside the normal range (2e-154); the tables must not move a bit anywhere
+    # just inside the normal range (2e-154); no bit may move anywhere
     for size in (1e-200, 1e-160, 1e-155, 2e-154, 1e-8, 0.05, 0.3, 1.0, 1.7, 3.2, 5.0):
         for phase in (0.0, 0.7, -2.4, math.pi):
             alpha = size * complex(math.cos(phase), math.sin(phase))
