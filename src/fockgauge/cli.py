@@ -33,11 +33,6 @@ from .verify import (
 NUMBER_FORMAT = "%.17g"  # 17 significant digits, so every float reads back exactly; the one number format
 
 
-def format_number(value: float) -> str:
-    """Render a float with 17 significant digits (exact double round-trip)."""
-    return NUMBER_FORMAT % float(value)
-
-
 def _walk(obj, pieces: list, floats: list, pad: str) -> None:
     # a NUMBER_FORMAT slot in `pieces` for each float in `floats`, and "%" doubled elsewhere
     if isinstance(obj, float):
@@ -82,7 +77,7 @@ def dumps(obj) -> str:
     pieces: list = []
     floats: list = []
     _walk(obj, pieces, floats, "")
-    # float() as in format_number, so that a float subclass prints its float value
+    # through float(), so that a float subclass prints the value its __float__ gives
     return "".join(pieces) % tuple(map(float, floats))
 
 

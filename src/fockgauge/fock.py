@@ -1,7 +1,8 @@
 """Truncated Fock-space state containers and the primitive moment engine.
 
 States live on the span of |0>..|N> for a finite cutoff N.  Pure states are
-stored as amplitude arrays, mixed states as dense density matrices.  Every
+stored as amplitude arrays, mixed states as the density matrix of a factor G,
+rho = G G^dag / tr(G G^dag), which is physical by construction.  Every
 moment computed here is the exact moment of the stored (finite-support)
 state; truncation error relative to an intended infinite-dimensional state
 is the constructor's responsibility and is tracked through the boundary mass.
@@ -10,12 +11,13 @@ is the constructor's responsibility and is tracked through the boundary mass.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Union
 
 import numpy as np
 
 from .errors import MomentOrderError
+from .schema import SQUARE_LIMIT
 
 MAX_MOMENT_ORDER = 4
 NORM_TOL = 1e-12
@@ -68,45 +70,37 @@ class FockVector:
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
-    """Mixed state as a Hermitian, positive-semidefinite, unit-trace matrix.
+    """Mixed state rho = G G^dag / tr(G G^dag) of a (D, rank) factor G.
 
-    Positive semidefinite means a smallest eigenvalue of at least
-    EIGENVALUE_FLOOR.  A Cholesky factorization of the matrix with half the
-    floor's magnitude added to its diagonal certifies that; only a matrix the
-    factorization refuses is decided by its smallest eigenvalue (`eigvalsh`).
+    `entries` is rho on D + BOUNDARY_PAD levels, read-only.  Every factor
+    gives a Hermitian, positive, unit-trace rho, so nothing else is checked:
+    each part of G lies below SQUARE_LIMIT in magnitude, so that G G^dag cannot
+    overflow, and the trace is at least SQUARE_LIMIT**-2, so that dividing by
+    it cannot either and underflowed products stay negligible.
     """
 
-    entries: np.ndarray
-
-    HERMITICITY_TOL = 1e-12
-    TRACE_TOL = 1e-12
-    EIGENVALUE_FLOOR = -1e-10
+    factor: np.ndarray
+    entries: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        rho = np.array(self.entries, dtype=np.complex128)
-        if rho.ndim != 2 or rho.shape[0] != rho.shape[1] or rho.shape[0] == 0:
-            raise ValueError("entries must be a square matrix")
-        rho.flags.writeable = False
-        object.__setattr__(self, "entries", rho)
-        # written so that NaN entries fail too: inf - inf and NaN - NaN are NaN,
-        # which this check refuses without numpy's warning
-        with np.errstate(invalid="ignore"):
-            asymmetry = np.max(np.abs(rho - rho.conj().T))
-        if not asymmetry <= self.HERMITICITY_TOL:
-            raise ValueError("density matrix is not Hermitian within tolerance")
-        trace = np.trace(rho)
-        if not (abs(trace.real - 1.0) <= self.TRACE_TOL and abs(trace.imag) <= self.TRACE_TOL):
-            raise ValueError("density matrix trace differs from 1 beyond tolerance")
-        # A factorable Hermitian matrix of unit trace has its diagonal in (0, 1],
-        # so Cholesky's backward error is about n^2 u, far below the shift: a
-        # factorization proves lambda_min >= 0.5 * floor - n^2 u > floor.
-        shifted = rho.copy()
-        shifted.flat[:: shifted.shape[0] + 1] -= 0.5 * self.EIGENVALUE_FLOOR
-        try:
-            np.linalg.cholesky(shifted)
-        except np.linalg.LinAlgError:
-            if float(np.linalg.eigvalsh(rho)[0]) < self.EIGENVALUE_FLOOR:
-                raise ValueError("density matrix has a negative eigenvalue beyond tolerance") from None
+        g = np.array(self.factor, dtype=np.complex128)
+        if g.ndim != 2 or g.size == 0:
+            raise ValueError("factor must be a non-empty (D, rank) matrix")
+        # written so that NaN parts fail too
+        if not np.abs(g.view(np.float64)).max() < SQUARE_LIMIT:
+            raise ValueError(f"factor parts must be finite and below {SQUARE_LIMIT!r} in magnitude")
+        g.flags.writeable = False
+        object.__setattr__(self, "factor", g)
+        rho = g @ g.conj().T
+        trace = np.trace(rho).real
+        if not SQUARE_LIMIT**-2 <= trace < np.inf:
+            raise ValueError(f"factor trace must be finite and at least {SQUARE_LIMIT**-2!r}, got {float(trace)!r}")
+        rho /= trace
+        dim = g.shape[0]
+        entries = np.zeros((dim + BOUNDARY_PAD, dim + BOUNDARY_PAD), dtype=np.complex128)
+        entries[:dim, :dim] = rho
+        entries.flags.writeable = False
+        object.__setattr__(self, "entries", entries)
 
     @property
     def cutoff(self) -> int:

@@ -1,9 +1,10 @@
 """Factories for the state families under study.
 
-Every constructor returns a normalized `FockVector` (or `DensityMatrix` for
-the mixed random ensemble) whose neglected amplitude mass is below the
-requested tail tolerance, with a few zero amplitudes appended on top so the
-register boundary stays empty for well-converged constructions.
+Every constructor returns a normalized `FockVector` (or, for the mixed
+random ensemble, the `DensityMatrix` of a Ginibre factor) whose neglected
+amplitude mass is below the requested tail tolerance, with a few zero
+amplitudes appended on top so the register boundary stays empty for
+well-converged constructions.
 
 The sheared near-number eigenstates ("crescent" states) come in two
 independent constructions: repeated ladder applications of (a^dag + alpha^*)
@@ -358,12 +359,7 @@ def random_state(cutoff: int, kind: str, rank: int = 1, seed: Seed = 0) -> Quant
     if kind == "mixed":
         if not 1 <= rank <= dim:
             raise ValueError("mixed-state rank must lie in [1, cutoff + 1]")
-        g = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
-        rho = g @ g.conj().T
-        rho /= np.trace(rho).real
-        padded = np.zeros((dim + BOUNDARY_PAD, dim + BOUNDARY_PAD), dtype=np.complex128)
-        padded[:dim, :dim] = rho
-        return DensityMatrix(padded)
+        return DensityMatrix(rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank)))
     raise ValueError(f"unknown random state kind {kind!r}")
 
 

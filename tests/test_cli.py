@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fockgauge import cli, coherent, ellipse, fock, full_report, summarize
-from fockgauge.cli import dumps, format_number, run
+from fockgauge.cli import NUMBER_FORMAT, dumps, run
 from fockgauge.errors import NonFiniteOutputError
 from fockgauge.gauges import INEQUALITIES, SQUEEZING_TOL
 from fockgauge.states import _FIELDS, _KINDS, state_from_spec
@@ -442,6 +442,26 @@ def test_gauge_bytes_are_pinned(capsys, argv, digest):
     assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == digest
 
 
+# sha256 of the `gauge` reply and the `state --dump-amplitudes` diagonal of one
+# mixed state, which the density matrix of its Ginibre factor must keep
+MIXED_SPEC = '{"kind":"random_mixed","cutoff":16,"rank":4,"seed":[3,7]}'
+
+
+@pytest.mark.parametrize(
+    "argv,digest",
+    [
+        (["gauge", "--spec", MIXED_SPEC],
+         "53e3f425859e4c8251b8c04675c39f7da9666539b23df2fe267456f8bafb28fa"),
+        (["state", "--spec", MIXED_SPEC, "--dump-amplitudes"],
+         "ee0626c9e368ce169ad1dfb704d40407e1a47cdfdc4b09ee30399aa1881bb3a8"),
+    ],
+    ids=["gauge", "state"],
+)
+def test_mixed_state_bytes_are_pinned(capsys, argv, digest):
+    assert run(argv) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == digest
+
+
 def test_inequality_records_are_read_only():
     summary = summarize(coherent(0.8 - 0.4j))
     record = full_report(summary, ellipse(summary)).records["tight_scan"]
@@ -506,9 +526,10 @@ def test_spec_from_file(tmp_path, capsys):
 
 
 def test_number_formatting():
-    assert format_number(0.5) == "0.5"
-    assert format_number(1 / 3) == "0.33333333333333331"
-    assert float(format_number(1 / 3)) == 1 / 3
+    assert NUMBER_FORMAT % 0.5 == "0.5"
+    assert NUMBER_FORMAT % (1 / 3) == "0.33333333333333331"
+    assert float(NUMBER_FORMAT % (1 / 3)) == 1 / 3
+    assert dumps([0.5, 1 / 3]) == "[\n  0.5,\n  0.33333333333333331\n]"
     text = dumps({"a": [1.0, None, True], "b": {"c": 2}})
     assert _strict(text) == {"a": [1.0, None, True], "b": {"c": 2}}
 

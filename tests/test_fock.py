@@ -1,8 +1,9 @@
 import math
-import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fockgauge import (
     DensityMatrix,
@@ -16,7 +17,8 @@ from fockgauge import (
 from fockgauge import states
 from fockgauge.errors import ZeroNormError
 from fockgauge.fock import BOUNDARY_PAD, _moment_window, boundary_mass
-from _oracles import dense_moment, eigvalsh_accepts, fidelity, lowered, poisson_tail, raised
+from fockgauge.schema import SQUARE_LIMIT
+from _oracles import dense_moment, fidelity, lowered, poisson_tail, raised
 
 
 def test_vector_invariants():
@@ -72,13 +74,12 @@ def _pure_of_dim(dim, seed):
 
 
 def _mixed_of_dim(dim, seed):
+    # a rank-2 factor on `dim` levels; the density matrix adds BOUNDARY_PAD more
     rng = np.random.default_rng(seed)
-    g = rng.standard_normal((dim, 2)) + 1j * rng.standard_normal((dim, 2))
-    rho = g @ g.conj().T
-    return DensityMatrix(rho / np.trace(rho).real)
+    return DensityMatrix(rng.standard_normal((dim, 2)) + 1j * rng.standard_normal((dim, 2)))
 
 
-# register sizes 1..4 leave the (4, k) windows empty; 37 is far from the rest
+# pure registers of 1..4 levels leave the (4, k) windows empty; 37 is far from the rest
 MOMENT_DIMS = (1, 2, 3, 4, 5, 6, 37)
 
 
@@ -116,7 +117,7 @@ def test_moment_windows_are_cached_and_read_only():
 
 
 def test_one_window_serves_a_state_a_block_and_a_density_matrix():
-    pure, mixed = _pure_of_dim(37, seed=1), _mixed_of_dim(37, seed=1)
+    pure, mixed = _pure_of_dim(37, seed=1), _mixed_of_dim(37 - BOUNDARY_PAD, seed=1)
     block = FockVector(np.array([pure.amplitudes, _pure_of_dim(37, seed=2).amplitudes]))
     _moment_window.cache_clear()
     for state in (pure, block, mixed):
@@ -143,11 +144,12 @@ def test_reductions_are_bit_identical_to_their_np_sum_forms():
         for j, k in ((0, 1), (0, 2), (1, 1), (2, 2)):
             n, m, weight = _moment_window(dim, j, k)
             want_pure = np.sum(np.conj(amps[m]) * amps[n] * weight)
+            n, m, weight = _moment_window(len(rho), j, k)
             want_mixed = np.sum(np.diagonal(rho[n[-1], m[-1]]) * weight)
             assert _bits(normally_ordered_moment(pure, j, k)) == _bits(want_pure), (dim, j, k)
             assert _bits(normally_ordered_moment(mixed, j, k)) == _bits(want_mixed), (dim, j, k)
-        top = max(0, dim - BOUNDARY_PAD)
         for state in (pure, mixed):
+            top = max(0, state.cutoff + 1 - BOUNDARY_PAD)
             want = float(np.sum(state.probabilities[top:]))
             assert boundary_mass(state).hex() == want.hex(), (dim, type(state).__name__)
 
@@ -197,24 +199,19 @@ def test_cancelled_state_still_raises_zero_norm():
         states._finalize(np.zeros(3, dtype=np.complex128))
 
 
-@pytest.mark.filterwarnings("error")  # inf - inf must not warn on its way to the ValueError
+@pytest.mark.filterwarnings("error")  # a non-finite part must not warn on its way to the ValueError
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_states_reject_non_finite_data(bad):
     for amps in ([bad, 1.0], [1.0, complex(0.0, bad)]):
         with pytest.raises(ValueError):
             FockVector(np.array(amps))
-    good = np.diag([0.5, 0.5]).astype(complex)
-    for entry in ((0, 0), (0, 1), (1, 1)):
-        for value in (bad, complex(0.0, bad)):
-            rho = good.copy()
-            rho[entry] = value
-            with pytest.raises(ValueError):
-                DensityMatrix(rho)
-    # a Hermitian pair of non-finite entries off the diagonal
-    rho = good.copy()
-    rho[0, 1] = rho[1, 0] = bad
-    with pytest.raises(ValueError):
-        DensityMatrix(rho)
+    good = np.ones((2, 2), dtype=complex)
+    for part in ((0, 0), (0, 1), (1, 1)):
+        for value in (bad, complex(0.0, bad), complex(bad, bad)):
+            factor = good.copy()
+            factor[part] = value
+            with pytest.raises(ValueError, match="factor"):
+                DensityMatrix(factor)
 
 
 def test_commutator_on_truncated_states():
@@ -236,7 +233,7 @@ def test_moment_hermiticity():
 
 def test_pure_mixed_consistency():
     psi = coherent(0.9 + 0.3j)
-    rho = DensityMatrix(np.outer(psi.amplitudes, psi.amplitudes.conj()))
+    rho = DensityMatrix(psi.amplitudes[:, None])
     for j, k in [(0, 1), (1, 1), (0, 2), (2, 2)]:
         assert normally_ordered_moment(psi, j, k) == pytest.approx(
             normally_ordered_moment(rho, j, k), abs=1e-12
@@ -260,7 +257,7 @@ def test_fidelity_mixed_agrees_with_pure_overlap():
     s1 = coherent(0.7)
     s2 = coherent(-0.2 + 0.5j)
     expected = fidelity(s1, s2)
-    rho1, rho2 = (DensityMatrix(np.outer(s.amplitudes, s.amplitudes.conj())) for s in (s1, s2))
+    rho1, rho2 = (DensityMatrix(s.amplitudes[:, None]) for s in (s1, s2))
     assert fidelity(rho1, s2) == pytest.approx(expected, abs=1e-10)
     assert fidelity(rho1, rho2) == pytest.approx(expected, abs=1e-8)
 
@@ -275,99 +272,78 @@ def test_tail_mass_poisson():
     assert np.sum(state.probabilities[8:]) == pytest.approx(poisson_tail(1.0, 8), abs=1e-12)
 
 
-def test_density_matrix_validation():
-    good = np.diag([0.5, 0.5]).astype(complex)
-    DensityMatrix(good)
-    with pytest.raises(ValueError):
-        DensityMatrix(np.diag([0.7, 0.5]).astype(complex))  # trace
-    bad_herm = good.copy()
-    bad_herm[0, 1] = 0.1
-    with pytest.raises(ValueError):
-        DensityMatrix(bad_herm)
-    with pytest.raises(ValueError):
-        DensityMatrix(np.diag([1.5, -0.5]).astype(complex))  # negative eigenvalue
-
-
-# ---------------------------------------------------------------- positivity
-
-FLOOR = DensityMatrix.EIGENVALUE_FLOOR
-# smallest eigenvalues on both sides of the floor and of the Cholesky shift (-FLOOR / 2)
-LAMBDA_MINS = (-2e-10, FLOOR * (1 + 1e-7), FLOOR * (1 - 1e-7), -7e-11, -5e-11, 0.0, 1e-12)
-
-
-def _with_spectrum(rng, dim, lam_min):
-    """U diag(lam) U^dag for a Haar unitary U, unit trace, smallest eigenvalue lam_min."""
-    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    q, r = np.linalg.qr(z)
-    u = q * (np.diag(r) / np.abs(np.diag(r)))
-    rest = rng.uniform(0.1, 1.0, dim - 1)
-    lam = np.concatenate(([lam_min], rest * (1.0 - lam_min) / rest.sum()))
-    rho = (u * lam) @ u.conj().T
-    return (rho + rho.conj().T) / 2.0
-
-
-def _accepts(rho):
-    try:
-        DensityMatrix(rho)
-    except ValueError:
-        return False
-    return True
-
-
-@pytest.fixture
-def eigvalsh_calls(monkeypatch):
-    calls = []
-    eigvalsh = np.linalg.eigvalsh
-
-    def counted(a, *args, **kwargs):
-        calls.append(a.shape)
-        return eigvalsh(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
-    return calls
-
-
-@pytest.mark.parametrize("dim", [2, 17, 69, 130])
-def test_positivity_decision_matches_the_eigvalsh_oracle(dim):
-    rng = np.random.default_rng(dim)
-    for lam_min in LAMBDA_MINS:
-        for _ in range(4):
-            rho = _with_spectrum(rng, dim, lam_min)
-            expected = eigvalsh_accepts(rho, FLOOR)
-            assert _accepts(rho) == expected, (dim, lam_min)
-            # within 1e-17 of the floor the oracle's own round-off decides
-            if abs(lam_min - FLOOR) > 1e-15:
-                assert expected == (lam_min > FLOOR), (dim, lam_min)
-
-
-@pytest.mark.parametrize("dim", [2, 17, 69, 130])
-def test_only_a_refused_factorization_reaches_eigvalsh(dim, eigvalsh_calls):
-    rng = np.random.default_rng(dim + 1)
-    DensityMatrix(_with_spectrum(rng, dim, 0.0))
-    assert eigvalsh_calls == []
-    # below the shifted floor the factorization fails, and the spectrum accepts
-    DensityMatrix(_with_spectrum(rng, dim, -7e-11))
-    assert eigvalsh_calls == [(dim, dim)]
-
-
-@pytest.mark.parametrize("big", [1e200, 1e300])
-def test_huge_indefinite_matrices_are_refused_without_warnings(big):
-    rng = np.random.default_rng(5)
-    off = rng.standard_normal((17, 17)) * big
-    cases = [
-        np.array([[0.5, big], [big, 0.5]], dtype=complex),
-        np.array([[0.5, 1j * big], [-1j * big, 0.5]]),
-        np.diag(np.full(17, 1.0 / 17)) + np.triu(off, 1) + np.triu(off, 1).T,
-    ]
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        for rho in cases:
-            with pytest.raises(ValueError, match="negative eigenvalue"):
-                DensityMatrix(rho)
-
-
 @pytest.mark.parametrize("rank", [1, 2, 257])
-def test_largest_random_mixed_states_build_on_the_factorization(rank, eigvalsh_calls):
+def test_largest_random_mixed_states_build_on_the_factorization(rank):
     state = random_state(256, "mixed", rank=rank, seed=rank)
     assert state.cutoff == 256 + BOUNDARY_PAD
-    assert eigvalsh_calls == []
+    assert state.factor.shape == (257, rank)
+    rho = state.entries
+    assert np.abs(rho - rho.conj().T).max() <= 1e-12
+    assert abs(np.trace(rho) - 1.0) <= 1e-12
+    assert np.linalg.eigvalsh(rho)[0] >= -1e-12
+
+
+# ------------------------------------------------------- factor construction
+
+
+def _dense_random_mixed(cutoff, rank, seed):
+    """The random mixed state's padded rho, formed from the same draws outside the package."""
+    rng = np.random.default_rng(seed)
+    dim = cutoff + 1
+    g = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
+    rho = g @ g.conj().T
+    rho /= np.trace(rho).real
+    padded = np.zeros((dim + BOUNDARY_PAD, dim + BOUNDARY_PAD), dtype=np.complex128)
+    padded[:dim, :dim] = rho
+    return padded
+
+
+@pytest.mark.parametrize("cutoff", [0, 1, 5, 16, 32, 64])
+def test_random_mixed_entries_equal_the_dense_formula(cutoff):
+    for rank in sorted({1, 2, 8, cutoff + 1}):
+        if rank > cutoff + 1:
+            continue
+        for seed in (0, 17, [3, 7]):
+            state = random_state(cutoff, "mixed", rank=rank, seed=seed)
+            assert np.array_equal(state.entries, _dense_random_mixed(cutoff, rank, seed)), (rank, seed)
+            assert not state.entries.flags.writeable and not state.factor.flags.writeable
+
+
+@given(
+    st.integers(1, 40), st.integers(1, 8), st.integers(-400, 400), st.integers(0, 2**32 - 1)
+)
+@settings(max_examples=150, deadline=None)
+def test_every_factor_gives_a_physical_state(rows, rank, exponent, seed):
+    rng = np.random.default_rng(seed)
+    factor = (rng.standard_normal((rows, rank)) + 1j * rng.standard_normal((rows, rank))) * 2.0**exponent
+    rho = DensityMatrix(factor).entries
+    assert rho.shape == (rows + BOUNDARY_PAD,) * 2
+    assert np.abs(rho - rho.conj().T).max() <= 1e-12
+    assert abs(np.trace(rho) - 1.0) <= 1e-12
+    assert np.linalg.eigvalsh(rho)[0] >= -1e-12
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "factor",
+    [
+        np.zeros((3, 2)),
+        [[1.0], [SQUARE_LIMIT]],
+        [[1.0], [complex(0.0, -SQUARE_LIMIT)]],
+        [1.0, 0.0],
+        [[[1.0]]],
+        np.zeros((0, 2)),
+        np.zeros((2, 0)),
+        [[2.0**-501]],  # its trace underflows the floor, and dividing by it could overflow
+    ],
+    ids=["zero", "huge", "huge-imag", "1-d", "3-d", "no-rows", "no-columns", "tiny"],
+)
+def test_bad_factors_are_refused_by_name(factor):
+    # NaN and infinite parts: test_states_reject_non_finite_data
+    with pytest.raises(ValueError, match="factor"):
+        DensityMatrix(factor)
+
+
+def test_the_smallest_and_largest_factors_are_kept():
+    for factor in ([[2.0**-500]], [[np.nextafter(SQUARE_LIMIT, 0.0)]]):
+        assert DensityMatrix(factor).entries[0, 0] == 1.0

@@ -48,7 +48,7 @@ def test_moment_hermiticity(psi, j, k):
 @given(fock_vectors(max_dim=12))
 @settings(max_examples=40)
 def test_pure_equals_rank_one_density(psi):
-    rho = DensityMatrix(np.outer(psi.amplitudes, psi.amplitudes.conj()))
+    rho = DensityMatrix(psi.amplitudes[:, None])
     for j, k in ((0, 1), (1, 1), (0, 2), (2, 2)):
         assert normally_ordered_moment(psi, j, k) == pytest.approx(
             normally_ordered_moment(rho, j, k), abs=1e-12
