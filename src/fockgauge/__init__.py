@@ -5,7 +5,6 @@ from .errors import (
     CalibrationError,
     CutoffExplosionError,
     FockgaugeError,
-    MomentOrderError,
     NonFiniteOutputError,
     NonphysicalMomentError,
     SchemaError,
@@ -62,7 +61,6 @@ __all__ = [
     "FockgaugeError",
     "GaugeReport",
     "InequalityRecord",
-    "MomentOrderError",
     "MomentSummary",
     "NoiseEllipse",
     "NonFiniteOutputError",

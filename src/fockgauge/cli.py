@@ -169,12 +169,15 @@ def _parse_json_argument(raw: str, what: str) -> object:
         try:
             with open(raw[1:], "r", encoding="utf-8") as handle:
                 text = handle.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise SchemaError(f"cannot read {what} file {raw[1:]!r}: {exc}") from exc
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{what} is not valid JSON (line {exc.lineno}, column {exc.colno})") from exc
+    except (ValueError, RecursionError) as exc:
+        # an integer literal beyond 4300 digits, or nesting too deep for the decoder
+        raise SchemaError(f"{what} is not valid JSON: {exc}") from exc
 
 
 def _cmd_state(args: argparse.Namespace) -> int:

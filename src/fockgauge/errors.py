@@ -5,10 +5,6 @@ class FockgaugeError(Exception):
     """Base class for all package-specific errors."""
 
 
-class MomentOrderError(FockgaugeError):
-    """Requested a normally ordered moment beyond the supported order."""
-
-
 class CutoffExplosionError(FockgaugeError):
     """A state constructor needed a Fock cutoff above the configured ceiling."""
 

@@ -199,6 +199,31 @@ def test_schema_error_exit_code(tmp_path, capsys):
         assert field in captured.err, (argv, captured.err)
 
 
+@pytest.mark.parametrize(
+    "flag,what",
+    [
+        (["gauge", "--spec"], "state spec"),
+        (["gauge", "--moments"], "moment summary"),
+        (["sweep", "--config"], "sweep config"),
+    ],
+    ids=["spec", "moments", "config"],
+)
+@pytest.mark.parametrize("malformed", ["long-integer", "deep-nesting", "not-utf-8"])
+def test_json_arguments_the_decoder_refuses_are_schema_errors(flag, what, malformed, tmp_path, capsys):
+    if malformed == "not-utf-8":
+        path = tmp_path / "arg.json"
+        path.write_bytes(b'{"kind": "\xff"}')
+        raw = f"@{path}"
+    else:
+        # beyond the 4300-digit limit of int(); deep enough to trip the decoder's recursion guard
+        raw = "1" * 4400 if malformed == "long-integer" else "[" * 5000
+    code = run(flag + [raw])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err.startswith("input error: ") and captured.err.count("\n") == 1, captured.err
+    assert what in captured.err and "Traceback" not in captured.err
+
+
 def test_bad_cutoff_ceiling_setting_names_the_variable(monkeypatch, capsys):
     for value in ("abc", "0"):
         monkeypatch.setenv("FOCKGAUGE_MAX_CUTOFF", value)

@@ -38,7 +38,7 @@ def test_commutator_is_one(psi):
     assert np.vdot(up, up).real - np.vdot(down, down).real == pytest.approx(1.0, abs=1e-10)
 
 
-@given(fock_vectors(), st.integers(0, 3), st.integers(0, 3))
+@given(fock_vectors(), st.integers(0, 2), st.integers(0, 2))
 def test_moment_hermiticity(psi, j, k):
     assert normally_ordered_moment(psi, j, k) == pytest.approx(
         np.conj(normally_ordered_moment(psi, k, j)), abs=1e-12
