@@ -65,11 +65,15 @@ class FockVector:
 class DensityMatrix:
     """Mixed state rho = G G^dag / tr(G G^dag) of a (D, rank) factor G.
 
-    `entries` is rho on D + BOUNDARY_PAD levels, read-only.  Every factor
-    gives a Hermitian, positive, unit-trace rho, so nothing else is checked:
-    each part of G lies below SQUARE_LIMIT in magnitude, so that G G^dag cannot
-    overflow, and the trace is at least SQUARE_LIMIT**-2, so that dividing by
-    it cannot either and underflowed products stay negligible.
+    `entries` is rho on D + BOUNDARY_PAD levels, read-only: G G^dag is formed
+    in its top-left block, then each real and imaginary part is multiplied by
+    1 / tr, so a zero part keeps its sign (complex division, rho /= tr, makes
+    a -0 real part +0 when the imaginary part is >= +0, and a -0 imaginary
+    part +0 when the real part is <= -0).  Every factor gives a Hermitian,
+    positive, unit-trace rho, so nothing else is checked: each part of G lies
+    below SQUARE_LIMIT in magnitude, so that G G^dag cannot overflow, and the
+    trace is at least SQUARE_LIMIT**-2, so that dividing by it cannot either
+    and underflowed products stay negligible.
     """
 
     factor: np.ndarray
@@ -84,14 +88,14 @@ class DensityMatrix:
             raise ValueError(f"factor parts must be finite and below {SQUARE_LIMIT!r} in magnitude")
         g.flags.writeable = False
         object.__setattr__(self, "factor", g)
-        rho = g @ g.conj().T
-        trace = np.trace(rho).real
-        if not SQUARE_LIMIT**-2 <= trace < np.inf:
-            raise ValueError(f"factor trace must be finite and at least {SQUARE_LIMIT**-2!r}, got {float(trace)!r}")
-        rho /= trace
         dim = g.shape[0]
         entries = np.zeros((dim + BOUNDARY_PAD, dim + BOUNDARY_PAD), dtype=np.complex128)
-        entries[:dim, :dim] = rho
+        rho = np.matmul(g, g.conj().T, out=entries[:dim, :dim])
+        trace = rho.trace().real
+        if not SQUARE_LIMIT**-2 <= trace < np.inf:
+            raise ValueError(f"factor trace must be finite and at least {SQUARE_LIMIT**-2!r}, got {float(trace)!r}")
+        parts = rho.view(np.float64)
+        parts *= 1.0 / trace
         entries.flags.writeable = False
         object.__setattr__(self, "entries", entries)
 
@@ -101,7 +105,7 @@ class DensityMatrix:
 
     @property
     def probabilities(self) -> np.ndarray:
-        return np.real(np.diag(self.entries))
+        return self.entries.diagonal().real
 
 
 QuantumState = Union[FockVector, DensityMatrix]
@@ -153,7 +157,7 @@ def normally_ordered_moment(state: QuantumState, j: int, k: int) -> Union[comple
         return moment if moment.ndim else complex(moment)
     rho = state.entries
     n, m, weight = _moment_window(rho.shape[0], j, k)
-    return complex(np.add.reduce(np.diagonal(rho[n[-1], m[-1]]) * weight))
+    return complex(np.add.reduce(rho[n[-1], m[-1]].diagonal() * weight))
 
 
 def boundary_mass(state: QuantumState) -> Union[float, np.ndarray]:

@@ -155,9 +155,12 @@ def test_reductions_are_bit_identical_to_their_np_sum_forms():
             want_mixed = np.sum(np.diagonal(rho[n[-1], m[-1]]) * weight)
             assert _bits(normally_ordered_moment(pure, j, k)) == _bits(want_pure), (dim, j, k)
             assert _bits(normally_ordered_moment(mixed, j, k)) == _bits(want_mixed), (dim, j, k)
-        for state in (pure, mixed):
+        # the wrapper forms are the oracles of the ndarray methods the package calls
+        probabilities = np.real(np.diag(rho))
+        assert np.array_equal(mixed.probabilities.view(np.int64), probabilities.view(np.int64)), dim
+        for state, p in ((pure, pure.probabilities), (mixed, probabilities)):
             top = max(0, state.cutoff + 1 - BOUNDARY_PAD)
-            want = float(np.sum(state.probabilities[top:]))
+            want = float(np.sum(p[top:]))
             assert boundary_mass(state).hex() == want.hex(), (dim, type(state).__name__)
 
 
@@ -293,27 +296,67 @@ def test_largest_random_mixed_states_build_on_the_factorization(rank):
 # ------------------------------------------------------- factor construction
 
 
-def _dense_random_mixed(cutoff, rank, seed):
-    """The random mixed state's padded rho, formed from the same draws outside the package."""
-    rng = np.random.default_rng(seed)
-    dim = cutoff + 1
-    g = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
+def _dense_formula(g):
+    """The padded rho of factor g by the dense formula, with numpy's complex division."""
     rho = g @ g.conj().T
     rho /= np.trace(rho).real
+    dim = len(g)
     padded = np.zeros((dim + BOUNDARY_PAD, dim + BOUNDARY_PAD), dtype=np.complex128)
     padded[:dim, :dim] = rho
     return padded
 
 
-@pytest.mark.parametrize("cutoff", [0, 1, 5, 16, 32, 64])
+def _ginibre(rng, dim, rank):
+    return rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
+
+
+def _same_bits(a, b):
+    # np.array_equal takes -0.0 and +0.0 as equal; int64 views do not
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+@pytest.mark.parametrize("cutoff", [0, 1, 5, 16, 32, 64, 256])
 def test_random_mixed_entries_equal_the_dense_formula(cutoff):
-    for rank in sorted({1, 2, 8, cutoff + 1}):
+    ranks = (1, cutoff + 1) if cutoff == 256 else sorted({1, 2, 8, cutoff + 1})
+    for rank in ranks:
         if rank > cutoff + 1:
             continue
         for seed in (0, 17, [3, 7]):
             state = random_state(cutoff, "mixed", rank=rank, seed=seed)
-            assert np.array_equal(state.entries, _dense_random_mixed(cutoff, rank, seed)), (rank, seed)
+            # random_state's draws, formed outside the package
+            g = _ginibre(np.random.default_rng(seed), cutoff + 1, rank)
+            assert _same_bits(state.entries, _dense_formula(g)), (rank, seed)
             assert not state.entries.flags.writeable and not state.factor.flags.writeable
+        # factors from the smallest to the largest scale the class accepts
+        g = _ginibre(np.random.default_rng(rank), cutoff + 1, rank)
+        for exponent in range(-400, 401, 100):
+            scaled = g * 2.0**exponent
+            assert _same_bits(DensityMatrix(scaled).entries, _dense_formula(scaled)), (rank, exponent)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "factor",
+    [
+        [[1 + 2j, -0.5j], [0.0, 0.0], [-1.5, 0.25 + 1j]],
+        [[1.0, -2.0], [0.5, 3.0], [-1.0, 0.0]],
+        [[0.0, 0.0], [0.0, -0.5 + 0.25j], [0.0, 0.0]],
+        [[2.0**-500]],
+        [[complex(-0.0, -2.0), complex(0.0, -0.0)], [0.5, complex(-0.0, 0.5)]],
+    ],
+    ids=["zero-row", "real", "single-entry", "tiny", "signed-zeros"],
+)
+def test_exact_zero_parts_keep_the_dense_value_and_their_own_sign(factor):
+    g = np.array(factor, dtype=np.complex128)
+    entries = DensityMatrix(factor).entries
+    assert np.array_equal(entries, _dense_formula(g))
+    # The sign of a zero part may differ from the dense formula's: each part of
+    # G G^dag is multiplied by 1 / tr on its own, so it keeps its sign.
+    dim = len(g)
+    raw = g @ g.conj().T
+    assert _same_bits(entries[:dim, :dim].view(np.float64), raw.view(np.float64) * (1.0 / raw.trace().real))
+    padding = np.concatenate((entries[dim:].ravel(), entries[:dim, dim:].ravel()))
+    assert not padding.view(np.int64).any()
 
 
 @given(
