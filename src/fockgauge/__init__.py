@@ -2,7 +2,6 @@
 extremal state families, and second-order nonclassicality gauges."""
 
 from .errors import (
-    CalibrationError,
     CutoffExplosionError,
     FockgaugeError,
     NonFiniteOutputError,
@@ -35,7 +34,7 @@ from .states import (
     cat,
     coherent,
     crescent,
-    fock,
+    number_state,
     photon_added,
     random_state,
     squeezed_coherent,
@@ -53,7 +52,6 @@ from .verify import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CalibrationError",
     "CalibrationReport",
     "CutoffExplosionError",
     "DensityMatrix",
@@ -78,9 +76,9 @@ __all__ = [
     "crescent",
     "ellipse",
     "figure_rows",
-    "fock",
     "full_report",
     "normally_ordered_moment",
+    "number_state",
     "photon_added",
     "random_state",
     "squeezed_coherent",

@@ -23,8 +23,7 @@ from .errors import FockgaugeError, NonFiniteOutputError, NonphysicalMomentError
 from .fock import FockVector, boundary_mass
 from .gauges import full_report
 from .moments import ellipse, summarize, summary_from_dict
-from .schema import complex_number
-from .states import state_from_spec, strong_field_norm_inverse
+from .states import state_from_spec
 from .verify import (
     FIGURE_NAMES, calibrate, check_resolution, figure_rows, sweep, sweep_config_from_dict
 )
@@ -188,10 +187,6 @@ def _cmd_state(args: argparse.Namespace) -> int:
         "cutoff": state.cutoff,
         "boundary_mass": boundary_mass(state),
     }
-    if spec["kind"] == "approx_strong_field":
-        meta["analytic_norm_inverse"] = strong_field_norm_inverse(
-            complex_number(spec, "alpha"), complex_number(spec, "gamma")
-        )
     if args.dump_amplitudes:
         if isinstance(state, FockVector):
             meta["amplitudes"] = [

@@ -17,10 +17,6 @@ class NonphysicalMomentError(FockgaugeError):
     """Moment data violates basic positivity, e.g. a non-positive minor quadrature variance."""
 
 
-class CalibrationError(FockgaugeError):
-    """Coherent-state calibration anchors disagree, signalling a convention bug."""
-
-
 class SchemaError(FockgaugeError):
     """Input JSON or a setting such as FOCKGAUGE_MAX_CUTOFF does not match its documented form."""
 

@@ -11,7 +11,7 @@ is the constructor's responsibility and is tracked through the boundary mass.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from typing import Union
 
 import numpy as np
@@ -76,18 +76,16 @@ class DensityMatrix:
     and underflowed products stay negligible.
     """
 
-    factor: np.ndarray
+    factor: InitVar[np.ndarray]
     entries: np.ndarray = field(init=False, repr=False)
 
-    def __post_init__(self) -> None:
-        g = np.array(self.factor, dtype=np.complex128)
+    def __post_init__(self, factor: np.ndarray) -> None:
+        g = np.array(factor, dtype=np.complex128)
         if g.ndim != 2 or g.size == 0:
             raise ValueError("factor must be a non-empty (D, rank) matrix")
         # written so that NaN parts fail too
         if not np.abs(g.view(np.float64)).max() < SQUARE_LIMIT:
             raise ValueError(f"factor parts must be finite and below {SQUARE_LIMIT!r} in magnitude")
-        g.flags.writeable = False
-        object.__setattr__(self, "factor", g)
         dim = g.shape[0]
         entries = np.zeros((dim + BOUNDARY_PAD, dim + BOUNDARY_PAD), dtype=np.complex128)
         rho = np.matmul(g, g.conj().T, out=entries[:dim, :dim])

@@ -144,7 +144,7 @@ def coherent(alpha: complex, eps_tail: float = DEFAULT_EPS_TAIL) -> FockVector:
     return _finalize(_coherent_amps(alpha, eps_tail))
 
 
-def fock(n: int) -> FockVector:
+def number_state(n: int) -> FockVector:
     """Number state |n>."""
     if n < 0:
         raise ValueError("Fock index must be non-negative")
@@ -269,7 +269,7 @@ def crescent(
         return _finalize(_crescent_operator_amps(alpha, added, eps_tail))
     if method == "laguerre":
         if alpha == 0:
-            return fock(added)
+            return number_state(added)
         return _finalize(_crescent_laguerre_amps(alpha, added, eps_tail))
     raise ValueError(f"unknown crescent method {method!r}")
 
@@ -283,20 +283,6 @@ def photon_added(alpha: complex, added: int, eps_tail: float = DEFAULT_EPS_TAIL)
     for _ in range(added):
         c = _raised(c)
     return _finalize(c)
-
-
-def strong_field_norm_inverse(alpha: complex, gamma: complex) -> float:
-    """Analytic squared norm of |alpha> + gamma a^dag |alpha>, or infinity beyond the float range."""
-    alpha, gamma = complex(alpha), complex(gamma)
-    cross = 2.0 * (gamma * alpha.conjugate()).real
-    try:
-        norm_sq = 1.0 + cross + abs(gamma) ** 2 * (1.0 + abs(alpha) ** 2)
-    except OverflowError:  # ** and complex abs raise where * and hypot give infinity
-        g = math.hypot(gamma.real, gamma.imag)
-        ga = math.hypot(g * alpha.real, g * alpha.imag)
-        norm_sq = 1.0 + cross + g * g + ga * ga
-    # NaN comes from inf - inf or inf * 0, each only where the norm is beyond the float range
-    return math.inf if math.isnan(norm_sq) else norm_sq
 
 
 def approx_strong_field(
@@ -379,7 +365,7 @@ _FIELDS["seed"] = integer_or_list
 # time, so a replaced module global is seen.
 _KINDS = {
     "coherent": (("alpha",), ("eps_tail",), lambda **f: coherent(**f)),
-    "fock": (("n",), (), lambda **f: fock(**f)),
+    "fock": (("n",), (), lambda **f: number_state(**f)),
     "squeezed_coherent": (("alpha", "r", "phi_s"), ("eps_tail",), lambda **f: squeezed_coherent(**f)),
     "crescent": (("alpha", "M"), ("method", "eps_tail"), lambda M, **f: crescent(added=M, **f)),
     "photon_added": (("alpha", "M"), ("eps_tail",), lambda M, **f: photon_added(added=M, **f)),

@@ -314,3 +314,17 @@ def reference_laguerre_amps(alpha: complex, added: int, eps_tail: float) -> np.n
         )
     logs -= logs.max()
     return np.exp(logs) * phase ** (added - np.arange(top + 1))
+
+
+def strong_field_norm_inverse(alpha: complex, gamma: complex) -> float:
+    """Analytic squared norm of |alpha> + gamma a^dag |alpha>, or infinity beyond the float range."""
+    alpha, gamma = complex(alpha), complex(gamma)
+    cross = 2.0 * (gamma * alpha.conjugate()).real
+    try:
+        norm_sq = 1.0 + cross + abs(gamma) ** 2 * (1.0 + abs(alpha) ** 2)
+    except OverflowError:  # ** and complex abs raise where * and hypot give infinity
+        g = math.hypot(gamma.real, gamma.imag)
+        ga = math.hypot(g * alpha.real, g * alpha.imag)
+        norm_sq = 1.0 + cross + g * g + ga * ga
+    # NaN comes from inf - inf or inf * 0, each only where the norm is beyond the float range
+    return math.inf if math.isnan(norm_sq) else norm_sq

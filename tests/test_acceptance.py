@@ -13,8 +13,8 @@ from fockgauge import (
     crescent,
     ellipse,
     figure_rows,
-    fock,
     full_report,
+    number_state,
     photon_added,
     summarize,
     sweep,
@@ -156,7 +156,7 @@ def test_criterion_06_pair_covariance_gauge_saturation():
             g2 = full_report(s, ellipse(s)).g2
             worst_cat = max(worst_cat, abs(g2 - 1.0))
     worst_fock = max(
-        abs(full_report(s, ellipse(s)).g2 - 1.0) for s in (summarize(fock(n)) for n in (0, 1))
+        abs(full_report(s, ellipse(s)).g2 - 1.0) for s in (summarize(number_state(n)) for n in (0, 1))
     )
     elapsed = time.perf_counter() - start
     _report(

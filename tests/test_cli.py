@@ -9,12 +9,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fockgauge import cli, coherent, ellipse, fock, full_report, summarize
+from fockgauge import cli, coherent, ellipse, full_report, number_state, summarize
 from fockgauge.cli import NUMBER_FORMAT, dumps, run
 from fockgauge.errors import NonFiniteOutputError
+from fockgauge.fock import BOUNDARY_PAD
 from fockgauge.gauges import INEQUALITIES, SQUEEZING_TOL
 from fockgauge.states import _FIELDS, _KINDS, state_from_spec
-from _oracles import reference_dumps
+from _oracles import reference_dumps, strong_field_norm_inverse
 
 
 def _reject_constant(token):
@@ -34,7 +35,7 @@ def _run_json(capsys, argv):
 
 def _vacuum_table(field, literal):
     """The vacuum's moment table as JSON text, with `field` set to the JSON `literal`."""
-    table = summarize(fock(0)).to_dict()
+    table = summarize(number_state(0)).to_dict()
     table[field] = "@"
     return json.dumps(table).replace('"@"', literal)
 
@@ -84,18 +85,43 @@ def test_state_metadata_and_amplitudes(capsys):
     assert abs(data["amplitudes"][0]["re"] ** 2 - 0.7788007830714049) < 1e-10
 
 
-def test_state_strong_field_reports_analytic_norm(capsys):
-    code, data = _run_json(
-        capsys,
-        [
-            "state",
-            "--spec",
-            '{"kind":"approx_strong_field","alpha":{"re":3,"im":0},'
-            '"gamma":{"re":0.3333333333333333,"im":0}}',
-        ],
+@pytest.mark.parametrize(
+    "alpha,gamma", [(3.0, 0.3333333333333333), (1.3 + 0.4j, 0.2 - 0.6j)], ids=["real", "complex"]
+)
+def test_state_strong_field_amplitudes_match_the_analytic_norm(capsys, alpha, gamma):
+    spec = json.dumps(
+        {
+            "kind": "approx_strong_field",
+            "alpha": {"re": alpha.real, "im": alpha.imag},
+            "gamma": {"re": gamma.real, "im": gamma.imag},
+        }
     )
+    code, data = _run_json(capsys, ["state", "--spec", spec, "--dump-amplitudes"])
     assert code == 0
-    assert abs(data["analytic_norm_inverse"] - (1 + 2 + (1 + 9) / 9)) < 1e-12
+    amps = np.array([c["re"] + 1j * c["im"] for c in data["amplitudes"]])
+    # <n|alpha> + gamma <n|a^dag|alpha>, term by term, over the analytic norm
+    n = np.arange(amps.size)
+    log_fact = np.array([math.lgamma(k + 1) for k in n])
+    coherent_amps = np.exp(-abs(alpha) ** 2 / 2 - log_fact / 2) * complex(alpha) ** n
+    expected = coherent_amps.copy()
+    expected[1:] += gamma * np.sqrt(n[1:]) * coherent_amps[:-1]
+    expected /= math.sqrt(strong_field_norm_inverse(alpha, gamma))
+    # the state keeps the coherent levels its tail tolerance (1e-14) needs, so
+    # below the top level and BOUNDARY_PAD zeros, only the neglected tail differs
+    head = amps.size - BOUNDARY_PAD - 1
+    assert np.abs(amps[:head] - expected[:head]).max() < 1e-12
+    assert np.sum(np.abs(amps - expected) ** 2) < 1e-13
+
+
+@pytest.mark.parametrize("gamma", [1e154, 1e300, complex(1.7e308, -1.7e308)])
+def test_state_strong_field_builds_beyond_the_float_range_of_its_norm(capsys, gamma):
+    # the norm of |alpha> + gamma a^dag |alpha> is beyond the float range; the ray is not
+    spec = json.dumps(
+        {"kind": "approx_strong_field", "alpha": {"re": 2.0, "im": 0.0}, "gamma": {"re": gamma.real, "im": gamma.imag}}
+    )
+    code, data = _run_json(capsys, ["state", "--spec", spec])
+    assert code == 0
+    assert sorted(data) == ["boundary_mass", "cutoff", "kind"]
 
 
 def test_gauge_moments_roundtrip(capsys):
@@ -485,6 +511,45 @@ MIXED_SPEC = '{"kind":"random_mixed","cutoff":16,"rank":4,"seed":[3,7]}'
 def test_mixed_state_bytes_are_pinned(capsys, argv, digest):
     assert run(argv) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == digest
+
+
+# sha256 of `calibrate` stdout and of `state --dump-amplitudes` stdout for one
+# spec of each kind but approx_strong_field (its amplitudes are held to the
+# analytic oracle above), pinned for the same reason
+STATE_PINS = [
+    ('{"kind":"coherent","alpha":{"re":0.9,"im":-0.7}}',
+     "7489b53478052fa587c7eb4a89837f10be467fc8c98af5d8ea48c84c3bf01222"),
+    ('{"kind":"fock","n":3}',
+     "9cf957f7a56c4dfa693b51b3e2e73665aa6b9114a157bf77838920d4d16cb401"),
+    ('{"kind":"squeezed_coherent","alpha":{"re":0.4,"im":0.6},"r":0.7,"phi_s":-0.3}',
+     "7b8b59663208f2d593d8b2ff31f2ec4efd52acb3da61166b5c4fb3545933da73"),
+    ('{"kind":"crescent","alpha":{"re":1.1,"im":0.4},"M":2,"method":"operator"}',
+     "d382b1f559e05a0bb207f047c66072dd603ad14f1586e0a0cc1f1ae86f82493d"),
+    ('{"kind":"crescent","alpha":{"re":1.1,"im":0.4},"M":2,"method":"laguerre"}',
+     "fca756c637f147a6753dc571833f8008b8b187b0c256eb9fa3ed3f7cbff462cd"),
+    ('{"kind":"photon_added","alpha":{"re":-0.5,"im":0.9},"M":3}',
+     "803d2b50bd8f4c1ae950480756de491e2594133ed0a974d2e9ba60475d6bf0e9"),
+    ('{"kind":"cat","alpha":{"re":1.4,"im":0.1},"beta":3.141592653589793}',
+     "2772a6e2a09314110cc8f4cf626a8d50eaa31c7e90c8775f2fc9aae605fd663f"),
+    ('{"kind":"random_pure","cutoff":12,"seed":[2,5]}',
+     "4ceb87d57433d91880e5fc9722c5ebe20420e1122befc0f653f724ec73880282"),
+    ('{"kind":"random_mixed","cutoff":10,"rank":3,"seed":[4,9]}',
+     "e157e17b99dd92a573c87c8b10e96972e2743833cec2e4a2d27cf82f13f5178a"),
+]
+
+
+@pytest.mark.parametrize(
+    "spec,digest", STATE_PINS, ids=[f"{json.loads(s)['kind']}-{i}" for i, (s, _) in enumerate(STATE_PINS)]
+)
+def test_state_bytes_are_pinned(capsys, spec, digest):
+    assert run(["state", "--spec", spec, "--dump-amplitudes"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == digest
+
+
+def test_calibrate_bytes_are_pinned(capsys):
+    assert run(["calibrate"]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
+    assert digest == "e3bdd63359e5b2f13d83f5a03dbed69e14d44fbc504bceca12dacf7067a353ee"
 
 
 def test_inequality_records_are_read_only():

@@ -9,8 +9,8 @@ from fockgauge import (
     DensityMatrix,
     FockVector,
     coherent,
-    fock,
     normally_ordered_moment,
+    number_state,
     random_state,
 )
 from fockgauge import states
@@ -38,26 +38,35 @@ def test_vector_invariants():
         FockVector(rows)
 
 
+def test_package_attribute_fock_is_the_module():
+    # no package export may shadow the submodule, or `import fockgauge.fock as fk` binds that export
+    import fockgauge
+    import fockgauge.fock as fk
+
+    assert fk.FockVector is fockgauge.FockVector
+    assert fockgauge.fock is fk
+
+
 # The ladder oracle itself, on hand-computed values.
 
 def test_lower_on_vacuum_is_zero():
-    assert not np.any(lowered(fock(0).amplitudes))
+    assert not np.any(lowered(number_state(0).amplitudes))
     assert not np.any(lowered(np.ones(1)))
 
 
 def test_lower_single_photon():
-    out = lowered(fock(1).amplitudes)
+    out = lowered(number_state(1).amplitudes)
     assert out[0] == pytest.approx(1.0)
     assert np.allclose(out[1:], 0.0)
 
 
 def test_raise_two_photon():
-    out = raised(fock(2).amplitudes)
+    out = raised(number_state(2).amplitudes)
     assert out[3] == pytest.approx(math.sqrt(3.0))
 
 
 def test_number_moment_on_number_state():
-    assert normally_ordered_moment(fock(3), 1, 1) == pytest.approx(3.0)
+    assert normally_ordered_moment(number_state(3), 1, 1) == pytest.approx(3.0)
 
 
 def test_coherent_eigenvalue_moment():
@@ -65,13 +74,13 @@ def test_coherent_eigenvalue_moment():
 
 
 def test_double_lowering_kills_single_photon():
-    assert normally_ordered_moment(fock(1), 2, 2) == pytest.approx(0.0)
+    assert normally_ordered_moment(number_state(1), 2, 2) == pytest.approx(0.0)
 
 
 def test_moment_order_limit():
     for j, k in ((3, 0), (0, 3), (-1, 0)):
         with pytest.raises(ValueError, match=rf"moment order \({j}, {k}\)"):
-            normally_ordered_moment(fock(0), j, k)
+            normally_ordered_moment(number_state(0), j, k)
 
 
 def _pure_of_dim(dim, seed):
@@ -166,7 +175,7 @@ def test_reductions_are_bit_identical_to_their_np_sum_forms():
 
 FINALIZED_FAMILIES = (
     lambda: coherent(0.9 - 0.4j),
-    lambda: fock(3),
+    lambda: number_state(3),
     lambda: states.squeezed_coherent(0.7 + 0.2j, 0.8, 0.5),
     lambda: states.crescent(1.1 + 0.3j, 3, method="operator"),
     lambda: states.crescent(1.1 + 0.3j, 3, method="laguerre"),
@@ -226,7 +235,7 @@ def test_states_reject_non_finite_data(bad):
 
 def test_commutator_on_truncated_states():
     # <a a^dag> - <a^dag a> = 1 exactly on ladder-exact arithmetic
-    for state in (coherent(1.7 - 0.4j), fock(5), random_state(20, "pure", seed=9)):
+    for state in (coherent(1.7 - 0.4j), number_state(5), random_state(20, "pure", seed=9)):
         up, down = raised(state.amplitudes), lowered(state.amplitudes)
         value = np.vdot(up, up).real - np.vdot(down, down).real
         assert value == pytest.approx(1.0, abs=1e-10)
@@ -253,13 +262,13 @@ def test_pure_mixed_consistency():
 # The fidelity oracle itself, on hand-computed values and mixed/pure agreement.
 
 def test_fidelity_basic():
-    assert fidelity(fock(0), fock(0)) == pytest.approx(1.0)
-    assert fidelity(fock(0), fock(1)) == pytest.approx(0.0)
+    assert fidelity(number_state(0), number_state(0)) == pytest.approx(1.0)
+    assert fidelity(number_state(0), number_state(1)) == pytest.approx(0.0)
 
 
 def test_fidelity_coherent_vacuum():
     # |<0|alpha>|^2 equals the zero-photon Poisson weight
-    assert fidelity(coherent(1.0), fock(0)) == pytest.approx(math.exp(-1.0), abs=1e-12)
+    assert fidelity(coherent(1.0), number_state(0)) == pytest.approx(math.exp(-1.0), abs=1e-12)
     assert math.exp(-1.0) == pytest.approx(poisson_tail(1.0, 0) - poisson_tail(1.0, 1), abs=1e-13)
 
 
@@ -286,7 +295,7 @@ def test_tail_mass_poisson():
 def test_largest_random_mixed_states_build_on_the_factorization(rank):
     state = random_state(256, "mixed", rank=rank, seed=rank)
     assert state.cutoff == 256 + BOUNDARY_PAD
-    assert state.factor.shape == (257, rank)
+    assert not hasattr(state, "factor")  # the factor builds the state and is not kept
     rho = state.entries
     assert np.abs(rho - rho.conj().T).max() <= 1e-12
     assert abs(np.trace(rho) - 1.0) <= 1e-12
@@ -326,7 +335,7 @@ def test_random_mixed_entries_equal_the_dense_formula(cutoff):
             # random_state's draws, formed outside the package
             g = _ginibre(np.random.default_rng(seed), cutoff + 1, rank)
             assert _same_bits(state.entries, _dense_formula(g)), (rank, seed)
-            assert not state.entries.flags.writeable and not state.factor.flags.writeable
+            assert not state.entries.flags.writeable
         # factors from the smallest to the largest scale the class accepts
         g = _ginibre(np.random.default_rng(rank), cutoff + 1, rank)
         for exponent in range(-400, 401, 100):

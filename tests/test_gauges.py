@@ -8,8 +8,8 @@ from fockgauge import (
     coherent,
     crescent,
     ellipse,
-    fock,
     full_report,
+    number_state,
     random_state,
     squeezed_coherent,
     summarize,
@@ -44,7 +44,7 @@ def test_tight_bound_coherent_two():
 
 
 def test_tight_bound_inapplicable_on_number_state():
-    s, e = _se(fock(5))
+    s, e = _se(number_state(5))
     report = tight_bound(s, e)
     assert not report.applicable
     assert report.bound_scan == 0.0
@@ -115,7 +115,7 @@ def test_canonical_pair_saturates_for_imaginary_amplitude():
 
 
 def test_relaxed_bounds_vacuum_trivial():
-    for record in _relaxed(fock(0)):
+    for record in _relaxed(number_state(0)):
         assert record.rhs == pytest.approx(0.0, abs=1e-13)
         assert record.slack >= -1e-13
 
@@ -141,7 +141,7 @@ def test_constraints_squeezed_saturates_area():
 
 
 def test_constraints_number_state():
-    s, e = _se(fock(2))
+    s, e = _se(number_state(2))
     report = full_report(s, e)
     assert not report.squeezed
     assert e.lambda_minus_sq == pytest.approx(2.5)
@@ -160,11 +160,11 @@ def test_g1_crescent_is_one():
 
 
 def test_g1_not_applicable_for_zero_amplitude():
-    assert full_report(*_se(fock(1))).g1 is None
+    assert full_report(*_se(number_state(1))).g1 is None
 
 
 def test_g2_vacuum():
-    report = full_report(*_se(fock(0)))
+    report = full_report(*_se(number_state(0)))
     assert report.g2 == pytest.approx(1.0, abs=1e-14)
     assert report.g2_alt is None
     assert not report.g2_amplitude_warning
@@ -175,7 +175,7 @@ def test_g2_cat():
 
 
 def test_g2_single_photon_and_printed_alternative():
-    report = full_report(*_se(fock(1)))
+    report = full_report(*_se(number_state(1)))
     assert report.g2 == pytest.approx(1.0, abs=1e-14)
     # the alternative printed expression disagrees here; reported, not asserted
     assert report.g2_alt == pytest.approx(8.0, abs=1e-12)

@@ -14,8 +14,8 @@ from fockgauge import (
     cat,
     coherent,
     ellipse,
-    fock,
     full_report,
+    number_state,
     random_state,
     squeezed_coherent,
     summarize,
@@ -27,7 +27,7 @@ from _oracles import dense_expectation, quadrature_mean_direct, quadrature_var_d
 
 
 def test_vacuum_summary():
-    s = summarize(fock(0))
+    s = summarize(number_state(0))
     assert abs(s.mean_a) == 0.0
     assert s.var_n == pytest.approx(0.0)
     assert s.cov_ada == pytest.approx(0.5)
@@ -36,7 +36,7 @@ def test_vacuum_summary():
 
 
 def test_single_photon_summary():
-    s = summarize(fock(1))
+    s = summarize(number_state(1))
     assert s.cov_ada == pytest.approx(1.5)
     assert abs(s.var_a) == pytest.approx(0.0)
     assert s.cov_a2 == pytest.approx(3.0)
@@ -147,7 +147,7 @@ def test_ellipse_squeezed_vacuum():
 
 
 def test_ellipse_single_photon_circle():
-    e = ellipse(summarize(fock(1)))
+    e = ellipse(summarize(number_state(1)))
     assert e.lambda_plus_sq == pytest.approx(1.5)
     assert e.lambda_minus_sq == pytest.approx(1.5)
     assert e.zero_stick_flag
@@ -155,12 +155,12 @@ def test_ellipse_single_photon_circle():
 
 
 def test_ellipse_rejects_nonphysical_moments():
-    bad = summarize(fock(0)).to_dict()
+    bad = summarize(number_state(0)).to_dict()
     bad["cov_ada"] = 0.3
     bad["var_a"] = {"re": 0.6, "im": 0.0}  # |var_a| > cov means a negative minor variance
     with pytest.raises(NonphysicalMomentError):
         ellipse(summary_from_dict(bad))
-    bad = summarize(fock(0)).to_dict()
+    bad = summarize(number_state(0)).to_dict()
     bad.update(mean_n=-0.5, cov_ada=1.0)  # the floor 2<n> + 1 of G2 would be zero
     with pytest.raises(NonphysicalMomentError, match="mean_n"):
         ellipse(summary_from_dict(bad))
@@ -180,11 +180,11 @@ def _records(state):
 
 
 def test_quadrature_vacuum():
-    e = ellipse(summarize(fock(0)))
+    e = ellipse(summarize(number_state(0)))
     assert e.lambda_plus_sq == 0.5 and e.lambda_minus_sq == 0.5
     for theta in (0.0, 0.7, math.pi / 2):
-        assert quadrature_var_direct(fock(0), theta) == pytest.approx(0.5, abs=1e-13)
-        assert quadrature_mean_direct(fock(0), theta) == pytest.approx(0.0, abs=1e-13)
+        assert quadrature_var_direct(number_state(0), theta) == pytest.approx(0.5, abs=1e-13)
+        assert quadrature_mean_direct(number_state(0), theta) == pytest.approx(0.0, abs=1e-13)
 
 
 def test_quadrature_coherent_imaginary():
@@ -269,7 +269,7 @@ def test_summary_roundtrip_dict():
 
 
 def test_summary_dict_validation():
-    base = summarize(fock(0)).to_dict()
+    base = summarize(number_state(0)).to_dict()
     incomplete = dict(base)
     del incomplete["var_n"]
     with pytest.raises(SchemaError):

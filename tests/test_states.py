@@ -14,9 +14,9 @@ from fockgauge import (
     coherent,
     crescent,
     ellipse,
-    fock,
     full_report,
     normally_ordered_moment,
+    number_state,
     photon_added,
     random_state,
     squeezed_coherent,
@@ -25,13 +25,13 @@ from fockgauge import (
 )
 from fockgauge import states
 from fockgauge.fock import BOUNDARY_PAD, FockVector
-from fockgauge.states import strong_field_norm_inverse
 from _oracles import (
     crescent_eigen_residual,
     fidelity,
     laguerre_series,
     reference_laguerre_amps,
     square_annihilate_residual,
+    strong_field_norm_inverse,
 )
 
 
@@ -107,15 +107,15 @@ def test_cutoff_ceiling_is_inclusive_and_spares_random_states(monkeypatch):
 # ---------------------------------------------------------------- fock
 
 def test_fock_examples():
-    s = summarize(fock(2))
+    s = summarize(number_state(2))
     assert s.mean_n == pytest.approx(2.0)
     assert s.var_n == pytest.approx(0.0, abs=1e-14)
-    assert summarize(fock(1)).mean_a == pytest.approx(0.0 + 0.0j)
+    assert summarize(number_state(1)).mean_a == pytest.approx(0.0 + 0.0j)
 
 
 def test_fock_bounds():
     with pytest.raises(ValueError):
-        fock(-1)
+        number_state(-1)
 
 
 # ---------------------------------------------------------------- squeezed
@@ -204,9 +204,9 @@ def test_squeezed_r_limit():
 def test_crescent_vacuum_gives_number_states():
     for m in (1, 3):
         built = crescent(0.0, m)
-        assert fidelity(built, fock(m)) == pytest.approx(1.0, abs=1e-13)
+        assert fidelity(built, number_state(m)) == pytest.approx(1.0, abs=1e-13)
         built = crescent(0.0, m, method="laguerre")
-        assert fidelity(built, fock(m)) == pytest.approx(1.0, abs=1e-13)
+        assert fidelity(built, number_state(m)) == pytest.approx(1.0, abs=1e-13)
 
 
 def test_crescent_construction_equivalence():
@@ -242,7 +242,7 @@ def test_crescent_order_limit():
 # ---------------------------------------------------------------- photon added
 
 def test_photon_added_vacuum():
-    assert fidelity(photon_added(0.0, 1), fock(1)) == pytest.approx(1.0, abs=1e-13)
+    assert fidelity(photon_added(0.0, 1), number_state(1)) == pytest.approx(1.0, abs=1e-13)
 
 
 def test_photon_added_mean_occupation():
