@@ -12,8 +12,8 @@ gauge evaluation, so gauges also run on hand-entered moment tables.
 
 from __future__ import annotations
 
-import cmath
 import functools
+import math
 from dataclasses import dataclass, fields
 from typing import Union
 
@@ -141,8 +141,8 @@ def ellipse(summary: MomentSummary) -> NoiseEllipse:
     return NoiseEllipse(
         lambda_plus_sq=lam_plus,
         lambda_minus_sq=lam_minus,
-        major_axis_angle=0.0 if spread < FLAG_TOL else cmath.phase(summary.var_a) / 2.0,
-        stick_angle=0.0 if zero_stick else cmath.phase(summary.mean_a),
+        major_axis_angle=0.0 if spread < FLAG_TOL else math.atan2(summary.var_a.imag, summary.var_a.real) / 2.0,
+        stick_angle=0.0 if zero_stick else math.atan2(summary.mean_a.imag, summary.mean_a.real),
         zero_stick_flag=zero_stick,
     )
 

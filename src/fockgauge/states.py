@@ -40,9 +40,12 @@ Seed = Union[int, tuple, list]
 def max_cutoff() -> int:
     """Cutoff ceiling for state constructors (env FOCKGAUGE_MAX_CUTOFF overrides)."""
     raw = os.environ.get("FOCKGAUGE_MAX_CUTOFF", str(DEFAULT_MAX_CUTOFF))
-    if not raw.strip().isdecimal() or int(raw) < 1:
-        raise SchemaError(f"FOCKGAUGE_MAX_CUTOFF must be a positive integer, got {raw!r}")
-    return int(raw)
+    try:
+        if raw.strip().isdecimal() and int(raw) >= 1:
+            return int(raw)
+    except ValueError:  # more digits than int() reads, too many to echo
+        raise SchemaError(f"FOCKGAUGE_MAX_CUTOFF has {len(raw)} characters, more digits than int() reads") from None
+    raise SchemaError(f"FOCKGAUGE_MAX_CUTOFF must be a positive integer, got {raw!r}")
 
 
 def _check_eps(eps_tail: float) -> None:
@@ -113,6 +116,9 @@ def _coherent_amps(alpha: complex, eps_tail: float, added: int = 0) -> np.ndarra
     on the way up, so only the cutoff ceiling limits |alpha|.  The cutoff
     stays `added` below the ceiling, for callers that add photons on top.
     """
+    _check_eps(eps_tail)
+    if not 0 <= added <= MAX_ADDED_PHOTONS:
+        raise ValueError(f"photon addition order must lie in [0, {MAX_ADDED_PHOTONS}]")
     alpha = complex(alpha)
     lam, room = _room_for(alpha, added)
     if lam == 0.0:
@@ -140,7 +146,6 @@ def _coherent_amps(alpha: complex, eps_tail: float, added: int = 0) -> np.ndarra
 
 def coherent(alpha: complex, eps_tail: float = DEFAULT_EPS_TAIL) -> FockVector:
     """Coherent state |alpha> truncated to the requested tail tolerance."""
-    _check_eps(eps_tail)
     return _finalize(_coherent_amps(alpha, eps_tail))
 
 
@@ -209,24 +214,14 @@ def squeezed_coherent(
     return _finalize(np.array(c, dtype=np.complex128))
 
 
-def _crescent_operator_amps(alpha: complex, added: int, eps_tail: float) -> np.ndarray:
-    c = _coherent_amps(alpha, eps_tail, added)
-    for _ in range(added):
-        raised = _raised(c)
-        raised[: c.size] += np.conjugate(alpha) * c
-        c = raised
-    return c
-
-
-def _crescent_laguerre_amps(alpha: complex, added: int, eps_tail: float) -> np.ndarray:
+def _crescent_laguerre_amps(alpha: complex, added: int, top: int) -> np.ndarray:
     # Closed-form expansion: c_n proportional to
     #   sqrt(n!) (alpha^*)^{added-n} L_n^{(added-n)}(-|alpha|^2).
     # The diagonal Laguerre value expands into the finite sum
     #   sum_i C(added, n-i) |alpha|^{2i} / i!,
     # whose terms are all non-negative; evaluated in log space it is stable at
     # every depth, unlike the fixed-upper-index three-term recurrence whose
-    # tail values drown in cancellation noise.
-    top = _coherent_amps(alpha, eps_tail, added).size - 1 + added
+    # tail values drown in cancellation noise.  Levels 0..top are built.
     aa2 = abs(alpha) ** 2
     log_abs = math.log(abs(alpha))
     # a |alpha|^2 below the normal range has lost bits or underflowed to 0
@@ -261,25 +256,22 @@ def crescent(
     canonical, numerically robust route); `method="laguerre"` evaluates the
     closed-form Fock expansion.  Both represent the same ray.
     """
-    _check_eps(eps_tail)
-    if not 0 <= added <= MAX_ADDED_PHOTONS:
-        raise ValueError(f"photon addition order must lie in [0, {MAX_ADDED_PHOTONS}]")
+    if method not in ("operator", "laguerre"):
+        raise ValueError(f"unknown crescent method {method!r}")
+    c = _coherent_amps(alpha, eps_tail, added)
     alpha = complex(alpha)
-    if method == "operator":
-        return _finalize(_crescent_operator_amps(alpha, added, eps_tail))
-    if method == "laguerre":
-        if alpha == 0:
-            return number_state(added)
-        return _finalize(_crescent_laguerre_amps(alpha, added, eps_tail))
-    raise ValueError(f"unknown crescent method {method!r}")
+    if method == "laguerre":  # on the levels the ladder steps below reach
+        return _finalize(_crescent_laguerre_amps(alpha, added, c.size - 1 + added)) if alpha else number_state(added)
+    for _ in range(added):
+        raised = _raised(c)
+        raised[: c.size] += np.conjugate(alpha) * c
+        c = raised
+    return _finalize(c)
 
 
 def photon_added(alpha: complex, added: int, eps_tail: float = DEFAULT_EPS_TAIL) -> FockVector:
     """Photon-added coherent state: normalized a^dag^added |alpha>."""
-    _check_eps(eps_tail)
-    if not 0 <= added <= MAX_ADDED_PHOTONS:
-        raise ValueError(f"photon addition order must lie in [0, {MAX_ADDED_PHOTONS}]")
-    c = _coherent_amps(complex(alpha), eps_tail, added)
+    c = _coherent_amps(alpha, eps_tail, added)
     for _ in range(added):
         c = _raised(c)
     return _finalize(c)
@@ -296,18 +288,15 @@ def approx_strong_field(
     norm stays in the float range.  A 1-D sequence of N gammas gives one
     (N, D) FockVector block, one state per row, built on one coherent run.
     """
-    _check_eps(eps_tail)
-    alpha = complex(alpha)
     ndim = 0 if isinstance(gamma, numbers.Number) else np.ndim(gamma)
     if ndim > 1:
         raise ValueError(f"gamma must be a number or a 1-d sequence of numbers, got shape {np.shape(gamma)}")
     gammas = list(map(complex, gamma if ndim else [gamma]))
-    for g in gammas:
-        _refuse_nan(gamma=g)
     c = _coherent_amps(alpha, eps_tail, 1)
     raised = _raised(c)
     rows = []
     for g in gammas:
+        _refuse_nan(gamma=g)
         # below 2^500 no square of gamma a^dag |alpha> can overflow its norm
         if max(abs(g.real), abs(g.imag)) < SQUARE_LIMIT:
             combined = g * raised
@@ -325,26 +314,30 @@ def cat(alpha: complex, beta: float = 0.0, eps_tail: float = DEFAULT_EPS_TAIL) -
     Any such superposition is an eigenstate of a^2 with eigenvalue alpha^2.
     Raises ZeroNormError on (numerically) exact cancellation.
     """
-    _check_eps(eps_tail)
     _refuse_nan(beta=beta)
     if abs(beta) == math.inf:  # e^{i beta} would be NaN, and the state fail unnamed
         raise ValueError(f"beta must be finite, got {beta!r}")
-    c = _coherent_amps(complex(alpha), eps_tail)
+    c = _coherent_amps(alpha, eps_tail)
     signs = np.where(np.arange(c.size) % 2 == 0, 1.0, -1.0)
     return _finalize(c * (1.0 + np.exp(1j * beta) * signs))
 
 
+def check_random_shape(cutoff: int, rank: int) -> None:
+    """Refuse a random-state cutoff or rank out of range, naming the field."""
+    if not 0 <= cutoff <= MAX_RANDOM_CUTOFF:
+        raise ValueError(f'field "cutoff" must lie in [0, {MAX_RANDOM_CUTOFF}], got {cutoff}')
+    if not 1 <= rank <= cutoff + 1:
+        raise ValueError(f'field "rank" must lie in [1, cutoff + 1], got {rank}')
+
+
 def random_state(cutoff: int, kind: str, rank: int = 1, seed: Seed = 0) -> QuantumState:
     """Seeded random pure (Haar on the truncated sphere) or mixed (Ginibre) state."""
-    if not 0 <= cutoff <= MAX_RANDOM_CUTOFF:
-        raise ValueError(f"random-state cutoff must lie in [0, {MAX_RANDOM_CUTOFF}]")
+    check_random_shape(cutoff, rank)
     rng = np.random.default_rng(seed)
     dim = cutoff + 1
     if kind == "pure":
         return _finalize(rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
     if kind == "mixed":
-        if not 1 <= rank <= dim:
-            raise ValueError("mixed-state rank must lie in [1, cutoff + 1]")
         return DensityMatrix(rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank)))
     raise ValueError(f"unknown random state kind {kind!r}")
 

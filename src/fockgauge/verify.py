@@ -23,7 +23,7 @@ from .gauges import (
 )
 from .moments import ellipse, summarize
 from .schema import check_fields, integer
-from .states import MAX_RANDOM_CUTOFF, approx_strong_field, coherent, random_state
+from .states import approx_strong_field, check_random_shape, coherent, random_state
 
 CALIBRATION_ANCHORS = (0.5 + 0.0j, 1.0 + 0.0j, 2.0 + 0.0j, 1.0 + 2.0j)
 
@@ -42,10 +42,7 @@ class SweepConfig:
     def __post_init__(self) -> None:
         if self.n_pure < 0 or self.n_mixed < 0:
             raise ValueError("state counts must be non-negative")
-        if not 0 <= self.cutoff <= MAX_RANDOM_CUTOFF:
-            raise ValueError(f"sweep cutoff must lie in [0, {MAX_RANDOM_CUTOFF}]")
-        if not 1 <= self.rank <= self.cutoff + 1:
-            raise ValueError(f'field "rank" must lie in [1, cutoff + 1], got {self.rank}')
+        check_random_shape(self.cutoff, self.rank)
 
 
 def sweep_config_from_dict(data: dict) -> SweepConfig:

@@ -251,14 +251,49 @@ def test_json_arguments_the_decoder_refuses_are_schema_errors(flag, what, malfor
 
 
 def test_bad_cutoff_ceiling_setting_names_the_variable(monkeypatch, capsys):
-    for value in ("abc", "0"):
+    # 5000 digits are more than int() reads; the value is named, not echoed
+    for value in ("abc", "0", "9" * 5000):
         monkeypatch.setenv("FOCKGAUGE_MAX_CUTOFF", value)
         for argv in (
             ["gauge", "--spec", '{"kind":"coherent","alpha":{"re":1,"im":0}}'],
             ["figure", "--which", "fig4", "--resolution", "16"],
         ):
             assert run(argv) == 2, (value, argv)
-            assert "FOCKGAUGE_MAX_CUTOFF" in capsys.readouterr().err
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert "FOCKGAUGE_MAX_CUTOFF" in err
+            assert "invalid parameters" not in err and len(err) < 200
+
+
+# Moment tables whose var_a angle (table A) or stick angle (table B) underflows
+# in atan2, where cmath.phase raised OverflowError
+ANGLE_UNDERFLOW_A = {
+    "mean_a": {"re": -1.0, "im": 1e-12}, "mean_a2": {"re": -0.0, "im": 1e10}, "mean_n": 2.0,
+    "mean_n2": -1e-9, "mean_a2da2": -0.0, "var_n": 3.273390607896142e150,
+    "var_a": {"re": 1e150, "im": 1e-300}, "cov_ada": 3.273390607896142e150, "cov_a2": 1e-300,
+    "truncation_warning": False,
+}
+ANGLE_UNDERFLOW_B = {
+    **ANGLE_UNDERFLOW_A, "mean_a": {"re": 3.273390607896142e150, "im": 1e-300},
+    "mean_n": 3.273390607896142e150, "var_n": 1e-300, "var_a": {"re": 5e-324, "im": 1e-9}, "cov_ada": 0.25,
+}
+
+
+@pytest.mark.parametrize(
+    "table,violated",
+    [
+        (ANGLE_UNDERFLOW_A, "second_order_floor"),
+        (ANGLE_UNDERFLOW_B, "tight_scan, canonical_pair_p, covariance_floor, uncertainty_area, "
+                            "second_order_floor, relaxed_lambda_plus, relaxed_trace, hyperboloid_surface"),
+    ],
+    ids=["var_a", "mean_a"],
+)
+def test_gauge_on_angles_that_underflow_names_the_violations(table, violated, capsys):
+    code = run(["gauge", "--moments", json.dumps(table)])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert _strict(out)["tight"]["applicable"] is True
+    assert err == f"physics violation in: {violated}\n"
 
 
 def test_gauge_on_cat_beyond_float_range_of_amplitudes(capsys):
@@ -714,6 +749,9 @@ ARGV = st.one_of(
 # squares of moment-table entries overflow in the uncertainty_area and closed-form rows
 @example(("gauge", "--moments", {**TABLE, "cov_ada": 1e300}))
 @example(("gauge", "--moments", {**TABLE, "mean_a": {"re": 1e200, "im": 0}}))
+# the var_a and stick angles underflow in atan2
+@example(("gauge", "--moments", ANGLE_UNDERFLOW_A))
+@example(("gauge", "--moments", ANGLE_UNDERFLOW_B))
 def test_cli_exits_cleanly_with_strict_json(argv):
     command, flag, payload, *pinned = argv
     out, err = io.StringIO(), io.StringIO()

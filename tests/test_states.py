@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from fockgauge import (
     CutoffExplosionError,
     SchemaError,
+    SweepConfig,
     ZeroNormError,
     approx_strong_field,
     cat,
@@ -192,6 +193,52 @@ def test_squeezed_reaches_the_ceiling_like_coherent():
 def test_squeezed_range_follows_a_raised_ceiling(monkeypatch):
     monkeypatch.setenv("FOCKGAUGE_MAX_CUTOFF", "8192")
     _assert_analytic_squeezed_moments(80.0, 0.5, squeezed_coherent(80.0, 0.5, 1.0))
+
+
+# Every kind built on the coherent run has its tail and photon order checked
+# there, with one message each; crescent at alpha 0 as well, on either method.
+ON_THE_COHERENT_RUN = [
+    pytest.param(lambda eps_tail, m: coherent(1.2, eps_tail), False, id="coherent"),
+    pytest.param(lambda eps_tail, m: cat(1.2, 0.0, eps_tail), False, id="cat"),
+    pytest.param(lambda eps_tail, m: approx_strong_field(1.2, 0.5, eps_tail), False, id="strong_field"),
+    pytest.param(lambda eps_tail, m: approx_strong_field(1.2, [0.5, 2.0], eps_tail), False, id="strong_field-block"),
+    pytest.param(lambda eps_tail, m: photon_added(1.2, m, eps_tail), True, id="photon_added"),
+    *(
+        pytest.param(
+            lambda eps_tail, m, alpha=alpha, method=method: crescent(alpha, m, method, eps_tail),
+            True,
+            id=f"crescent-{method}-{alpha}",
+        )
+        for method in ("operator", "laguerre")
+        for alpha in (0.0, 1.2)
+    ),
+]
+
+
+@pytest.mark.parametrize("build,takes_order", ON_THE_COHERENT_RUN)
+def test_the_coherent_run_checks_tail_and_photon_order(build, takes_order):
+    assert build(states.DEFAULT_EPS_TAIL, 2).cutoff > 0
+    for eps_tail in (0.0, 1e-5):
+        with pytest.raises(ValueError, match=r"^eps_tail must lie in \(0, 1e-06\]"):
+            build(eps_tail, 2)
+    for m in (-1, 17) if takes_order else ():
+        with pytest.raises(ValueError, match=r"^photon addition order must lie in \[0, 16\]$"):
+            build(states.DEFAULT_EPS_TAIL, m)
+
+
+# random_state and SweepConfig share one shape rule, for either kind
+@pytest.mark.parametrize(
+    "cutoff,rank,field", [(257, 1, "cutoff"), (8, 0, "rank"), (8, 10, "rank")], ids=["cutoff", "rank-0", "rank-high"]
+)
+def test_random_shape_is_one_rule(cutoff, rank, field):
+    message = rf'^field "{field}" must lie in \[.*\], got {cutoff if field == "cutoff" else rank}$'
+    for kind in ("pure", "mixed"):
+        with pytest.raises(ValueError, match=message):
+            random_state(cutoff, kind, rank=rank)
+    with pytest.raises(ValueError, match=message):
+        SweepConfig(n_pure=1, n_mixed=1, cutoff=cutoff, rank=rank)
+    with pytest.raises(SchemaError, match=f'random_mixed": field "{field}"'):
+        state_from_spec({"kind": "random_mixed", "cutoff": cutoff, "rank": rank, "seed": 0})
 
 
 def test_squeezed_r_limit():
@@ -464,7 +511,8 @@ def test_laguerre_amps_are_bit_identical_to_the_reference(m):
         for phase in (0.0, 0.7, -2.4, math.pi):
             alpha = size * complex(math.cos(phase), math.sin(phase))
             for eps_tail in (states.DEFAULT_EPS_TAIL, 1e-24):
-                got = states._crescent_laguerre_amps(alpha, m, eps_tail)
+                top = states._coherent_amps(alpha, eps_tail, m).size - 1 + m
+                got = states._crescent_laguerre_amps(alpha, m, top)
                 want = reference_laguerre_amps(alpha, m, eps_tail)
                 assert got.view(np.int64).tolist() == want.view(np.int64).tolist(), (size, phase, m)
 
