@@ -256,7 +256,8 @@ def build_parser() -> argparse.ArgumentParser:
     """The one parser of the process, shared by every `run` call.
 
     Safe to share because parse_args keeps no state between calls; callers
-    must not add to it.
+    must not add to it.  `commands` on the parser maps each command name to
+    its subparser.
     """
     parser = argparse.ArgumentParser(
         prog="fockgauge",
@@ -296,14 +297,26 @@ def build_parser() -> argparse.ArgumentParser:
     p_fig.add_argument("--resolution", type=_resolution, default=64)
     p_fig.add_argument("--out", default=None)
     p_fig.set_defaults(func=_cmd_figure)
+    parser.commands = dict(sub.choices)
     return parser
 
 
 def run(argv: Sequence[str]) -> int:
-    """Entry point usable as a function; returns the process exit code."""
+    """Entry point usable as a function; returns the process exit code.
+
+    An argv whose first word names a command is parsed by that command's
+    subparser alone, so an unrecognized argument is reported with that
+    command's usage; help, a missing command and an unknown one go to the
+    top-level parser.
+    """
     parser = build_parser()
+    argv = list(argv)
+    command = parser.commands.get(argv[0]) if argv else None
     try:
-        args = parser.parse_args(list(argv))
+        if command is None:
+            args = parser.parse_args(argv)
+        else:
+            args = command.parse_args(argv[1:], argparse.Namespace(command=argv[0]))
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -66,10 +66,11 @@ class DensityMatrix:
     """Mixed state rho = G G^dag / tr(G G^dag) of a (D, rank) factor G.
 
     `entries` is rho on D + BOUNDARY_PAD levels, read-only: G G^dag is formed
-    in its top-left block, then each real and imaginary part is multiplied by
-    1 / tr, so a zero part keeps its sign (complex division, rho /= tr, makes
-    a -0 real part +0 when the imaginary part is >= +0, and a -0 imaginary
-    part +0 when the real part is <= -0).  Every factor gives a Hermitian,
+    in its top-left block, then each real and imaginary part of the whole
+    buffer is multiplied by 1 / tr (the zero padding stays +0), so a zero
+    part keeps its sign (complex division, rho /= tr, makes a -0 real part
+    +0 when the imaginary part is >= +0, and a -0 imaginary part +0 when the
+    real part is <= -0).  Every factor gives a Hermitian,
     positive, unit-trace rho, so nothing else is checked: each part of G lies
     below SQUARE_LIMIT in magnitude, so that G G^dag cannot overflow, and the
     trace is at least SQUARE_LIMIT**-2, so that dividing by it cannot either
@@ -92,7 +93,8 @@ class DensityMatrix:
         trace = rho.trace().real
         if not SQUARE_LIMIT**-2 <= trace < np.inf:
             raise ValueError(f"factor trace must be finite and at least {SQUARE_LIMIT**-2!r}, got {float(trace)!r}")
-        parts = rho.view(np.float64)
+        # the whole buffer in one contiguous pass: the padding stays +0, as 1 / tr is positive
+        parts = entries.view(np.float64)
         parts *= 1.0 / trace
         entries.flags.writeable = False
         object.__setattr__(self, "entries", entries)

@@ -59,6 +59,8 @@ _COS2 = np.cos(2.0 * _THETA_GRID)
 _STEP = math.pi / _GRID_SIZE
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _REFINE_TOL = 1e-10
+# |<a>|^2 / (Cov - |Var a|) below this keeps every grid quotient finite
+_OVERFLOW_FREE = 2.0**1000
 
 
 class InequalityRecord(NamedTuple):
@@ -81,7 +83,8 @@ class InequalityRecord(NamedTuple):
 
 def _record(lhs: float, rhs: float, tolerance: float) -> InequalityRecord:
     slack = lhs - rhs
-    return InequalityRecord(lhs, rhs, slack, abs(slack) <= SATURATION_TOL, slack < -tolerance)
+    # tuple.__new__ skips the NamedTuple's Python-level __new__; the fields in declaration order
+    return tuple.__new__(InequalityRecord, (lhs, rhs, slack, abs(slack) <= SATURATION_TOL, slack < -tolerance))
 
 
 @dataclass(frozen=True)
@@ -261,7 +264,13 @@ def scan_bound(summary: MomentSummary) -> tuple[float, float]:
     v -= vi * _SIN2
     v *= 2.0
     p *= p
-    p /= v
+    # p^2 / v is at most |<a>|^2 / (2 (Cov - |Var a|)), give or take rounding, so
+    # only a bound near the float range can overflow; it is then inf, unwarned
+    if ar * ar + ai * ai < _OVERFLOW_FREE * (cov - abs(summary.var_a)):
+        p /= v
+    else:
+        with np.errstate(over="ignore"):
+            p /= v
     best = _THETA_GRID.item(p.argmax())
     lo, hi = best - _STEP, best + _STEP
     c = hi - _GOLDEN * (hi - lo)
@@ -324,11 +333,12 @@ def full_report(summary: MomentSummary, ell: NoiseEllipse) -> GaugeReport:
     zero, where G1 rather than G2 is the gauge to read.
     """
     tight = tight_bound(summary, ell)
-    records = {
-        row.name: _record(*row.sides(summary, ell, tight), row.tolerance)
-        for row in INEQUALITIES
-        if tight.applicable or not row.needs_amplitude
-    }
+    applicable = tight.applicable
+    records = {}
+    for name, sides, tolerance, needs_amplitude in INEQUALITIES:
+        if applicable or not needs_amplitude:
+            lhs, rhs = sides(summary, ell, tight)
+            records[name] = _record(lhs, rhs, tolerance)
     if summary.mean_n == 0.0:
         g2_alt: Optional[float] = None
     else:

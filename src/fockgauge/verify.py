@@ -63,15 +63,6 @@ class _Tally:
         self.worst_slack = math.inf
         self.worst_seed_index: Optional[int] = None
 
-    def update(self, slack: float, index: int, violated: bool) -> None:
-        self.checked += 1
-        if violated:
-            self.violations += 1
-        # ties broken by lowest index: strict < keeps the earliest
-        if slack < self.worst_slack:
-            self.worst_slack = slack
-            self.worst_seed_index = index
-
     def to_dict(self) -> dict:
         return {
             "checked": self.checked,
@@ -131,8 +122,15 @@ def sweep(config: SweepConfig) -> SweepReport:
             skipped += 1
             continue
         report = full_report(summary, ellipse(summary))
-        for name, record in report.records.items():
-            tallies[name].update(record.slack, index, record.violated)
+        for name, (_, _, slack, _, violated) in report.records.items():
+            tally = tallies[name]
+            tally.checked += 1
+            if violated:
+                tally.violations += 1
+            # ties broken by lowest index: strict < keeps the earliest
+            if slack < tally.worst_slack:
+                tally.worst_slack = slack
+                tally.worst_seed_index = index
         if report.tight.applicable and summary.var_n > 0.0:
             trace = report.records["relaxed_trace"]
             min_trace_ratio = min(min_trace_ratio, trace.lhs / trace.rhs)

@@ -296,6 +296,21 @@ def test_gauge_on_angles_that_underflow_names_the_violations(table, violated, ca
     assert err == f"physics violation in: {violated}\n"
 
 
+# a coherent table whose tight bound |<a>|^2 / (2 Cov(a^dag, a)) is beyond the float range
+BOUND_OVERFLOW = {
+    **summarize(coherent(0.8 - 0.4j)).to_dict(), "mean_a": {"re": 3.27e150, "im": 3.27e150},
+    "cov_ada": 1e-9, "var_a": {"re": 0.0, "im": 0.0},
+}
+
+
+def test_gauge_on_a_bound_beyond_the_float_range_names_the_field(capsys):
+    code = run(["gauge", "--moments", json.dumps(BOUND_OVERFLOW)])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out == ""
+    assert err == "error: output field tight.bound_scan is inf, which JSON cannot carry\n"
+
+
 def test_gauge_on_cat_beyond_float_range_of_amplitudes(capsys):
     # |alpha|^2 = 1225: the unscaled coherent amplitudes would overflow
     code, data = _run_json(
@@ -313,6 +328,65 @@ def test_usage_error_exit_code(capsys):
     for resolution in ("5", "4096", "many"):
         assert run(["figure", "--which", "fig3", "--resolution", resolution]) == 2
         assert "--resolution" in capsys.readouterr().err
+
+
+COMMAND_ARGVS = [
+    ["state", "--spec", '{"kind":"fock","n":1}', "--dump-amplitudes", "--out", "-"],
+    ["state", "--spec", "{}"],
+    ["moments", "--spec", "@spec.json"],
+    ["gauge", "--spec", '{"kind":"fock","n":1}'],
+    ["gauge", "--moments", "{}", "--out", "report.json"],
+    ["sweep", "--config", "{}"],
+    ["calibrate"],
+    ["figure", "--which", "fig3"],
+    ["figure", "--which", "fig2", "--resolution", "32", "--out", "-"],
+]
+
+
+def test_a_named_command_parses_as_through_the_top_level_parser(monkeypatch):
+    # each command's handler records the namespace `run` hands it
+    seen = []
+    handlers = {}
+    for name in ("state", "moments", "gauge", "sweep", "calibrate", "figure"):
+        handlers[name] = lambda args: seen.append(args) or 0
+        monkeypatch.setattr(cli, f"_cmd_{name}", handlers[name])
+    parser = cli.build_parser.__wrapped__()
+    monkeypatch.setattr(cli, "build_parser", lambda: parser)
+    assert list(parser.commands) == list(handlers)
+    for argv in COMMAND_ARGVS:
+        assert run(argv) == 0
+        (args,) = seen
+        seen.clear()
+        assert args.func is handlers[argv[0]]
+        assert vars(args) == vars(parser.parse_args(argv))
+    assert {argv[0] for argv in COMMAND_ARGVS} == set(handlers)
+
+
+def test_help_and_missing_or_unknown_commands_go_to_the_top_level_parser(monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    help_text = cli.build_parser().format_help()
+    for argv, code, out, err in [
+        ([], 2, "", "fockgauge: error: the following arguments are required: command"),
+        (["--help"], 0, help_text, ""),
+        (["nosuch"], 2, "", "fockgauge: error: argument command: invalid choice: 'nosuch'"),
+        (["-h", "gauge"], 0, help_text, ""),
+    ]:
+        assert run(argv) == code, argv
+        captured = capsys.readouterr()
+        assert captured.out == out, argv
+        if err:
+            assert captured.err.startswith("usage: fockgauge [-h]") and err in captured.err, argv
+        else:
+            assert captured.err == "", argv
+
+
+def test_an_extra_word_is_reported_with_its_command_usage(capsys):
+    code = run(["gauge", "--spec", '{"kind":"fock","n":1}', "extra"])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert err.startswith("usage: fockgauge gauge [-h] (--spec SPEC | --moments MOMENTS)")
+    assert "fockgauge gauge: error: unrecognized arguments: extra\n" in err
 
 
 def test_one_parser_per_process():
@@ -702,14 +776,31 @@ def state_specs(draw):
     return spec
 
 
+# +-u 2^k up to SQUARE_LIMIT in magnitude, the largest a moment table may hold, often near it
+EXTREME = st.builds(
+    lambda u, k: u * 2.0**k, st.floats(-1.0, 1.0), st.integers(-500, 500) | st.integers(490, 500)
+)
+
+
 @st.composite
 def moment_tables(draw):
     table = dict(TABLE)
+    if draw(st.booleans()):
+        # an ellipse the gauges accept, at any scale, with any amplitude: the
+        # grid, the closed form and the relaxed rows all run, and a narrow
+        # ellipse under a huge amplitude takes the bound beyond the float range
+        cov = draw(st.floats(0.5, 1.0)) * 2.0 ** draw(st.integers(-36, 500) | st.integers(-36, -24))
+        part = st.floats(-0.7, 0.7)
+        table["cov_ada"] = cov
+        table["var_a"] = {"re": draw(part) * cov, "im": draw(part) * cov}
+        table["mean_a"] = {"re": draw(EXTREME), "im": draw(EXTREME)}
     for name in draw(st.lists(st.sampled_from(sorted(TABLE)), max_size=3)):
         is_complex = isinstance(TABLE[name], dict)
-        near = st.floats(-3.0, 3.0)
-        near = st.fixed_dictionaries({"re": near, "im": near}) if is_complex else near
-        table[name] = draw(st.one_of(near, near, COMPLEX if is_complex else NUMBERS, WRONG))
+        near, extreme = st.floats(-3.0, 3.0), EXTREME
+        if is_complex:
+            near = st.fixed_dictionaries({"re": near, "im": near})
+            extreme = st.fixed_dictionaries({"re": extreme, "im": extreme})
+        table[name] = draw(st.one_of(near, near, extreme, COMPLEX if is_complex else NUMBERS, WRONG))
     return table
 
 
@@ -752,6 +843,8 @@ ARGV = st.one_of(
 # the var_a and stick angles underflow in atan2
 @example(("gauge", "--moments", ANGLE_UNDERFLOW_A))
 @example(("gauge", "--moments", ANGLE_UNDERFLOW_B))
+# the scanned bound overflows on the angle grid
+@example(("gauge", "--moments", BOUND_OVERFLOW, 1))
 def test_cli_exits_cleanly_with_strict_json(argv):
     command, flag, payload, *pinned = argv
     out, err = io.StringIO(), io.StringIO()

@@ -377,6 +377,10 @@ def test_every_factor_gives_a_physical_state(rows, rank, exponent, seed):
     factor = (rng.standard_normal((rows, rank)) + 1j * rng.standard_normal((rows, rank))) * 2.0**exponent
     rho = DensityMatrix(factor).entries
     assert rho.shape == (rows + BOUNDARY_PAD,) * 2
+    raw = factor @ factor.conj().T
+    assert _same_bits(rho[:rows, :rows].view(np.float64), raw.view(np.float64) * (1.0 / raw.trace().real))
+    padding = np.concatenate((rho[rows:].ravel(), rho[:rows, rows:].ravel()))
+    assert not padding.view(np.int64).any()
     assert np.abs(rho - rho.conj().T).max() <= 1e-12
     assert abs(np.trace(rho) - 1.0) <= 1e-12
     assert np.linalg.eigvalsh(rho)[0] >= -1e-12

@@ -15,7 +15,10 @@ from fockgauge import (
     summarize,
     tight_bound,
 )
-from fockgauge.gauges import C_LAMBDA_PLUS, C_TIGHT, C_TRACE, scan_bound
+from fockgauge.gauges import (
+    C_LAMBDA_PLUS, C_TIGHT, C_TRACE, INEQUALITIES, SATURATION_TOL, SQUEEZING_TOL, InequalityRecord, _record,
+    scan_bound,
+)
 from _oracles import reference_scan
 
 
@@ -223,6 +226,43 @@ def test_full_report_shape():
     }
     assert data["tight"]["applicable"] is True
     assert len(data["canonical_pair"]) == 2
+
+
+def _bits(record):
+    # float.hex tells -0.0 from +0.0
+    return type(record), [float(x).hex() for x in record[:3]], record[3:]
+
+
+@pytest.mark.parametrize(
+    "state", [coherent(1.0 + 0.5j), squeezed_coherent(0.6, 0.8, 1.1), number_state(2), squeezed_coherent(0.0, 0.5)],
+    ids=["coherent", "squeezed", "number", "squeezed-vacuum"],
+)
+def test_every_record_is_built_from_its_registry_row(state):
+    s, e = _se(state)
+    report = full_report(s, e)
+    expected = {
+        row.name: _record(*row.sides(s, e, report.tight), row.tolerance)
+        for row in INEQUALITIES
+        if report.tight.applicable or not row.needs_amplitude
+    }
+    assert len(expected) == (11 if abs(s.mean_a) > 0.1 else 8)
+    assert list(report.records) == list(expected)
+    for name, record in report.records.items():
+        assert _bits(record) == _bits(expected[name]), name
+    squeezing = _record(e.lambda_minus_sq, 0.5, SQUEEZING_TOL)
+    assert _bits(report.squeezing) == _bits(squeezing)
+    assert report.squeezed is squeezing.violated
+    # the closed-form row's lhs is -0.0, so its slack keeps the sign of -deviation
+    if report.tight.applicable:
+        assert report.records["closed_form_agreement"].lhs.hex() == "-0x0.0p+0"
+
+
+@pytest.mark.parametrize("lhs, rhs, tolerance", [(1.0, 0.5, 1e-9), (-0.0, 0.0, 1e-9), (0.5, 0.5 + 2e-9, 1e-9),
+                                                 (0.0, -0.0, 1e-10), (1e-300, 3.0, 0.0)])
+def test_record_holds_the_fields_in_declaration_order(lhs, rhs, tolerance):
+    slack = lhs - rhs
+    built = InequalityRecord(lhs, rhs, slack, abs(slack) <= SATURATION_TOL, slack < -tolerance)
+    assert _bits(_record(lhs, rhs, tolerance)) == _bits(built)
 
 
 def test_constants_are_the_calibrated_values():
