@@ -61,18 +61,24 @@ def _refuse_nan(**params: complex) -> None:
             raise ValueError(f"{name} must not be NaN, got {value!r}")
 
 
-def _norm(amps: np.ndarray) -> float:
-    # numpy's own 2-norm of a complex vector, without linalg.norm's dispatch
+def _norm(amps: np.ndarray) -> float | np.ndarray:
+    # numpy's own 2-norm of a complex vector, without linalg.norm's dispatch;
+    # of an (N, D) block, the (N, 1) row norms from one stacked dot per part,
+    # which calls the same BLAS ddot per row as ndarray.dot
     re, im = amps.real, amps.imag
-    norm = math.sqrt(re.dot(re) + im.dot(im))
-    if norm < 1e-13:
+    if amps.ndim == 1:
+        norm = smallest = math.sqrt(re.dot(re) + im.dot(im))
+    else:
+        norm = np.sqrt(np.matmul(re[:, None], re[..., None]) + np.matmul(im[:, None], im[..., None]))[:, 0]
+        smallest = norm.min(initial=math.inf)
+    if smallest < 1e-13:
         raise ZeroNormError("state construction cancelled to zero norm")
     return norm
 
 
 def _finalize(amps: np.ndarray) -> FockVector:
     """The padded, normalized state of `amps`; an (N, D) block row by row."""
-    norm = _norm(amps) if amps.ndim == 1 else np.array(list(map(_norm, amps))).reshape(-1, 1)
+    norm = _norm(amps)
     size = amps.shape[-1]
     padded = np.zeros(amps.shape[:-1] + (size + BOUNDARY_PAD,), dtype=np.complex128)
     np.divide(amps, norm, out=padded[..., :size])
@@ -294,18 +300,19 @@ def approx_strong_field(
     gammas = list(map(complex, gamma if ndim else [gamma]))
     c = _coherent_amps(alpha, eps_tail, 1)
     raised = _raised(c)
-    rows = []
-    for g in gammas:
-        _refuse_nan(gamma=g)
-        # below 2^500 no square of gamma a^dag |alpha> can overflow its norm
-        if max(abs(g.real), abs(g.imag)) < SQUARE_LIMIT:
-            combined = g * raised
-            combined[: c.size] += c
-        else:
-            combined = raised.copy()
-            combined[: c.size] += c * (1.0 / g)
-        rows.append(combined)
-    return _finalize(np.array(rows).reshape(-1, raised.size) if ndim else rows[0])
+    coeffs = np.array(gammas, dtype=np.complex128)
+    # below 2^500 no square of gamma a^dag |alpha> can overflow its norm.  No
+    # other gamma multiplies the run: NaN is refused, and a larger gamma's row
+    # is built with it divided out, in Python's complex division
+    outside = np.flatnonzero(~(np.maximum(abs(coeffs.real), abs(coeffs.imag)) < SQUARE_LIMIT))
+    coeffs[outside] = 0.0
+    rows = coeffs[:, None] * raised
+    rows[:, : c.size] += c
+    for i in outside.tolist():
+        _refuse_nan(gamma=gammas[i])
+        rows[i] = raised
+        rows[i, : c.size] += c * (1.0 / gammas[i])
+    return _finalize(rows if ndim else rows[0])
 
 
 def cat(alpha: complex, beta: float = 0.0, eps_tail: float = DEFAULT_EPS_TAIL) -> FockVector:

@@ -10,6 +10,7 @@ byte-stable.
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from dataclasses import asdict, dataclass
@@ -232,8 +233,10 @@ def figure_rows(which: str, resolution: int) -> tuple[list[str], np.ndarray]:
         header = ["re_var_a", "im_var_a", "hyperboloid", "cone"]
         axis = np.linspace(-2.0, 2.0, resolution)
         re, im = np.repeat(axis, resolution), np.tile(axis, resolution)
-        # math.hypot, not np.hypot: the two differ in the last bit at some points
-        spread = np.fromiter(map(math.hypot, re.tolist(), im.tolist()), float, len(re))
+        # math.hypot, not np.hypot, which differs in the last bit at some points; the
+        # axis times itself gives the (re, im) pairs in row order, in one pass
+        pairs = itertools.product(axis.tolist(), repeat=2)
+        spread = np.fromiter(itertools.starmap(math.hypot, pairs), float, len(re))
         return header, np.column_stack((re, im, np.sqrt(0.25 + spread * spread), spread + 0.5))
     if which == "fig4":
         header = ["gamma_re", "gamma_im", "cov_ada", "var_n", "bound", "rel_gap"]

@@ -7,12 +7,15 @@ checks.
 
 import json
 import math
+import numbers
 import sys
 
 import numpy as np
 
-from fockgauge.errors import NonFiniteOutputError
-from fockgauge.states import _coherent_amps
+from fockgauge.errors import NonFiniteOutputError, ZeroNormError
+from fockgauge.fock import BOUNDARY_PAD
+from fockgauge.schema import SQUARE_LIMIT
+from fockgauge.states import _coherent_amps, _raised, _refuse_nan
 
 
 def poisson_tail(lam: float, m: int, terms: int = 200) -> float:
@@ -242,6 +245,50 @@ def reference_fig2(resolution: int) -> np.ndarray:
         for c in np.linspace(floor, floor + 2.0, resolution).tolist():
             rows.append((v, c, c_lambda_plus / (c + v), c_trace / c))
     return np.array(rows)
+
+
+def reference_fig3(resolution: int) -> np.ndarray:
+    """fig3's table with the two axis columns spelled out, one `math.hypot` per pair."""
+    axis = np.linspace(-2.0, 2.0, resolution)
+    re, im = np.repeat(axis, resolution), np.tile(axis, resolution)
+    spread = np.fromiter(map(math.hypot, re.tolist(), im.tolist()), float, len(re))
+    return np.column_stack((re, im, np.sqrt(0.25 + spread * spread), spread + 0.5))
+
+
+# The strong-field superposition as the package first built it: one row per
+# gamma in a Python loop, each row normalized by its own 2-norm.  The
+# package's block construction must give the same amplitudes bit for bit.
+def _reference_norm(amps: np.ndarray) -> float:
+    re, im = amps.real, amps.imag
+    norm = math.sqrt(re.dot(re) + im.dot(im))
+    if norm < 1e-13:
+        raise ZeroNormError("state construction cancelled to zero norm")
+    return norm
+
+
+def reference_strong_field(alpha: complex, gamma, eps_tail: float = 1e-14) -> np.ndarray:
+    """Padded, normalized amplitudes of |alpha> + gamma a^dag |alpha>, one gamma at a time."""
+    ndim = 0 if isinstance(gamma, numbers.Number) else np.ndim(gamma)
+    gammas = list(map(complex, gamma if ndim else [gamma]))
+    c = _coherent_amps(alpha, eps_tail, 1)
+    raised = _raised(c)
+    rows = []
+    for g in gammas:
+        _refuse_nan(gamma=g)
+        # below 2^500 no square of gamma a^dag |alpha> can overflow its norm
+        if max(abs(g.real), abs(g.imag)) < SQUARE_LIMIT:
+            combined = g * raised
+            combined[: c.size] += c
+        else:
+            combined = raised.copy()
+            combined[: c.size] += c * (1.0 / g)
+        rows.append(combined)
+    amps = np.array(rows).reshape(-1, raised.size) if ndim else rows[0]
+    norm = _reference_norm(amps) if amps.ndim == 1 else np.array(list(map(_reference_norm, amps))).reshape(-1, 1)
+    size = amps.shape[-1]
+    padded = np.zeros(amps.shape[:-1] + (size + BOUNDARY_PAD,), dtype=np.complex128)
+    np.divide(amps, norm, out=padded[..., :size])
+    return padded
 
 
 # The JSON writer as the package first wrote it: one recursive pass that

@@ -15,6 +15,7 @@ from fockgauge.errors import NonFiniteOutputError
 from fockgauge.fock import BOUNDARY_PAD
 from fockgauge.gauges import INEQUALITIES, SQUEEZING_TOL
 from fockgauge.states import _FIELDS, _KINDS, state_from_spec
+from fockgauge.verify import FIGURE_NAMES, MIN_RESOLUTION
 from _oracles import reference_dumps, strong_field_norm_inverse
 
 
@@ -852,4 +853,55 @@ def test_cli_exits_cleanly_with_strict_json(argv):
         code = run([command, flag, json.dumps(payload)])
     assert code in (pinned or (0, 1, 2)), err.getvalue()
     if out.getvalue():
+        _strict(out.getvalue())
+
+
+# Figures at small resolutions, and strong-field specs with |gamma| up to 1e308
+# over the benchmark's |alpha| range, always succeed: exit 0 with the figure's
+# documented line count or strict JSON, and no warning of any kind.
+FIGURE_LINES = {"fig2": lambda n: n * n + 1, "fig3": lambda n: n * n + 1, "fig4": lambda n: 3 * n + 1}
+assert set(FIGURE_LINES) == set(FIGURE_NAMES)
+POLAR = st.tuples(st.floats(0.0, 1.0), st.floats(-math.pi, math.pi))
+
+
+def _complex(magnitude, phase):
+    return {"re": magnitude * math.cos(phase), "im": magnitude * math.sin(phase)}
+
+
+STRONG_FIELDS = st.builds(
+    lambda alpha, gamma, exponent: {
+        "kind": "approx_strong_field",
+        "alpha": _complex(0.05 + 4.95 * alpha[0], alpha[1]),
+        "gamma": _complex(gamma[0] * 10.0**exponent, gamma[1]),
+    },
+    POLAR,
+    POLAR,
+    st.integers(-300, 308) | st.integers(140, 160) | st.just(308),
+)
+SUCCEEDING = st.one_of(
+    st.tuples(st.just("figure"), st.sampled_from(FIGURE_NAMES), st.integers(MIN_RESOLUTION, 48)),
+    st.tuples(st.sampled_from(["gauge", "state", "moments"]), st.just("--spec"), STRONG_FIELDS),
+)
+
+
+@pytest.mark.filterwarnings("error")
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(SUCCEEDING)
+@example(("figure", "fig4", 48))
+@example(("state", "--spec", {"kind": "approx_strong_field", "alpha": {"re": 5.0, "im": 0.0},
+                              "gamma": {"re": 1e308, "im": -1e308}}))
+def test_figures_and_strong_fields_exit_zero(argv):
+    command, first, second = argv
+    if command == "figure":
+        argv = [command, "--which", first, "--resolution", str(second)]
+    else:
+        argv = [command, first, json.dumps(second)]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = run(argv)
+    assert code == 0, err.getvalue()
+    if command == "figure":
+        text = out.getvalue()
+        assert text.endswith("\n") and text.count("\n") == FIGURE_LINES[first](second)
+    else:
         _strict(out.getvalue())

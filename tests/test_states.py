@@ -31,6 +31,7 @@ from _oracles import (
     fidelity,
     laguerre_series,
     reference_laguerre_amps,
+    reference_strong_field,
     square_annihilate_residual,
     strong_field_norm_inverse,
 )
@@ -376,6 +377,86 @@ def test_strong_field_gamma_shapes():
             approx_strong_field(2.0, bad)
 
 
+def _fig4_phases():
+    return [np.linspace(0.0, 1.0, 2048) * complex(math.cos(p), math.sin(p)) for p in (0.0, math.pi / 4, math.pi / 2)]
+
+
+# Zero parts of either sign, a non-binary fraction, gammas from 2^500 on (whose
+# rows are built with gamma divided out; Python's and numpy's complex division
+# differ on 0.9 * 2^500 - 2^500 i), a gamma whose product with the ladder run
+# overflows, and blocks mixing both regimes.
+STRONG_FIELD_GAMMAS = [
+    0.5 - 0.25j,
+    np.array(0.5 - 0.25j),
+    np.complex128(-1.0 + 1.0j),
+    0.0,
+    -0.0,
+    complex(0.0, -0.0),
+    complex(-0.0, -0.0),
+    1 / 3,
+    2.0**500,
+    1e300,
+    complex(1.7e308, -1.7e308),
+    complex(0.9 * 2.0**500, -(2.0**500)),
+    [complex(-0.0, 0.0)],
+    [1 / 3],
+    [2.0**500],
+    [1e300],
+    [complex(1.7e308, -1.7e308)],
+    [0.0, complex(0.9 * 2.0**500, -(2.0**500)), 1 / 3, complex(-3e250, 7e249), -0.0, 1e-300,
+     complex(1.7e308, -1.7e308), -(2.0**499), complex(0.0, 2.0**500), 2.0**500 * (1 - 2.0**-53)],
+    *_fig4_phases(),
+]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("alpha", [3.0, 1.3 + 0.4j, 1e-3])
+def test_strong_field_is_bit_identical_to_the_per_gamma_oracle(alpha):
+    for gamma in STRONG_FIELD_GAMMAS:
+        got = approx_strong_field(alpha, gamma).amplitudes
+        want = reference_strong_field(alpha, gamma)
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.int64), want.view(np.int64)), gamma
+
+
+@pytest.mark.filterwarnings("error")
+def test_strong_field_refuses_the_first_nan_of_a_block_as_the_oracle_does():
+    for gammas in ([complex(2.0**501, 0.0), NAN, NAN_J], [0.5, 2.0**500, NAN_J, NAN]):
+        with pytest.raises(ValueError) as want:
+            reference_strong_field(1.0, gammas)
+        with pytest.raises(ValueError) as got:
+            approx_strong_field(1.0, gammas)
+        assert str(got.value) == str(want.value)
+
+
+def _row_norms(block):
+    """Each row's norm through the vector path, or None where the row cancelled."""
+    norms = []
+    for row in block:
+        try:
+            norms.append(states._norm(row))
+        except ZeroNormError:
+            norms.append(None)
+    return norms
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 4, 5, 6, 37, 133])
+def test_block_norms_are_bit_identical_to_the_vector_norms(width):
+    rng = np.random.default_rng(width)
+    scales = 2.0 ** np.arange(-400, 401, 25)
+    block = (rng.standard_normal((scales.size, width)) + 1j * rng.standard_normal((scales.size, width)))
+    block *= scales[:, None]
+    norms = _row_norms(block)
+    kept = [i for i, norm in enumerate(norms) if norm is not None]
+    got = states._norm(block[kept])
+    assert got.shape == (len(kept), 1)
+    assert np.array_equal(got[:, 0].view(np.int64), np.array([norms[i] for i in kept]).view(np.int64))
+    # a row the vector path refuses makes the whole block refuse
+    with pytest.raises(ZeroNormError):
+        states._norm(block)
+    assert states._norm(block[:0]).shape == (0, 1)
+
+
 def test_block_refuses_an_unnormalized_row():
     with pytest.raises(ValueError, match="row 1"):
         FockVector(np.array([[1.0, 0.0], [1.0, 1.0]]))
@@ -384,6 +465,11 @@ def test_block_refuses_an_unnormalized_row():
             FockVector(bad)
     with pytest.raises(ZeroNormError):
         states._finalize(np.array([[1.0, 1.0], [0.0, 0.0]], dtype=np.complex128))
+    # a row that cancels between normal rows is refused too
+    rows = np.array([[1.0, 1.0j, 0.5], [1e-14, 0.0, -1e-14j], [0.0, 3.0, 4.0]], dtype=np.complex128)
+    with pytest.raises(ZeroNormError):
+        states._finalize(rows)
+    assert states._finalize(rows[::2]).amplitudes.shape == (2, 3 + BOUNDARY_PAD)
 
 
 @pytest.mark.filterwarnings("error")
@@ -579,7 +665,7 @@ NAN = math.nan
 NAN_J = complex(0.0, math.nan)
 
 
-@pytest.mark.filterwarnings("error")  # refused up front, before any numpy arithmetic
+@pytest.mark.filterwarnings("error")  # refused up front, before any numpy arithmetic that could warn
 @pytest.mark.parametrize(
     "build,name",
     [

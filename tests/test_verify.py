@@ -10,7 +10,7 @@ from fockgauge.cli import CSV_BLOCK_ROWS as BLOCK_ROWS, csv_blocks, dumps, forma
 from fockgauge.errors import SchemaError
 from fockgauge.gauges import INEQUALITIES
 from fockgauge.verify import sweep_config_from_dict
-from _oracles import csv_text, reference_fig2
+from _oracles import csv_text, reference_fig2, reference_fig3
 
 
 # ------------------------------------------------------------------ sweep
@@ -161,6 +161,16 @@ def test_fig2_is_bit_identical_to_the_per_v_oracle(resolution):
     # row's floor gives; odd sizes keep the grids off round binary steps
     _, table = figure_rows("fig2", resolution)
     want = reference_fig2(resolution)
+    assert table.shape == want.shape
+    assert np.array_equal(table.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("resolution", [16, 17, 256, 512])
+def test_fig3_is_bit_identical_to_the_repeat_and_tile_oracle(resolution):
+    # the product of the axis with itself must hand math.hypot the pairs of
+    # the repeated and tiled columns, in their order
+    _, table = figure_rows("fig3", resolution)
+    want = reference_fig3(resolution)
     assert table.shape == want.shape
     assert np.array_equal(table.view(np.uint64), want.view(np.uint64))
 
