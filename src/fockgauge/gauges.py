@@ -31,7 +31,6 @@ and the figures read the relaxed floors through `lambda_plus_floor` and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -87,8 +86,7 @@ def _record(lhs: float, rhs: float, tolerance: float) -> InequalityRecord:
     return tuple.__new__(InequalityRecord, (lhs, rhs, slack, abs(slack) <= SATURATION_TOL, slack < -tolerance))
 
 
-@dataclass(frozen=True)
-class TightBoundReport:
+class TightBoundReport(NamedTuple):
     """Scanned and closed-form tight floor on Var n for one state."""
 
     bound_scan: float
@@ -98,7 +96,7 @@ class TightBoundReport:
     applicable: bool
 
     def to_dict(self) -> dict:
-        return dict(vars(self))  # the fields, in declaration order
+        return self._asdict()
 
 
 def lambda_plus_floor(amp_sq: float, lambda_plus_sq: float) -> float:
@@ -192,8 +190,7 @@ INEQUALITIES = (
 )
 
 
-@dataclass(frozen=True)
-class GaugeReport:
+class GaugeReport(NamedTuple):
     """Every bound, slack and gauge value for one state.
 
     `records` holds the registry rows that apply to the state, in table
@@ -310,15 +307,13 @@ def tight_bound(summary: MomentSummary, ell: NoiseEllipse) -> TightBoundReport:
 
     Inapplicable (zero-amplitude) states get bound 0 and applicable=False.
     """
+    # tuple.__new__, as in _record: the fields bound_scan, theta_star,
+    # bound_closed, slack and applicable, in that order
     if ell.zero_stick_flag:
-        return TightBoundReport(0.0, 0.0, 0.0, summary.var_n, False)
+        return tuple.__new__(TightBoundReport, (0.0, 0.0, 0.0, summary.var_n, False))
     bound, theta = scan_bound(summary)
-    return TightBoundReport(
-        bound_scan=bound,
-        theta_star=theta,
-        bound_closed=closed_bound(summary, ell),
-        slack=summary.var_n - bound,
-        applicable=True,
+    return tuple.__new__(
+        TightBoundReport, (bound, theta, closed_bound(summary, ell), summary.var_n - bound, True)
     )
 
 
@@ -347,13 +342,17 @@ def full_report(summary: MomentSummary, ell: NoiseEllipse) -> GaugeReport:
         ) / summary.mean_n
     scan, floor = records.get("tight_scan"), records["second_order_floor"]
     squeezing = _record(ell.lambda_minus_sq, 0.5, SQUEEZING_TOL)
-    return GaugeReport(
-        tight=tight,
-        g1=None if scan is None else scan.lhs / scan.rhs,
-        g2=floor.lhs / floor.rhs,
-        g2_alt=g2_alt,
-        g2_amplitude_warning=abs(summary.mean_a) > AMPLITUDE_FLAG_TOL,
-        records=records,
-        squeezing=squeezing,
-        squeezed=squeezing.violated,
+    # tuple.__new__, as in _record: the fields in declaration order
+    return tuple.__new__(
+        GaugeReport,
+        (
+            tight,
+            None if scan is None else scan.lhs / scan.rhs,  # g1
+            floor.lhs / floor.rhs,  # g2
+            g2_alt,
+            abs(summary.mean_a) > AMPLITUDE_FLAG_TOL,  # g2_amplitude_warning
+            records,
+            squeezing,
+            squeezing.violated,  # squeezed
+        ),
     )

@@ -14,8 +14,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, fields
-from typing import Union
+from typing import NamedTuple, Union, get_type_hints
 
 from .errors import NonphysicalMomentError
 from .fock import QuantumState, boundary_mass, normally_ordered_moment
@@ -27,8 +26,7 @@ FLAG_TOL = 1e-12
 MEAN_N_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class MomentSummary:
+class MomentSummary(NamedTuple):
     """All first- and second-order field moments of one state."""
 
     mean_a: complex
@@ -43,27 +41,28 @@ class MomentSummary:
     truncation_warning: bool
 
     def to_dict(self) -> dict:
-        out = {}
-        for column in fields(self):
-            value = getattr(self, column.name)
-            out[column.name] = {"re": value.real, "im": value.imag} if column.type == "complex" else value
-        return out
+        return {
+            name: {"re": value.real, "im": value.imag} if _SUMMARY_TYPES[name] is complex else value
+            for name, value in zip(self._fields, self)
+        }
 
 
+# field name -> declared type, resolved from the annotations, which
+# `from __future__ import annotations` leaves as strings
+_SUMMARY_TYPES = get_type_hints(MomentSummary)
 # the gauges square moments as Python floats
 _READERS = {
-    "complex": functools.partial(complex_number, limit=SQUARE_LIMIT),
-    "float": functools.partial(real, limit=SQUARE_LIMIT),
-    "bool": boolean,
+    complex: functools.partial(complex_number, limit=SQUARE_LIMIT),
+    float: functools.partial(real, limit=SQUARE_LIMIT),
+    bool: boolean,
 }
 
 
 def summary_from_dict(data: dict) -> MomentSummary:
     """Parse a MomentSummary JSON object (all fields required, none extra,
     every number of magnitude at most SQUARE_LIMIT)."""
-    columns = fields(MomentSummary)
-    check_fields(data, "moment summary", [c.name for c in columns])
-    return MomentSummary(**{c.name: _READERS[c.type](data, c.name) for c in columns})
+    check_fields(data, "moment summary", MomentSummary._fields)
+    return MomentSummary._make(_READERS[kind](data, name) for name, kind in _SUMMARY_TYPES.items())
 
 
 def summarize(state: QuantumState) -> Union[MomentSummary, list[MomentSummary]]:
@@ -90,23 +89,25 @@ def _summary(
     mean_a: complex, mean_a2: complex, mean_n: float, mean_a2da2: float, truncated: bool
 ) -> MomentSummary:
     mean_n2 = mean_a2da2 + mean_n
-    # in field order: a frozen dataclass builds faster from positional arguments
-    return MomentSummary(
-        mean_a,
-        mean_a2,
-        mean_n,
-        mean_n2,
-        mean_a2da2,
-        mean_n2 - mean_n**2,  # var_n
-        mean_a2 - mean_a**2,  # var_a
-        mean_n + 0.5 - abs(mean_a) ** 2,  # cov_ada
-        mean_a2da2 + 2.0 * mean_n + 1.0 - abs(mean_a2) ** 2,  # cov_a2
-        truncated,
+    # tuple.__new__ skips the NamedTuple's Python-level __new__; the fields in declaration order
+    return tuple.__new__(
+        MomentSummary,
+        (
+            mean_a,
+            mean_a2,
+            mean_n,
+            mean_n2,
+            mean_a2da2,
+            mean_n2 - mean_n**2,  # var_n
+            mean_a2 - mean_a**2,  # var_a
+            mean_n + 0.5 - abs(mean_a) ** 2,  # cov_ada
+            mean_a2da2 + 2.0 * mean_n + 1.0 - abs(mean_a2) ** 2,  # cov_a2
+            truncated,
+        ),
     )
 
 
-@dataclass(frozen=True)
-class NoiseEllipse:
+class NoiseEllipse(NamedTuple):
     """Extremal quadrature variances and phase-space angles of one state.
 
     Angles are phase-space angles.  A degenerate angle (a circle's major
@@ -138,11 +139,7 @@ def ellipse(summary: MomentSummary) -> NoiseEllipse:
             f"minor quadrature variance {lam_minus!r} is not positive; moments are nonphysical"
         )
     zero_stick = abs(summary.mean_a) < FLAG_TOL
-    return NoiseEllipse(
-        lambda_plus_sq=lam_plus,
-        lambda_minus_sq=lam_minus,
-        major_axis_angle=0.0 if spread < FLAG_TOL else math.atan2(summary.var_a.imag, summary.var_a.real) / 2.0,
-        stick_angle=0.0 if zero_stick else math.atan2(summary.mean_a.imag, summary.mean_a.real),
-        zero_stick_flag=zero_stick,
-    )
+    major = 0.0 if spread < FLAG_TOL else math.atan2(summary.var_a.imag, summary.var_a.real) / 2.0
+    stick = 0.0 if zero_stick else math.atan2(summary.mean_a.imag, summary.mean_a.real)
+    return tuple.__new__(NoiseEllipse, (lam_plus, lam_minus, major, stick, zero_stick))
 

@@ -341,12 +341,19 @@ def random_state(cutoff: int, kind: str, rank: int = 1, seed: Seed = 0) -> Quant
     """Seeded random pure (Haar on the truncated sphere) or mixed (Ginibre) state."""
     check_random_shape(cutoff, rank)
     rng = np.random.default_rng(seed)
-    dim = cutoff + 1
     if kind == "pure":
-        return _finalize(rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
-    if kind == "mixed":
-        return DensityMatrix(rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank)))
-    raise ValueError(f"unknown random state kind {kind!r}")
+        shape = (cutoff + 1,)
+    elif kind == "mixed":
+        shape = (cutoff + 1, rank)
+    else:
+        raise ValueError(f"unknown random state kind {kind!r}")
+    # both parts from one draw, which the generator fills in order: the bits
+    # of a real-part draw followed by an imaginary-part draw
+    draws = rng.standard_normal((2, *shape))
+    amps = np.empty(shape, dtype=np.complex128)
+    amps.real = draws[0]
+    amps.imag = draws[1]
+    return _finalize(amps) if kind == "pure" else DensityMatrix(amps)
 
 
 # ---------------------------------------------------------------------------

@@ -13,9 +13,9 @@ import sys
 import numpy as np
 
 from fockgauge.errors import NonFiniteOutputError, ZeroNormError
-from fockgauge.fock import BOUNDARY_PAD
+from fockgauge.fock import BOUNDARY_PAD, DensityMatrix
 from fockgauge.schema import SQUARE_LIMIT
-from fockgauge.states import _coherent_amps, _raised, _refuse_nan
+from fockgauge.states import _coherent_amps, _finalize, _raised, _refuse_nan
 
 
 def poisson_tail(lam: float, m: int, terms: int = 200) -> float:
@@ -289,6 +289,17 @@ def reference_strong_field(alpha: complex, gamma, eps_tail: float = 1e-14) -> np
     padded = np.zeros(amps.shape[:-1] + (size + BOUNDARY_PAD,), dtype=np.complex128)
     np.divide(amps, norm, out=padded[..., :size])
     return padded
+
+
+# Random states as the package first drew them: the real parts in one
+# standard_normal call, the imaginary parts in a second, joined as a + 1j * b.
+# The package's one-call draw must give the same state bit for bit.
+def reference_random_state(cutoff: int, kind: str, rank: int, seed):
+    """The padded pure state or the density matrix of a two-draw Gaussian factor."""
+    rng = np.random.default_rng(seed)
+    shape = (cutoff + 1,) if kind == "pure" else (cutoff + 1, rank)
+    factor = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return _finalize(factor) if kind == "pure" else DensityMatrix(factor)
 
 
 # The JSON writer as the package first wrote it: one recursive pass that

@@ -14,7 +14,7 @@ from fockgauge.cli import NUMBER_FORMAT, dumps, run
 from fockgauge.errors import NonFiniteOutputError
 from fockgauge.fock import BOUNDARY_PAD
 from fockgauge.gauges import INEQUALITIES, SQUEEZING_TOL
-from fockgauge.states import _FIELDS, _KINDS, state_from_spec
+from fockgauge.states import _FIELDS, _KINDS, MAX_RANDOM_CUTOFF, state_from_spec
 from fockgauge.verify import FIGURE_NAMES, MIN_RESOLUTION
 from _oracles import reference_dumps, strong_field_norm_inverse
 
@@ -856,9 +856,10 @@ def test_cli_exits_cleanly_with_strict_json(argv):
         _strict(out.getvalue())
 
 
-# Figures at small resolutions, and strong-field specs with |gamma| up to 1e308
-# over the benchmark's |alpha| range, always succeed: exit 0 with the figure's
-# documented line count or strict JSON, and no warning of any kind.
+# Figures at small resolutions, strong-field specs with |gamma| up to 1e308
+# over the benchmark's |alpha| range, and random states at any in-range cutoff
+# and rank always succeed: exit 0 with the figure's documented line count or
+# strict JSON, and no warning of any kind.
 FIGURE_LINES = {"fig2": lambda n: n * n + 1, "fig3": lambda n: n * n + 1, "fig4": lambda n: 3 * n + 1}
 assert set(FIGURE_LINES) == set(FIGURE_NAMES)
 POLAR = st.tuples(st.floats(0.0, 1.0), st.floats(-math.pi, math.pi))
@@ -878,9 +879,17 @@ STRONG_FIELDS = st.builds(
     POLAR,
     st.integers(-300, 308) | st.integers(140, 160) | st.just(308),
 )
+# an integer seed, or a sweep's [S, i]
+SEEDS = st.integers(0, 2**64) | st.lists(st.integers(0, 2**32), min_size=2, max_size=2)
+RANDOM_STATES = st.integers(0, MAX_RANDOM_CUTOFF).flatmap(
+    lambda cutoff: st.fixed_dictionaries({"kind": st.just("random_pure"), "cutoff": st.just(cutoff), "seed": SEEDS})
+    | st.fixed_dictionaries(
+        {"kind": st.just("random_mixed"), "cutoff": st.just(cutoff), "rank": st.integers(1, cutoff + 1), "seed": SEEDS}
+    )
+)
 SUCCEEDING = st.one_of(
     st.tuples(st.just("figure"), st.sampled_from(FIGURE_NAMES), st.integers(MIN_RESOLUTION, 48)),
-    st.tuples(st.sampled_from(["gauge", "state", "moments"]), st.just("--spec"), STRONG_FIELDS),
+    st.tuples(st.sampled_from(["gauge", "state", "moments"]), st.just("--spec"), STRONG_FIELDS | RANDOM_STATES),
 )
 
 
@@ -890,6 +899,9 @@ SUCCEEDING = st.one_of(
 @example(("figure", "fig4", 48))
 @example(("state", "--spec", {"kind": "approx_strong_field", "alpha": {"re": 5.0, "im": 0.0},
                               "gamma": {"re": 1e308, "im": -1e308}}))
+@example(("gauge", "--spec", {"kind": "random_mixed", "cutoff": MAX_RANDOM_CUTOFF, "rank": MAX_RANDOM_CUTOFF + 1,
+                              "seed": [2**32, 0]}))
+@example(("moments", "--spec", {"kind": "random_pure", "cutoff": 0, "seed": 0}))
 def test_figures_and_strong_fields_exit_zero(argv):
     command, first, second = argv
     if command == "figure":

@@ -16,9 +16,10 @@ from fockgauge import (
     tight_bound,
 )
 from fockgauge.gauges import (
-    C_LAMBDA_PLUS, C_TIGHT, C_TRACE, INEQUALITIES, SATURATION_TOL, SQUEEZING_TOL, InequalityRecord, _record,
-    scan_bound,
+    AMPLITUDE_FLAG_TOL, C_LAMBDA_PLUS, C_TIGHT, C_TRACE, INEQUALITIES, SATURATION_TOL, SQUEEZING_TOL,
+    InequalityRecord, _record, closed_bound, scan_bound,
 )
+from fockgauge.moments import FLAG_TOL
 from _oracles import reference_scan
 
 
@@ -263,6 +264,41 @@ def test_record_holds_the_fields_in_declaration_order(lhs, rhs, tolerance):
     slack = lhs - rhs
     built = InequalityRecord(lhs, rhs, slack, abs(slack) <= SATURATION_TOL, slack < -tolerance)
     assert _bits(_record(lhs, rhs, tolerance)) == _bits(built)
+
+
+@pytest.mark.parametrize("state", [coherent(0.9 - 0.6j), number_state(1)], ids=["coherent", "zero-amplitude"])
+def test_records_hold_each_field_under_its_name(state):
+    # the package builds the four records with tuple.__new__, which takes the
+    # fields by position; each field, read by name, must relate to the others
+    # as the formula that made it says
+    s = summarize(state)
+    e = ellipse(s)
+    report = full_report(s, e)
+    tight, floor, scan = report.tight, report.records["second_order_floor"], report.records.get("tight_scan")
+    assert s.mean_n2 == s.mean_a2da2 + s.mean_n
+    assert s.var_n == s.mean_n2 - s.mean_n**2
+    assert s.var_a == s.mean_a2 - s.mean_a**2
+    assert s.cov_ada == s.mean_n + 0.5 - abs(s.mean_a) ** 2
+    assert s.cov_a2 == s.mean_a2da2 + 2.0 * s.mean_n + 1.0 - abs(s.mean_a2) ** 2
+    assert s.truncation_warning is False
+    assert e.lambda_plus_sq == s.cov_ada + abs(s.var_a)
+    assert e.lambda_minus_sq == s.cov_ada - abs(s.var_a)
+    assert e.zero_stick_flag is (abs(s.mean_a) < FLAG_TOL)
+    assert e.stick_angle == (0.0 if e.zero_stick_flag else math.atan2(s.mean_a.imag, s.mean_a.real))
+    assert e.major_axis_angle == (0.0 if abs(s.var_a) < FLAG_TOL else math.atan2(s.var_a.imag, s.var_a.real) / 2.0)
+    assert tight.applicable == (not e.zero_stick_flag)
+    assert tight.slack == s.var_n - tight.bound_scan
+    assert (tight.bound_scan, tight.theta_star) == (scan_bound(s) if tight.applicable else (0.0, 0.0))
+    assert tight.bound_closed == (closed_bound(s, e) if tight.applicable else 0.0)
+    assert report.g1 == (scan.lhs / scan.rhs if tight.applicable else None)
+    assert report.g2 == floor.lhs / floor.rhs
+    assert report.g2_alt == (s.var_n + 4.0 * (e.lambda_plus_sq - 0.5) * (e.lambda_minus_sq + 0.5)) / s.mean_n
+    assert report.g2_amplitude_warning is (abs(s.mean_a) > AMPLITUDE_FLAG_TOL)
+    assert report.squeezing == _record(e.lambda_minus_sq, 0.5, SQUEEZING_TOL)
+    assert report.squeezed is report.squeezing.violated
+    assert list(report.records) == [row.name for row in INEQUALITIES if tight.applicable or not row.needs_amplitude]
+    for record in (s, e, tight, report):
+        assert type(record)(**record._asdict()) == record
 
 
 def test_constants_are_the_calibrated_values():

@@ -1,4 +1,3 @@
-import dataclasses
 import functools
 import math
 
@@ -78,7 +77,7 @@ def test_matrix_verification_mode():
 
 def _summary_bits(summary):
     out = []
-    for value in dataclasses.astuple(summary):
+    for value in tuple(summary):
         if isinstance(value, complex):
             out += [type(value), value.real.hex(), value.imag.hex()]
         else:

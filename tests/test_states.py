@@ -31,6 +31,7 @@ from _oracles import (
     fidelity,
     laguerre_series,
     reference_laguerre_amps,
+    reference_random_state,
     reference_strong_field,
     square_annihilate_residual,
     strong_field_norm_inverse,
@@ -544,6 +545,19 @@ def test_random_mixed_is_physical():
     evals = np.linalg.eigvalsh(rho.entries)
     assert evals[0] >= -1e-12
     assert np.trace(rho.entries).real == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("kind", ["pure", "mixed"])
+@pytest.mark.parametrize("cutoff", [0, 32, 256])
+def test_random_state_is_bit_identical_to_the_two_draw_oracle(cutoff, kind):
+    for i in range(40):
+        rank = 1 + (37 * i) % (cutoff + 1) if kind == "mixed" else 1
+        got = random_state(cutoff, kind, rank=rank, seed=[5, i])
+        want = reference_random_state(cutoff, kind, rank, [5, i])
+        if kind == "pure":
+            assert got.amplitudes.tobytes() == want.amplitudes.tobytes(), i
+        else:
+            assert got.entries.tobytes() == want.entries.tobytes(), i
 
 
 def test_random_bounds():
