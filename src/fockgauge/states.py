@@ -338,7 +338,11 @@ def check_random_shape(cutoff: int, rank: int) -> None:
 
 
 def random_state(cutoff: int, kind: str, rank: int = 1, seed: Seed = 0) -> QuantumState:
-    """Seeded random pure (Haar on the truncated sphere) or mixed (Ginibre) state."""
+    """Seeded random pure (Haar on the truncated sphere) or mixed (Ginibre) state.
+
+    `seed` is anything `numpy.random.default_rng` takes: an integer, a list
+    such as a sweep's `[S, i]`, or the sweep's own `seeds.SweepSeed`.
+    """
     check_random_shape(cutoff, rank)
     rng = np.random.default_rng(seed)
     if kind == "pure":

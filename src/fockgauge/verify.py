@@ -5,7 +5,8 @@ are pushed through the full moment/ellipse/gauge pipeline and every inequality
 is tallied for violations.  A passing sweep means zero violations at the
 tolerances of the registry `gauges.INEQUALITIES`.  Runs are deterministic:
 per-state seeds derive from (seed, index), and serialized reports are
-byte-stable.
+byte-stable.  State i draws the stream of `default_rng([seed, i])`, so
+`{"seed": [seed, i]}` replays it alone.
 """
 
 from __future__ import annotations
@@ -30,6 +31,8 @@ CALIBRATION_ANCHORS = (0.5 + 0.0j, 1.0 + 0.0j, 2.0 + 0.0j, 1.0 + 2.0j)
 
 FIGURE_NAMES = ("fig2", "fig3", "fig4")
 MIN_RESOLUTION, MAX_RESOLUTION = 16, 2048
+# states per sweep: every index fits the one 32-bit entropy word that `seeds` assumes
+MAX_SWEEP_STATES = 2**32
 
 
 @dataclass(frozen=True)
@@ -43,6 +46,8 @@ class SweepConfig:
     def __post_init__(self) -> None:
         if self.n_pure < 0 or self.n_mixed < 0:
             raise ValueError("state counts must be non-negative")
+        if self.n_pure + self.n_mixed > MAX_SWEEP_STATES:
+            raise ValueError(f'fields "n_pure" + "n_mixed" must sum to at most 2**32 = {MAX_SWEEP_STATES} states')
         check_random_shape(self.cutoff, self.rank)
 
 
@@ -103,12 +108,15 @@ class SweepReport:
 
 
 def _sweep_states(config: SweepConfig):
-    for i in range(config.n_pure):
-        yield i, random_state(config.cutoff, "pure", seed=[config.seed, i])
-    for j in range(config.n_mixed):
-        index = config.n_pure + j
+    from .seeds import sweep_seeds  # loads numpy.random, which importing the package does not
+
+    # zip reads the range first, so a finished range leaves the next seed unread
+    seeds = sweep_seeds(config.seed, config.n_pure + config.n_mixed)
+    for i, seed in zip(range(config.n_pure), seeds):
+        yield i, random_state(config.cutoff, "pure", seed=seed)
+    for j, seed in zip(range(config.n_mixed), seeds):
         rank = 1 + (j % config.rank)
-        yield index, random_state(config.cutoff, "mixed", rank=rank, seed=[config.seed, index])
+        yield config.n_pure + j, random_state(config.cutoff, "mixed", rank=rank, seed=seed)
 
 
 def sweep(config: SweepConfig) -> SweepReport:

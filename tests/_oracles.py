@@ -15,7 +15,7 @@ import numpy as np
 from fockgauge.errors import NonFiniteOutputError, ZeroNormError
 from fockgauge.fock import BOUNDARY_PAD, DensityMatrix
 from fockgauge.schema import SQUARE_LIMIT
-from fockgauge.states import _coherent_amps, _finalize, _raised, _refuse_nan
+from fockgauge.states import _coherent_amps, _finalize, _raised, _refuse_nan, random_state
 
 
 def poisson_tail(lam: float, m: int, terms: int = 200) -> float:
@@ -300,6 +300,18 @@ def reference_random_state(cutoff: int, kind: str, rank: int, seed):
     shape = (cutoff + 1,) if kind == "pure" else (cutoff + 1, rank)
     factor = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     return _finalize(factor) if kind == "pure" else DensityMatrix(factor)
+
+
+# Sweep states as the package first seeded them: one `default_rng([S, i])` per
+# index, through numpy's own SeedSequence.  A sweep over the package's chunked
+# seeds must print the same bytes.
+def reference_sweep_states(config):
+    """(index, state) pairs of a sweep, each state seeded with the list [seed, index]."""
+    for i in range(config.n_pure):
+        yield i, random_state(config.cutoff, "pure", seed=[config.seed, i])
+    for j in range(config.n_mixed):
+        index = config.n_pure + j
+        yield index, random_state(config.cutoff, "mixed", rank=1 + (j % config.rank), seed=[config.seed, index])
 
 
 # The JSON writer as the package first wrote it: one recursive pass that

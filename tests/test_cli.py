@@ -735,10 +735,10 @@ def test_number_formatting():
 
 
 # ---------------------------------------------------------------- fuzzing
-# Whatever the input, `run` returns 0, 1 or 2 (or the code an example pins as a fourth
-# element), lets no exception escape and prints nothing or strict JSON.  Specs, moment
-# tables and sweep configs carry NaN, infinities, huge, negative and mistyped values;
-# only `cutoff` and state counts stay small, for speed.
+# Whatever the input, `run` returns 0, 1 or 2 (or the code that an example or a strategy
+# pins as a fourth element), lets no exception escape and prints nothing or strict JSON.
+# Specs, moment tables and sweep configs carry NaN, infinities, huge, negative and
+# mistyped values; only state counts stay small, for speed, unless they are refused.
 
 NUMBERS = st.one_of(
     st.floats(),  # NaN and both infinities included
@@ -805,14 +805,21 @@ def moment_tables(draw):
     return table
 
 
+# any cutoff from just below to just above the random-state range; seeds of up to 42 words
 SWEEPS = st.fixed_dictionaries(
-    {"n_pure": st.integers(0, 3), "n_mixed": st.integers(0, 3), "cutoff": st.integers(0, 12)},
+    {"n_pure": st.integers(0, 3), "n_mixed": st.integers(0, 3), "cutoff": st.integers(-1, MAX_RANDOM_CUTOFF + 1)},
     optional={"rank": st.one_of(INTEGERS, WRONG), "seed": st.one_of(INTEGERS, WRONG)},
+)
+# more states than a sweep may hold, in either count: always a schema error
+REFUSED_SWEEPS = st.builds(
+    lambda config, field, count: {**config, field: count},
+    SWEEPS, st.sampled_from(["n_pure", "n_mixed"]), st.sampled_from([2**32 + 1, 10**400]),
 )
 ARGV = st.one_of(
     st.tuples(st.sampled_from(["gauge", "state", "moments"]), st.just("--spec"), state_specs()),
     st.tuples(st.just("gauge"), st.just("--moments"), moment_tables()),
     st.tuples(st.just("sweep"), st.just("--config"), SWEEPS),
+    st.tuples(st.just("sweep"), st.just("--config"), REFUSED_SWEEPS, st.just(2)),
     st.tuples(st.sampled_from(["gauge", "sweep"]), st.sampled_from(["--spec", "--moments", "--config"]),
               st.one_of(NUMBERS, WRONG)),
 )
@@ -846,6 +853,10 @@ ARGV = st.one_of(
 @example(("gauge", "--moments", ANGLE_UNDERFLOW_B))
 # the scanned bound overflows on the angle grid
 @example(("gauge", "--moments", BOUND_OVERFLOW, 1))
+# a 42-word seed at the largest cutoff and rank, and a count no sweep may hold
+@example(("sweep", "--config", {"n_pure": 3, "n_mixed": 3, "cutoff": MAX_RANDOM_CUTOFF,
+                                "rank": MAX_RANDOM_CUTOFF + 1, "seed": 10**400}, 0))
+@example(("sweep", "--config", {"n_pure": 10**400, "n_mixed": 0, "cutoff": 4}, 2))
 def test_cli_exits_cleanly_with_strict_json(argv):
     command, flag, payload, *pinned = argv
     out, err = io.StringIO(), io.StringIO()

@@ -70,10 +70,13 @@ def test_sweep_skips_truncation_suspect_states(monkeypatch):
     amps = coherent(2.0).amplitudes[:6]
     clipped = FockVector(amps / np.linalg.norm(amps))
     original = verify_mod.random_state
+    calls = 0
 
     def patched(cutoff, kind, rank=1, seed=0):
-        index = seed[1] if isinstance(seed, list) else 0
-        if index == 0:
+        # the sweep builds its states in index order, so the first call is state 0
+        nonlocal calls
+        calls += 1
+        if calls == 1:
             return clipped
         return original(cutoff, kind, rank=rank, seed=seed)
 
@@ -107,6 +110,16 @@ def test_sweep_config_validation():
         with pytest.raises(SchemaError, match="rank"):
             sweep_config_from_dict({"n_pure": 0, "n_mixed": 5, "cutoff": 2, "rank": rank})
     assert SweepConfig(n_pure=0, n_mixed=5, cutoff=2, rank=3).rank == 3
+
+
+def test_sweep_config_refuses_more_states_than_seeds_hold():
+    # every index of a sweep fits one 32-bit seeding word; no state is built here
+    assert SweepConfig(n_pure=2**32, n_mixed=0, cutoff=4).n_pure == 2**32
+    for n_pure, n_mixed in ((2**32, 1), (0, 2**32 + 1), (10**30, 0)):
+        with pytest.raises(ValueError, match='"n_pure" \\+ "n_mixed"'):
+            SweepConfig(n_pure=n_pure, n_mixed=n_mixed, cutoff=4)
+        with pytest.raises(SchemaError, match='"n_pure" \\+ "n_mixed"'):
+            sweep_config_from_dict({"n_pure": n_pure, "n_mixed": n_mixed, "cutoff": 4})
 
 
 # ------------------------------------------------------------------ calibrate
