@@ -15,6 +15,7 @@ import functools
 import json
 import math
 import sys
+from json.encoder import encode_basestring_ascii
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -32,13 +33,12 @@ from .verify import (
 NUMBER_FORMAT = "%.17g"  # 17 significant digits, so every float reads back exactly; the one number format
 
 
-def _walk(obj, pieces: list, floats: list, pad: str) -> None:
-    # a NUMBER_FORMAT slot in `pieces` for each float in `floats`, and "%" doubled elsewhere
+def _walk(obj, pieces: list, pad: str) -> None:
     if isinstance(obj, float):
         if not math.isfinite(obj):
             raise NonFiniteOutputError(obj)
-        pieces.append(NUMBER_FORMAT)
-        floats.append(obj)
+        # through float(), so that a float subclass prints the value its __float__ gives
+        pieces.append(NUMBER_FORMAT % float(obj))
     elif isinstance(obj, (dict, list, tuple)):
         is_dict = isinstance(obj, dict)
         if not obj:
@@ -48,8 +48,8 @@ def _walk(obj, pieces: list, floats: list, pad: str) -> None:
         inner = pad + "  "
         try:
             for key, value in obj.items() if is_dict else enumerate(obj):
-                pieces.append(f'{inner}"{key}": '.replace("%", "%%") if is_dict else inner)
-                _walk(value, pieces, floats, inner)
+                pieces.append(f"{inner}{encode_basestring_ascii(str(key))}: " if is_dict else inner)
+                _walk(value, pieces, inner)
                 pieces.append(",\n")
         except NonFiniteOutputError as exc:
             exc.path.insert(0, key)  # built on the way out: free when nothing fails
@@ -61,23 +61,22 @@ def _walk(obj, pieces: list, floats: list, pad: str) -> None:
     elif obj is None:
         pieces.append("null")
     elif isinstance(obj, int):
-        pieces.append(str(obj).replace("%", "%%"))
+        pieces.append(str(obj))
     elif isinstance(obj, str):
-        pieces.append(json.dumps(obj).replace("%", "%%"))
+        pieces.append(encode_basestring_ascii(obj))
     else:
         raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
 def dumps(obj) -> str:
-    """Deterministic strict JSON with 17-significant-digit floats, all printed by one format call.
+    """Deterministic strict JSON with 17-significant-digit floats, written in one pass.
 
+    Keys and strings are JSON strings, escaped as `json.dumps` escapes a str.
     Raises NonFiniteOutputError, naming the key path, on a NaN or infinity.
     """
     pieces: list = []
-    floats: list = []
-    _walk(obj, pieces, floats, "")
-    # through float(), so that a float subclass prints the value its __float__ gives
-    return "".join(pieces) % tuple(map(float, floats))
+    _walk(obj, pieces, "")
+    return "".join(pieces)
 
 
 # "%.17g" text of any float64 fits in CSV_FIELD_WIDTH bytes ("-1.7976931348623157e+308")

@@ -48,6 +48,8 @@ class SweepConfig:
             raise ValueError("state counts must be non-negative")
         if self.n_pure + self.n_mixed > MAX_SWEEP_STATES:
             raise ValueError(f'fields "n_pure" + "n_mixed" must sum to at most 2**32 = {MAX_SWEEP_STATES} states')
+        if self.seed < 0:
+            raise ValueError(f'field "seed" must be non-negative, got {self.seed}')
         check_random_shape(self.cutoff, self.rank)
 
 

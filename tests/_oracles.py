@@ -315,8 +315,9 @@ def reference_sweep_states(config):
 
 
 # The JSON writer as the package first wrote it: one recursive pass that
-# formats each float as it meets it.  The package's `cli.dumps` must give the
-# same text, and raise the same errors with the same messages.
+# formats each float as it meets it, with keys written as JSON strings.  The
+# package's `cli.dumps` must give the same text, and raise the same errors
+# with the same messages.
 def _reference_dump(obj, pieces: list, indent: int) -> None:
     pad = "  " * indent
     if isinstance(obj, (dict, list, tuple)):
@@ -327,7 +328,7 @@ def _reference_dump(obj, pieces: list, indent: int) -> None:
         pieces.append("{\n" if is_dict else "[\n")
         last = len(obj) - 1
         for i, (key, value) in enumerate(obj.items() if is_dict else enumerate(obj)):
-            pieces.append(f'{pad}  "{key}": ' if is_dict else pad + "  ")
+            pieces.append(f"{pad}  {json.dumps(str(key))}: " if is_dict else pad + "  ")
             try:
                 _reference_dump(value, pieces, indent + 1)
             except NonFiniteOutputError as exc:

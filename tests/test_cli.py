@@ -3,6 +3,7 @@ import io
 import json
 import math
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -439,12 +440,18 @@ def test_dumps_refuses_non_finite_values():
 
 
 # Payloads for the writer: every JSON type the package prints, at any depth, with
-# the float edges of "%.17g", and keys and strings that carry "%", quotes or non-ASCII.
+# the float edges of "%.17g", and keys and strings that carry "%", quotes,
+# backslashes, control characters or non-ASCII.
 EDGE_FLOATS = st.sampled_from(
     [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e16, 1 / 3, 1.7976931348623157e308, -1.7976931348623157e308]
 )
 FLOATS = st.one_of(EDGE_FLOATS, st.floats(allow_nan=False, allow_infinity=False))
-TEXTS = st.one_of(st.text(max_size=6), st.sampled_from(["%", "%%", "%s", "%.17g", "100%", '"', '"%"', "é", "ü%"]))
+TEXTS = st.one_of(
+    st.text(max_size=6),
+    st.sampled_from(
+        ["%", "%%", "%s", "%.17g", "100%", '"', '"%"', "é", "ü%", "a\\b", "\t", "\x00\n\x1f", "\u2028", "\U0001f600"]
+    ),
+)
 LEAVES = st.one_of(FLOATS, FLOATS.map(np.float64), st.integers(), st.booleans(), st.none(), TEXTS)
 
 
@@ -493,6 +500,20 @@ def test_dumps_refuses_what_the_reference_writer_refuses(payload):
     assert _outcome(dumps, payload) == _outcome(reference_dumps, payload)
 
 
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(
+    st.recursive(
+        st.one_of(TEXTS, FLOATS, st.integers(), st.booleans(), st.none()),
+        lambda inner: st.one_of(st.lists(inner, max_size=4), st.dictionaries(TEXTS, inner, max_size=4)),
+        max_leaves=24,
+    )
+)
+@example({'a"b': 1.0, "a\\b": "\t", "\u00e9": ["\x00", "\u00fc"], "\x1f\n": {"\U0001f600": None}})
+def test_dumps_round_trips_through_the_json_decoder(payload):
+    # keys come back as the same str, and every string as itself
+    assert json.loads(dumps(payload)) == payload
+
+
 def test_non_finite_output_exits_1_with_empty_stdout(monkeypatch, capsys):
     class Report:
         def to_dict(self):
@@ -538,128 +559,20 @@ def test_figure_out_file_bytes_equal_stdout_bytes(tmp_path, capsys, which, resol
     assert stdout.count(b"\n") == 1 + (3 * resolution if which == "fig4" else resolution**2)
 
 
-# sha256 of each figure's stdout, pinned so that no speed-up can change a
-# byte; at resolution 256 fig3 checks math.hypot bit for bit (np.hypot differs
-# in the last bit at some grid points) and both CSV column paths run at scale
-FIGURE_PINS = [
-    ("fig2", 64, "3d6d9ce4a4bbcdc10fa0fa87ab6a702d15f05467b217b21ab0290d36b17f9997"),
-    ("fig3", 64, "79c98259f0271099c7ace8a9c7c0f8c3de626217a501992083524af2d6e93566"),
-    ("fig4", 64, "420f1aca12f01f5f376af389b12ee122636bb99eeb181a8f51971a7dca3e1dbd"),
-    ("fig2", 256, "a0bae21484520b62d4bc6f608010ec3ba80b427ffdebc8564d5419617ea6b818"),
-    ("fig3", 256, "c2602eb6c921acc10f5858cd0b1cf2412343e9c7940976c42c6ff320c4ede136"),
-]
+# The sha256 of stdout of every pinned command, so that no speed-up can change a
+# byte, lives in pins.json: its "tier1" rows run here, its "ci" rows (sweeps too
+# large for this suite) in CI.  The rows cover each figure (fig3 at 256 checks
+# math.hypot bit for bit, and both CSV column paths run at scale), a small pure
+# + mixed sweep, `gauge` on each spec kind and one moment table, `state
+# --dump-amplitudes` on each spec kind but approx_strong_field (its amplitudes
+# are held to the analytic oracle above), `calibrate` and `moments`.
+PINS = json.loads((Path(__file__).parent / "pins.json").read_text())
 
 
-@pytest.mark.parametrize(
-    "which,resolution,digest", FIGURE_PINS, ids=[f"{w}-{d}" for w, _, d in FIGURE_PINS]
-)
-def test_figure_bytes_are_pinned(capsys, which, resolution, digest):
-    assert run(["figure", "--which", which, "--resolution", str(resolution)]) == 0
-    assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == digest
-
-
-# sha256 of a small pure + mixed sweep's stdout, pinned for the same reason
-def test_sweep_bytes_are_pinned(capsys):
-    config = '{"n_pure":50,"n_mixed":50,"cutoff":16,"rank":4,"seed":3}'
-    assert run(["sweep", "--config", config]) == 0
-    digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
-    assert digest == "1a3d6bfc141f1fa45d4c676c728e14f30fd1da5a3807d72bd2ba667cc2228570"
-
-
-# sha256 of `gauge` stdout for one request of each spec kind and one moment table,
-# pinned for the same reason
-GAUGE_TABLE = (
-    '{"mean_a":{"re":0.5,"im":0.25},"mean_a2":{"re":0.3,"im":-0.1},"mean_n":0.6,'
-    '"mean_n2":1.1,"mean_a2da2":0.5,"var_n":0.74,"var_a":{"re":0.1125,"im":-0.35},'
-    '"cov_ada":0.7875,"cov_a2":2.6,"truncation_warning":false}'
-)
-
-
-@pytest.mark.parametrize(
-    "argv,digest",
-    [
-        (["--spec", '{"kind":"coherent","alpha":{"re":1.3,"im":-0.4}}'],
-         "c33f4f007df3aec3fb363ae865ce5fd2133abcb772fe40fd81e9ddc8d10ff7c6"),
-        (["--spec", '{"kind":"cat","alpha":{"re":1.1,"im":0.2},"beta":0.7}'],
-         "ae90e31e7b98e4d78f7315b76d88f289f7bda7fd1bd04aa29005033baeaecaa2"),
-        (["--spec", '{"kind":"squeezed_coherent","alpha":{"re":0.7,"im":0.3},"r":0.9,"phi_s":0.4}'],
-         "26b56577e5ebd6c6a43d656dc80537cf131859c32f44761b9799abdad3ca9576"),
-        (["--spec", '{"kind":"crescent","alpha":{"re":1.2,"im":0.5},"M":3,"method":"operator"}'],
-         "0d5ed8dac0b015896591c538f12baa891c0bd637fc38eb555393caaf19f5d82b"),
-        (["--spec", '{"kind":"crescent","alpha":{"re":1.2,"im":0.5},"M":3,"method":"laguerre"}'],
-         "f95ae928848a52f2ac6fb7769ec02c41c72c0175d12dec079d721c9c2525773e"),
-        (["--spec", '{"kind":"photon_added","alpha":{"re":0.8,"im":-0.6},"M":2}'],
-         "a4970c143a2f3b6395c8c3bf505bbaf12c87d5fa6e2e4c447a394530284ad3f0"),
-        (["--spec", '{"kind":"approx_strong_field","alpha":{"re":2,"im":1},"gamma":{"re":0.3,"im":-0.2}}'],
-         "a8af743ab245af9d2cd1002312dfd0107c718d45636788cfdab08b01e695d559"),
-        (["--spec", '{"kind":"random_pure","cutoff":32,"seed":[5,17]}'],
-         "36516d5ed829523a701a1fa370dfaf36fc409d8f4d24a8f0e6f7f0afc6cac398"),
-        (["--moments", GAUGE_TABLE],
-         "d88310b19a1665526707c59cb751e73244b82a1ceb7016bef9ce554fd830953d"),
-    ],
-)
-def test_gauge_bytes_are_pinned(capsys, argv, digest):
-    assert run(["gauge", *argv]) == 0
-    assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == digest
-
-
-# sha256 of the `gauge` reply and the `state --dump-amplitudes` diagonal of one
-# mixed state, which the density matrix of its Ginibre factor must keep
-MIXED_SPEC = '{"kind":"random_mixed","cutoff":16,"rank":4,"seed":[3,7]}'
-
-
-@pytest.mark.parametrize(
-    "argv,digest",
-    [
-        (["gauge", "--spec", MIXED_SPEC],
-         "53e3f425859e4c8251b8c04675c39f7da9666539b23df2fe267456f8bafb28fa"),
-        (["state", "--spec", MIXED_SPEC, "--dump-amplitudes"],
-         "ee0626c9e368ce169ad1dfb704d40407e1a47cdfdc4b09ee30399aa1881bb3a8"),
-    ],
-    ids=["gauge", "state"],
-)
-def test_mixed_state_bytes_are_pinned(capsys, argv, digest):
-    assert run(argv) == 0
-    assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == digest
-
-
-# sha256 of `calibrate` stdout and of `state --dump-amplitudes` stdout for one
-# spec of each kind but approx_strong_field (its amplitudes are held to the
-# analytic oracle above), pinned for the same reason
-STATE_PINS = [
-    ('{"kind":"coherent","alpha":{"re":0.9,"im":-0.7}}',
-     "7489b53478052fa587c7eb4a89837f10be467fc8c98af5d8ea48c84c3bf01222"),
-    ('{"kind":"fock","n":3}',
-     "9cf957f7a56c4dfa693b51b3e2e73665aa6b9114a157bf77838920d4d16cb401"),
-    ('{"kind":"squeezed_coherent","alpha":{"re":0.4,"im":0.6},"r":0.7,"phi_s":-0.3}',
-     "7b8b59663208f2d593d8b2ff31f2ec4efd52acb3da61166b5c4fb3545933da73"),
-    ('{"kind":"crescent","alpha":{"re":1.1,"im":0.4},"M":2,"method":"operator"}',
-     "d382b1f559e05a0bb207f047c66072dd603ad14f1586e0a0cc1f1ae86f82493d"),
-    ('{"kind":"crescent","alpha":{"re":1.1,"im":0.4},"M":2,"method":"laguerre"}',
-     "fca756c637f147a6753dc571833f8008b8b187b0c256eb9fa3ed3f7cbff462cd"),
-    ('{"kind":"photon_added","alpha":{"re":-0.5,"im":0.9},"M":3}',
-     "803d2b50bd8f4c1ae950480756de491e2594133ed0a974d2e9ba60475d6bf0e9"),
-    ('{"kind":"cat","alpha":{"re":1.4,"im":0.1},"beta":3.141592653589793}',
-     "2772a6e2a09314110cc8f4cf626a8d50eaa31c7e90c8775f2fc9aae605fd663f"),
-    ('{"kind":"random_pure","cutoff":12,"seed":[2,5]}',
-     "4ceb87d57433d91880e5fc9722c5ebe20420e1122befc0f653f724ec73880282"),
-    ('{"kind":"random_mixed","cutoff":10,"rank":3,"seed":[4,9]}',
-     "e157e17b99dd92a573c87c8b10e96972e2743833cec2e4a2d27cf82f13f5178a"),
-]
-
-
-@pytest.mark.parametrize(
-    "spec,digest", STATE_PINS, ids=[f"{json.loads(s)['kind']}-{i}" for i, (s, _) in enumerate(STATE_PINS)]
-)
-def test_state_bytes_are_pinned(capsys, spec, digest):
-    assert run(["state", "--spec", spec, "--dump-amplitudes"]) == 0
-    assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == digest
-
-
-def test_calibrate_bytes_are_pinned(capsys):
-    assert run(["calibrate"]) == 0
-    digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
-    assert digest == "e3bdd63359e5b2f13d83f5a03dbed69e14d44fbc504bceca12dacf7067a353ee"
+@pytest.mark.parametrize("pin", PINS["tier1"], ids=[pin["name"] for pin in PINS["tier1"]])
+def test_cli_output_matches_its_pin(capsys, pin):
+    assert run(pin["argv"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == pin["sha256"]
 
 
 def test_inequality_records_are_read_only():

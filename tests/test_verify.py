@@ -122,6 +122,14 @@ def test_sweep_config_refuses_more_states_than_seeds_hold():
             sweep_config_from_dict({"n_pure": n_pure, "n_mixed": n_mixed, "cutoff": 4})
 
 
+def test_sweep_config_refuses_a_negative_seed_before_any_state():
+    # refused whether or not the sweep would build a state
+    for n_pure in (2, 0):
+        with pytest.raises(ValueError, match='"seed"'):
+            SweepConfig(n_pure=n_pure, n_mixed=0, cutoff=4, seed=-1)
+    assert SweepConfig(n_pure=0, n_mixed=0, cutoff=4, seed=0).seed == 0
+
+
 # ------------------------------------------------------------------ calibrate
 
 def test_calibration_constants():
