@@ -84,12 +84,23 @@ CSV_FIELD_WIDTH = 24
 # rows rendered at a time, so that a CSV's working memory does not grow with the table
 CSV_BLOCK_ROWS = 1 << 15
 _PADDED_FIELD = NUMBER_FORMAT.replace("%", f"%-{CSV_FIELD_WIDTH}")
+_PAD = ord(" ")
 
 
-def _field_bytes(values: np.ndarray) -> np.ndarray:
-    """The "%.17g" texts of `values`, left-justified, as a uint8 matrix of CSV_FIELD_WIDTH columns."""
-    text = _PADDED_FIELD * len(values) % tuple(values.tolist())
-    return np.frombuffer(text.encode("ascii"), dtype=np.uint8).reshape(-1, CSV_FIELD_WIDTH)
+def _records(values: np.ndarray, separator: str, trim: bool) -> np.ndarray:
+    """One fixed-width record per value: its "%.17g" text, left-justified with
+    spaces, then `separator`, as a 1-d array of void items.
+
+    The text is padded to CSV_FIELD_WIDTH bytes, or with `trim` only to the
+    widest text among `values`.
+    """
+    text = (_PADDED_FIELD + separator) * len(values) % tuple(values.tolist())
+    records = np.frombuffer(text.encode("ascii"), dtype=np.uint8).reshape(-1, CSV_FIELD_WIDTH + 1)
+    if trim:
+        # left-justified, so the widest text ends in the last field byte that is ever not padding
+        width = np.count_nonzero((records[:, :CSV_FIELD_WIDTH] != _PAD).any(axis=0))
+        records = np.concatenate((records[:, :width], records[:, CSV_FIELD_WIDTH:]), axis=1)
+    return records.view(f"V{records.shape[1]}")[:, 0]
 
 
 def csv_blocks(header: Sequence[str], rows: np.ndarray | Sequence[Sequence[float]]) -> Iterator[str]:
@@ -106,32 +117,47 @@ def csv_blocks(header: Sequence[str], rows: np.ndarray | Sequence[Sequence[float
 
 def _csv_pieces(header: Sequence[str], table: np.ndarray) -> Iterator[str]:
     yield ",".join(header) + "\n"
+    rows = len(table)
+    separators = [","] * (len(header) - 1) + ["\n"]
     # A column with at most half as many distinct values (bit patterns, so that
-    # 0.0 and -0.0 stay apart) as rows formats each value once and its cells
-    # copy the bytes; every other column formats per cell.
-    distinct = []
-    for column in table.T:
-        keys = np.sort(column.view(np.int64))
-        first = np.ones(len(keys), dtype=bool)
-        first[1:] = keys[1:] != keys[:-1]
-        keys = keys[first]
-        distinct.append((keys, _field_bytes(keys.view(np.float64))) if 2 * len(keys) <= len(table) else None)
-    # each row is a matrix row of one padded field and one separator per
-    # column; the padding spaces are then dropped in one pass
-    separators = np.full(len(header), ord(","), dtype=np.uint8)
-    separators[-1] = ord("\n")
-    for start in range(0, len(table), CSV_BLOCK_ROWS):
-        block = table[start : start + CSV_BLOCK_ROWS]
-        matrix = np.empty((len(block), len(header), CSV_FIELD_WIDTH + 1), dtype=np.uint8)
-        matrix[:, :, CSV_FIELD_WIDTH] = separators
-        for j, column in enumerate(block.T):
-            if distinct[j] is None:
-                matrix[:, j, :CSV_FIELD_WIDTH] = _field_bytes(column)
+    # 0.0 and -0.0 stay apart) as rows is repeated: a sort finds its distinct
+    # values, each becomes one record padded to the column's widest text, and
+    # an argsort of the same keys scatters each row's index among them, in the
+    # smallest unsigned type that holds it.  Every other column formats the
+    # cells of each block as CSV_FIELD_WIDTH + 1 byte records.
+    columns = []  # (records, index) of a repeated column, (None, None) of another
+    ordered, first, rank = np.empty(rows, dtype=np.int64), np.ones(rows, dtype=bool), np.empty(rows, dtype=np.int32)
+    for column, separator in zip(table.T, separators):
+        keys = column.view(np.int64)
+        ordered[:] = keys
+        ordered.sort()
+        np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+        count = np.count_nonzero(first)
+        if 2 * count > rows:
+            columns.append((None, None))
+            continue
+        np.cumsum(first, dtype=np.int32, out=rank)
+        rank -= 1
+        records = _records(ordered[first].view(np.float64), separator, True)
+        index = np.empty(rows, dtype=np.min_scalar_type(count - 1))
+        index[np.argsort(keys)] = rank
+        columns.append((records, index))
+    del ordered, first, rank  # a generator keeps its locals until it ends; the blocks reuse this space
+    # one row buffer, a field of one record per column, serves every block:
+    # each field is filled by one take or one formatting pass, then the
+    # padding spaces are dropped in one pass
+    widths = [CSV_FIELD_WIDTH + 1 if records is None else records.itemsize for records, _ in columns]
+    buffer = np.empty(min(rows, CSV_BLOCK_ROWS), dtype=[(f"f{j}", f"V{w}") for j, w in enumerate(widths)])
+    for start in range(0, rows, CSV_BLOCK_ROWS):
+        block = buffer[: min(CSV_BLOCK_ROWS, rows - start)]
+        stop = start + len(block)
+        for name, column, separator, (records, index) in zip(buffer.dtype.names, table.T, separators, columns):
+            if records is None:
+                block[name] = _records(column[start:stop], separator, False)
             else:
-                keys, texts = distinct[j]
-                matrix[:, j, :CSV_FIELD_WIDTH] = texts[np.searchsorted(keys, column.view(np.int64))]
-        flat = matrix.reshape(-1)
-        yield flat[flat != ord(" ")].tobytes().decode("ascii")
+                block[name] = records.take(index[start:stop])
+        flat = block.view(np.uint8)
+        yield str(flat[flat != _PAD], "ascii")
 
 
 def format_csv(header: Sequence[str], rows: np.ndarray | Sequence[Sequence[float]]) -> str:

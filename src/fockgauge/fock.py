@@ -153,7 +153,12 @@ def normally_ordered_moment(state: QuantumState, j: int, k: int) -> Union[comple
     if isinstance(state, FockVector):
         amps = state.amplitudes
         n, m, weight = _moment_window(amps.shape[-1], j, k)
-        moment = np.add.reduce(amps[m].conj() * amps[n] * weight, -1)
+        # `amps[m].conj() * amps[n] * weight`, scaled in place.  The complex
+        # product stays out of place: numpy rounds an in-place complex product
+        # of one element without FMA, so a one-level window would change bits.
+        terms = amps[m].conj() * amps[n]
+        terms *= weight
+        moment = np.add.reduce(terms, -1)
         return moment if moment.ndim else complex(moment)
     rho = state.entries
     n, m, weight = _moment_window(rho.shape[0], j, k)

@@ -224,8 +224,10 @@ def figure_rows(which: str, resolution: int) -> tuple[list[str], np.ndarray]:
     """Deterministic figure datasets as (header, table).
 
     The table is a float64 array of shape (rows, len(header)), one row per
-    CSV line.  fig2: grid over (|Var a|, Cov) with both relaxed Var-n floors
-    at unit amplitude.  fig3: the physicality hyperboloid and the squeezing
+    CSV line, stored column-major (the transpose of a C-ordered stack of its
+    columns), so that each column the CSV writer reads is contiguous.
+    fig2: grid over (|Var a|, Cov) with both relaxed Var-n floors at unit
+    amplitude.  fig3: the physicality hyperboloid and the squeezing
     cone over the complex Var a plane.  fig4: moment trajectories of the
     strong-field superposition at alpha = 3 over an admixture grid, against
     the trace floor; the relative gap is reported, never asserted against.
@@ -238,7 +240,7 @@ def figure_rows(which: str, resolution: int) -> tuple[list[str], np.ndarray]:
         # one row of Cov values per v, each the 1-d linspace from its own floor
         c = np.linspace(floor, floor + 2.0, resolution, axis=1).ravel()
         v = np.repeat(v, resolution)
-        return header, np.column_stack((v, c, lambda_plus_floor(1.0, c + v), trace_floor(1.0, c)))
+        return header, np.stack((v, c, lambda_plus_floor(1.0, c + v), trace_floor(1.0, c))).T
     if which == "fig3":
         header = ["re_var_a", "im_var_a", "hyperboloid", "cone"]
         axis = np.linspace(-2.0, 2.0, resolution)
@@ -247,7 +249,7 @@ def figure_rows(which: str, resolution: int) -> tuple[list[str], np.ndarray]:
         # axis times itself gives the (re, im) pairs in row order, in one pass
         pairs = itertools.product(axis.tolist(), repeat=2)
         spread = np.fromiter(itertools.starmap(math.hypot, pairs), float, len(re))
-        return header, np.column_stack((re, im, np.sqrt(0.25 + spread * spread), spread + 0.5))
+        return header, np.stack((re, im, np.sqrt(0.25 + spread * spread), spread + 0.5)).T
     if which == "fig4":
         header = ["gamma_re", "gamma_im", "cov_ada", "var_n", "bound", "rel_gap"]
         alpha = 3.0
@@ -263,5 +265,5 @@ def figure_rows(which: str, resolution: int) -> tuple[list[str], np.ndarray]:
         cov_ada = np.fromiter((s.cov_ada for s in summaries), float, len(summaries))
         var_n = np.fromiter((s.var_n for s in summaries), float, len(summaries))
         bound = trace_floor(amp_sq, cov_ada)
-        return header, np.column_stack((gamma.real, gamma.imag, cov_ada, var_n, bound, (var_n - bound) / bound))
+        return header, np.stack((gamma.real, gamma.imag, cov_ada, var_n, bound, (var_n - bound) / bound)).T
     raise ValueError(f"unknown figure {which!r}; expected one of {FIGURE_NAMES}")

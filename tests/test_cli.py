@@ -560,8 +560,8 @@ def test_figure_out_file_bytes_equal_stdout_bytes(tmp_path, capsys, which, resol
 
 
 # The sha256 of stdout of every pinned command, so that no speed-up can change a
-# byte, lives in pins.json: its "tier1" rows run here, its "ci" rows (sweeps too
-# large for this suite) in CI.  The rows cover each figure (fig3 at 256 checks
+# byte, lives in pins.json: its "tier1" rows run here, its "ci" rows (sweeps and
+# benchmark-size figures too large for this suite) in CI.  The rows cover each figure (fig3 at 256 checks
 # math.hypot bit for bit, and both CSV column paths run at scale), a small pure
 # + mixed sweep, `gauge` on each spec kind and one moment table, `state
 # --dump-amplitudes` on each spec kind but approx_strong_field (its amplitudes

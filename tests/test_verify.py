@@ -314,6 +314,75 @@ def test_csv_matches_the_per_cell_oracle_across_row_blocks(extra):
     assert format_csv(header, table[:0]) == "repeated,per_cell,negative\n"
 
 
+@pytest.mark.parametrize("distinct", [16, 17])
+def test_csv_matches_the_oracle_at_the_repeated_column_threshold(distinct):
+    # 32 rows: 16 distinct values make a repeated column, 17 a per-cell one
+    values = np.arange(distinct) / 3.0 - 2.0
+    column = np.resize(values, 32)
+    table = np.column_stack((column, column[::-1] * 1e300))
+    text = format_csv(["x", "y"], table)
+    assert text == csv_text(["x", "y"], table)
+    assert len({line.split(",")[0] for line in text.splitlines()[1:]}) == distinct
+
+
+def test_csv_prints_every_nan_bit_pattern_as_nan():
+    patterns = np.array(
+        [0x7FF8000000000000, 0xFFF8000000000000, 0x7FF8000000000001, 0x7FF0000000000001, 0xFFFFFFFFFFFFFFFF],
+        dtype=np.uint64,
+    ).view(np.float64)
+    assert np.isnan(patterns).all() and len(set(patterns.view(np.int64).tolist())) == 5
+    nans = np.resize(patterns, 40)  # a repeated column of five distinct keys
+    table = np.column_stack((nans, np.arange(40.0)))
+    text = format_csv(["nan", "i"], table)
+    assert text == csv_text(["nan", "i"], table)
+    assert [line.split(",")[0] for line in text.splitlines()[1:]] == ["nan"] * 40
+
+
+def test_csv_pads_each_column_to_its_own_widest_text():
+    # a column of 1-byte texts beside one of 24-byte texts, both repeated and per cell
+    n = 10
+    ones = np.zeros(n)
+    widest = np.full(n, -1.7976931348623157e308)
+    per_cell = -(np.arange(n) * 1.2345678901234567e-300)
+    table = np.column_stack((ones, widest, ones, per_cell))
+    text = format_csv(["a", "b", "c", "d"], table)
+    assert text == csv_text(["a", "b", "c", "d"], table)
+    assert text.splitlines()[1] == "0,-1.7976931348623157e+308,0,-0"
+    assert len(text.splitlines()[2].split(",")[3]) == 24
+
+
+def test_csv_repeated_column_whose_values_first_appear_in_a_later_block():
+    n = 2 * BLOCK_ROWS + 7
+    late = np.zeros(n)
+    late[BLOCK_ROWS + 3 :: 5] = -np.arange(1.0, 1.0 + len(late[BLOCK_ROWS + 3 :: 5])) / 7.0
+    late[-1] = 5e-324
+    table = np.column_stack((late, np.arange(n) * 0.1))
+    text = format_csv(["late", "i"], table)
+    assert text == csv_text(["late", "i"], table)
+    assert text.splitlines()[BLOCK_ROWS + 4].startswith("-0.14285714285714285,")
+
+
+def test_csv_reads_a_table_in_any_memory_order():
+    n = BLOCK_ROWS + 5
+    rng = np.random.default_rng(26)
+    columns = (
+        rng.choice(np.array(CSV_POOL), n),  # repeated
+        rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n),  # per cell
+        np.repeat(np.linspace(-2.0, 2.0, 64), -(-n // 64))[:n],  # repeated, sorted
+    )
+    c_ordered = np.column_stack(columns)
+    f_ordered = np.asfortranarray(c_ordered)
+    wide = np.zeros((2 * n, 2 * len(columns)))
+    wide[::2, ::2] = c_ordered
+    strided = wide[::2, ::2]
+    assert c_ordered.flags.c_contiguous and f_ordered.flags.f_contiguous
+    assert not (strided.flags.c_contiguous or strided.flags.f_contiguous)
+    header = ["repeated", "per_cell", "sorted"]
+    want = csv_text(header, c_ordered)
+    for table in (c_ordered, f_ordered, strided):
+        assert format_csv(header, table) == want
+
+
 @pytest.mark.parametrize("rows", [[(1.0, 2.0, 3.0)], [(1.0,)], [(1.0, 2.0), (3.0,)], [1.0, 2.0]])
 def test_csv_refuses_a_table_that_does_not_fit_the_header(rows):
     with pytest.raises(ValueError):
