@@ -293,35 +293,31 @@ def build_parser() -> argparse.ArgumentParser:
     p_state = sub.add_parser("state", help="construct a state and print its metadata")
     p_state.add_argument("--spec", required=True, help="StateSpec JSON (or @file)")
     p_state.add_argument("--dump-amplitudes", action="store_true")
-    p_state.add_argument("--out", default=None)
     p_state.set_defaults(func=_cmd_state)
 
     p_moments = sub.add_parser("moments", help="print the moment summary of a state")
     p_moments.add_argument("--spec", required=True, help="StateSpec JSON (or @file)")
-    p_moments.add_argument("--out", default=None)
     p_moments.set_defaults(func=_cmd_moments)
 
     p_gauge = sub.add_parser("gauge", help="print the gauge report of a state or moment table")
     group = p_gauge.add_mutually_exclusive_group(required=True)
     group.add_argument("--spec", default=None, help="StateSpec JSON (or @file)")
     group.add_argument("--moments", default=None, help="MomentSummary JSON (or @file)")
-    p_gauge.add_argument("--out", default=None)
     p_gauge.set_defaults(func=_cmd_gauge)
 
     p_sweep = sub.add_parser("sweep", help="run a random-ensemble inequality sweep")
     p_sweep.add_argument("--config", required=True, help="SweepConfig JSON (or @file)")
-    p_sweep.add_argument("--out", default=None)
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_cal = sub.add_parser("calibrate", help="derive bound constants and audit printed variants")
-    p_cal.add_argument("--out", default=None)
     p_cal.set_defaults(func=_cmd_calibrate)
 
     p_fig = sub.add_parser("figure", help="emit figure datasets as CSV")
     p_fig.add_argument("--which", required=True, choices=FIGURE_NAMES)
     p_fig.add_argument("--resolution", type=_resolution, default=64)
-    p_fig.add_argument("--out", default=None)
     p_fig.set_defaults(func=_cmd_figure)
+    for command in sub.choices.values():
+        command.add_argument("--out", default=None)  # last, so that it ends each usage line
     parser.commands = dict(sub.choices)
     return parser
 

@@ -1,21 +1,19 @@
-"""Independent brute-force oracles used across the test suite.
+"""Independent oracles used across the test suite.
 
-Everything here is deliberately primitive (explicit sums, ladder
-applications, dense matrices) so it shares no code path with the formulas it
-checks.
+Everything here is computed from the definitions alone: explicit sums,
+ladder applications, dense matrices, analytic formulas and exact decimal
+arithmetic.  The module imports nothing from the package, so it shares no
+code path with the formulas it checks, and it runs against the package of
+any revision.  The earlier package algorithms that the tests replay bit for
+bit live in `_parents.py`.
 """
 
-import json
+import decimal
+import functools
 import math
-import numbers
-import sys
+from decimal import Decimal
 
 import numpy as np
-
-from fockgauge.errors import NonFiniteOutputError, ZeroNormError
-from fockgauge.fock import BOUNDARY_PAD, DensityMatrix
-from fockgauge.schema import SQUARE_LIMIT
-from fockgauge.states import _coherent_amps, _finalize, _raised, _refuse_nan, random_state
 
 
 def poisson_tail(lam: float, m: int, terms: int = 200) -> float:
@@ -180,57 +178,6 @@ def csv_text(header, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-# The tight-bound scan as the package first wrote it: a 1024-point grid over
-# a half period brackets the maximum and golden section refines it, reading
-# the moments through the summary's attributes.  The package's scan must
-# return the same (bound, theta) bit for bit.
-_GRID_SIZE = 1024
-_THETA_GRID = np.linspace(0.0, math.pi, _GRID_SIZE, endpoint=False)
-_SIN = np.sin(_THETA_GRID)
-_COS = np.cos(_THETA_GRID)
-_SIN2 = np.sin(2.0 * _THETA_GRID)
-_COS2 = np.cos(2.0 * _THETA_GRID)
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-_REFINE_TOL = 1e-10
-
-
-def reference_objective(summary, theta: float) -> float:
-    """|<p_theta>|^2 / (4 Var x_theta) from a moment summary."""
-    s, c = math.sin(theta), math.cos(theta)
-    p = summary.mean_a.real * s + summary.mean_a.imag * c
-    var_x = (
-        summary.cov_ada
-        + summary.var_a.real * (c * c - s * s)
-        - summary.var_a.imag * 2.0 * s * c
-    )
-    return p * p / (2.0 * var_x)
-
-
-def reference_scan(summary) -> tuple[float, float]:
-    """Grid-bracketed golden-section maximum of `reference_objective` over [0, pi)."""
-    ar, ai = summary.mean_a.real, summary.mean_a.imag
-    p = ar * _SIN + ai * _COS
-    var_x = summary.cov_ada + summary.var_a.real * _COS2 - summary.var_a.imag * _SIN2
-    values = p * p / (2.0 * var_x)
-    best = int(np.argmax(values))
-    step = math.pi / _GRID_SIZE
-    lo, hi = _THETA_GRID[best] - step, _THETA_GRID[best] + step
-    c = hi - _GOLDEN * (hi - lo)
-    d = lo + _GOLDEN * (hi - lo)
-    fc, fd = reference_objective(summary, c), reference_objective(summary, d)
-    while hi - lo > _REFINE_TOL:
-        if fc > fd:
-            hi, d, fd = d, c, fc
-            c = hi - _GOLDEN * (hi - lo)
-            fc = reference_objective(summary, c)
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + _GOLDEN * (hi - lo)
-            fd = reference_objective(summary, d)
-    theta = ((lo + hi) / 2.0) % math.pi
-    return reference_objective(summary, theta), theta
-
-
 def reference_fig2(resolution: int) -> np.ndarray:
     """fig2's table built one |Var a| value at a time, in Python floats.
 
@@ -255,138 +202,6 @@ def reference_fig3(resolution: int) -> np.ndarray:
     return np.column_stack((re, im, np.sqrt(0.25 + spread * spread), spread + 0.5))
 
 
-# The strong-field superposition as the package first built it: one row per
-# gamma in a Python loop, each row normalized by its own 2-norm.  The
-# package's block construction must give the same amplitudes bit for bit.
-def _reference_norm(amps: np.ndarray) -> float:
-    re, im = amps.real, amps.imag
-    norm = math.sqrt(re.dot(re) + im.dot(im))
-    if norm < 1e-13:
-        raise ZeroNormError("state construction cancelled to zero norm")
-    return norm
-
-
-def reference_strong_field(alpha: complex, gamma, eps_tail: float = 1e-14) -> np.ndarray:
-    """Padded, normalized amplitudes of |alpha> + gamma a^dag |alpha>, one gamma at a time."""
-    ndim = 0 if isinstance(gamma, numbers.Number) else np.ndim(gamma)
-    gammas = list(map(complex, gamma if ndim else [gamma]))
-    c = _coherent_amps(alpha, eps_tail, 1)
-    raised = _raised(c)
-    rows = []
-    for g in gammas:
-        _refuse_nan(gamma=g)
-        # below 2^500 no square of gamma a^dag |alpha> can overflow its norm
-        if max(abs(g.real), abs(g.imag)) < SQUARE_LIMIT:
-            combined = g * raised
-            combined[: c.size] += c
-        else:
-            combined = raised.copy()
-            combined[: c.size] += c * (1.0 / g)
-        rows.append(combined)
-    amps = np.array(rows).reshape(-1, raised.size) if ndim else rows[0]
-    norm = _reference_norm(amps) if amps.ndim == 1 else np.array(list(map(_reference_norm, amps))).reshape(-1, 1)
-    size = amps.shape[-1]
-    padded = np.zeros(amps.shape[:-1] + (size + BOUNDARY_PAD,), dtype=np.complex128)
-    np.divide(amps, norm, out=padded[..., :size])
-    return padded
-
-
-# Random states as the package first drew them: the real parts in one
-# standard_normal call, the imaginary parts in a second, joined as a + 1j * b.
-# The package's one-call draw must give the same state bit for bit.
-def reference_random_state(cutoff: int, kind: str, rank: int, seed):
-    """The padded pure state or the density matrix of a two-draw Gaussian factor."""
-    rng = np.random.default_rng(seed)
-    shape = (cutoff + 1,) if kind == "pure" else (cutoff + 1, rank)
-    factor = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    return _finalize(factor) if kind == "pure" else DensityMatrix(factor)
-
-
-# Sweep states as the package first seeded them: one `default_rng([S, i])` per
-# index, through numpy's own SeedSequence.  A sweep over the package's chunked
-# seeds must print the same bytes.
-def reference_sweep_states(config):
-    """(index, state) pairs of a sweep, each state seeded with the list [seed, index]."""
-    for i in range(config.n_pure):
-        yield i, random_state(config.cutoff, "pure", seed=[config.seed, i])
-    for j in range(config.n_mixed):
-        index = config.n_pure + j
-        yield index, random_state(config.cutoff, "mixed", rank=1 + (j % config.rank), seed=[config.seed, index])
-
-
-# The JSON writer as the package first wrote it: one recursive pass that
-# formats each float as it meets it, with keys written as JSON strings.  The
-# package's `cli.dumps` must give the same text, and raise the same errors
-# with the same messages.
-def _reference_dump(obj, pieces: list, indent: int) -> None:
-    pad = "  " * indent
-    if isinstance(obj, (dict, list, tuple)):
-        is_dict = isinstance(obj, dict)
-        if not obj:
-            pieces.append("{}" if is_dict else "[]")
-            return
-        pieces.append("{\n" if is_dict else "[\n")
-        last = len(obj) - 1
-        for i, (key, value) in enumerate(obj.items() if is_dict else enumerate(obj)):
-            pieces.append(f"{pad}  {json.dumps(str(key))}: " if is_dict else pad + "  ")
-            try:
-                _reference_dump(value, pieces, indent + 1)
-            except NonFiniteOutputError as exc:
-                exc.path.insert(0, key)  # built on the way out: free when nothing fails
-                raise
-            pieces.append(",\n" if i < last else "\n")
-        pieces.append(pad + ("}" if is_dict else "]"))
-    elif isinstance(obj, bool):
-        pieces.append("true" if obj else "false")
-    elif obj is None:
-        pieces.append("null")
-    elif isinstance(obj, int):
-        pieces.append(str(obj))
-    elif isinstance(obj, float):
-        if not math.isfinite(obj):
-            raise NonFiniteOutputError(obj)
-        pieces.append(format(float(obj), ".17g"))
-    elif isinstance(obj, str):
-        pieces.append(json.dumps(obj))
-    else:
-        raise TypeError(f"cannot serialize {type(obj)!r}")
-
-
-def reference_dumps(obj) -> str:
-    """Deterministic strict JSON with 17-significant-digit floats, one float at a time."""
-    pieces: list = []
-    _reference_dump(obj, pieces, 0)
-    return "".join(pieces)
-
-
-def reference_laguerre_amps(alpha: complex, added: int, eps_tail: float) -> np.ndarray:
-    """The crescent's closed-form amplitudes with every log taken in the loop.
-
-    The package's `states._crescent_laguerre_amps` takes log|alpha| once and
-    must give the same floats bit for bit.
-    """
-    top = _coherent_amps(alpha, eps_tail, added).size - 1 + added
-    aa2 = abs(alpha) ** 2
-    # a |alpha|^2 below the normal range has lost bits or underflowed to 0
-    log_aa2 = math.log(aa2) if aa2 >= sys.float_info.min else 2.0 * math.log(abs(alpha))
-    phase = np.exp(-1j * np.angle(alpha))
-    logs = np.empty(top + 1)
-    for n in range(top + 1):
-        terms = [
-            math.log(math.comb(added, n - i)) + i * log_aa2 - math.lgamma(i + 1)
-            for i in range(max(0, n - added), n + 1)
-        ]
-        peak = max(terms)
-        logs[n] = (
-            0.5 * math.lgamma(n + 1)
-            + (added - n) * math.log(abs(alpha))
-            + peak
-            + math.log(sum(math.exp(t - peak) for t in terms))
-        )
-    logs -= logs.max()
-    return np.exp(logs) * phase ** (added - np.arange(top + 1))
-
-
 def strong_field_norm_inverse(alpha: complex, gamma: complex) -> float:
     """Analytic squared norm of |alpha> + gamma a^dag |alpha>, or infinity beyond the float range."""
     alpha, gamma = complex(alpha), complex(gamma)
@@ -399,3 +214,136 @@ def strong_field_norm_inverse(alpha: complex, gamma: complex) -> float:
         norm_sq = 1.0 + cross + g * g + ga * ga
     # NaN comes from inf - inf or inf * 0, each only where the norm is beyond the float range
     return math.inf if math.isnan(norm_sq) else norm_sq
+
+
+# ---------------------------------------------------------------- exact arithmetic
+# The moments of the stored float64 amplitudes or density entries, taken in
+# decimal at EXACT_DIGITS significant digits: every float converts exactly,
+# each ladder weight is the decimal square root of an integer, and every
+# operation rounds at the 50th digit, some 34 digits below float64's.
+EXACT_DIGITS = 50
+_EXACT = decimal.Context(prec=EXACT_DIGITS)
+_HALF = Decimal("0.5")
+# the keys of the moment summary's fields, as the `moments` JSON paths
+SUMMARY_KEYS = (
+    "mean_a.re",
+    "mean_a.im",
+    "mean_a2.re",
+    "mean_a2.im",
+    "mean_n",
+    "mean_n2",
+    "mean_a2da2",
+    "var_n",
+    "var_a.re",
+    "var_a.im",
+    "cov_ada",
+    "cov_a2",
+)
+# the registry rows, in table order, whose sides `exact_summary` gives; the
+# package's `closed_form_agreement` compares its scan with the angle-based
+# closed form, which the exact bound has no counterpart of
+EXACT_ROWS = (
+    "tight_scan",
+    "canonical_pair_x",
+    "canonical_pair_p",
+    "covariance_floor",
+    "uncertainty_area",
+    "second_order_floor",
+    "relaxed_lambda_plus",
+    "relaxed_trace",
+    "hierarchy",
+    "hyperboloid_surface",
+)
+
+
+@functools.lru_cache(maxsize=None)
+def _exact_weight(n: int, j: int, k: int) -> Decimal:
+    """<n - k + j| a^dag^j a^k |n>: the square root of an integer product."""
+    product = 1
+    for t in range(k):
+        product *= n - t
+    for t in range(j):
+        product *= n - k + 1 + t
+    return Decimal(product).sqrt(_EXACT)
+
+
+def _exact_moment(entry, dim: int, j: int, k: int) -> tuple[Decimal, Decimal]:
+    """<a^dag^j a^k> = sum over n of rho[n, n - k + j] times its weight, as (re, im);
+    run inside the EXACT_DIGITS context."""
+    re = im = Decimal(0)
+    for n in range(k, dim - max(0, j - k)):
+        weight = _exact_weight(n, j, k)
+        er, ei = entry(n, n - k + j)
+        re += er * weight
+        im += ei * weight
+    return re, im
+
+
+def _entries(state):
+    """rho[p, q] of the stored state as an exact (re, im) pair, and the register size."""
+    if hasattr(state, "amplitudes"):
+        amps = [(Decimal(c.real), Decimal(c.imag)) for c in np.asarray(state.amplitudes).tolist()]
+
+        def entry(p, q):  # c_p conj(c_q)
+            (pr, pi), (qr, qi) = amps[p], amps[q]
+            return pr * qr + pi * qi, pi * qr - pr * qi
+
+        return entry, len(amps)
+    rho = np.asarray(state.entries)
+    return lambda p, q: (Decimal(rho[p, q].real.item()), Decimal(rho[p, q].imag.item())), rho.shape[0]
+
+
+def exact_summary(state) -> dict:
+    """Decimal values of every derived moment field, the tight bound and the
+    registry sides of one stored state (a FockVector of one row, or a
+    DensityMatrix), to EXACT_DIGITS digits.
+
+    Keys: SUMMARY_KEYS, the `moments` JSON paths; "bound", the tight bound in closed form,
+    B = (C |<a>|^2 + Re(conj(V) <a>^2)) / (2 (C^2 - |V|^2)) with
+    C = Cov(a^dag, a) and V = Var a, which is 0 where <a> is; "g1", where
+    the bound is not 0, and "g2"; and "<row>.lhs", "<row>.rhs" and
+    "<row>.slack" for each row in EXACT_ROWS.
+    """
+    with decimal.localcontext(_EXACT):
+        entry, dim = _entries(state)
+        ar, ai = _exact_moment(entry, dim, 0, 1)
+        a2r, a2i = _exact_moment(entry, dim, 0, 2)
+        mean_n = _exact_moment(entry, dim, 1, 1)[0]
+        mean_a2da2 = _exact_moment(entry, dim, 2, 2)[0]
+        amp_sq = ar * ar + ai * ai
+        mean_n2 = mean_a2da2 + mean_n
+        var_n = mean_n2 - mean_n * mean_n
+        vr, vi = a2r - (ar * ar - ai * ai), a2i - 2 * ar * ai
+        cov = mean_n + _HALF - amp_sq
+        cov_a2 = mean_a2da2 + 2 * mean_n + 1 - (a2r * a2r + a2i * a2i)
+        spread_sq = vr * vr + vi * vi
+        lambda_plus = cov + spread_sq.sqrt()
+        # Re(conj(V) <a>^2), with <a>^2 = (ar^2 - ai^2) + 2 i ar ai
+        bound = (cov * amp_sq + vr * (ar * ar - ai * ai) + vi * 2 * ar * ai) / (2 * (cov * cov - spread_sq))
+        sides = {
+            "tight_scan": (var_n, bound),
+            "canonical_pair_x": (var_n * (cov + vr), ai * ai / 2),
+            "canonical_pair_p": (var_n * (cov - vr), ar * ar / 2),
+            "covariance_floor": (cov, _HALF),
+            "uncertainty_area": (cov * cov - _HALF * _HALF, spread_sq),
+            "second_order_floor": (cov_a2, 2 * mean_n + 1),
+            "relaxed_lambda_plus": (var_n * lambda_plus, amp_sq / 2),
+            "relaxed_trace": (var_n * cov, amp_sq / 4),
+            "hierarchy": (bound, max(amp_sq / (2 * lambda_plus), amp_sq / (4 * cov))),
+            "hyperboloid_surface": (cov, (_HALF * _HALF + spread_sq).sqrt()),
+        }
+        values = dict(zip(SUMMARY_KEYS, (ar, ai, a2r, a2i, mean_n, mean_n2, mean_a2da2, var_n, vr, vi, cov, cov_a2)))
+        values["bound"] = bound
+        values["g2"] = cov_a2 / (2 * mean_n + 1)
+        if bound:
+            values["g1"] = var_n / bound
+        for name in EXACT_ROWS:
+            lhs, rhs = sides[name]
+            values.update({f"{name}.lhs": lhs, f"{name}.rhs": rhs, f"{name}.slack": lhs - rhs})
+    return values
+
+
+def ulp_error(value: float, exact: Decimal) -> float:
+    """|value - exact| in units in the last place of max(1, |exact|)."""
+    with decimal.localcontext(_EXACT):
+        return float(abs(Decimal(value) - exact) / Decimal(math.ulp(max(1.0, abs(float(exact))))))

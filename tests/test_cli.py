@@ -17,7 +17,8 @@ from fockgauge.fock import BOUNDARY_PAD
 from fockgauge.gauges import INEQUALITIES, SQUEEZING_TOL
 from fockgauge.states import _FIELDS, _KINDS, MAX_RANDOM_CUTOFF, state_from_spec
 from fockgauge.verify import FIGURE_NAMES, MIN_RESOLUTION
-from _oracles import reference_dumps, strong_field_norm_inverse
+from _oracles import strong_field_norm_inverse
+from _parents import reference_dumps
 
 
 def _reject_constant(token):

@@ -20,7 +20,7 @@ from fockgauge.gauges import (
     InequalityRecord, _record, closed_bound, scan_bound,
 )
 from fockgauge.moments import FLAG_TOL
-from _oracles import reference_scan
+from _parents import reference_scan
 
 
 def _se(state):

@@ -12,7 +12,7 @@ import fockgauge.verify as verify_mod
 from fockgauge import SweepConfig, random_state, sweep
 from fockgauge.cli import dumps
 from fockgauge.seeds import CHUNK, SweepSeed, seed_words, sweep_seeds
-from _oracles import reference_sweep_states
+from _parents import reference_sweep_states
 
 # one to 42 entropy words of seed, each boundary of a word, and a seed past the fourth word
 SEEDS = (0, 1, 5, 2**31, 2**32 - 1, 2**32, 2**64 + 5, 10**40, 2**200 + 3, 10**400)

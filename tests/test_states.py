@@ -30,12 +30,10 @@ from _oracles import (
     crescent_eigen_residual,
     fidelity,
     laguerre_series,
-    reference_laguerre_amps,
-    reference_random_state,
-    reference_strong_field,
     square_annihilate_residual,
     strong_field_norm_inverse,
 )
+from _parents import reference_laguerre_amps, reference_random_state, reference_strong_field
 
 
 # ---------------------------------------------------------------- coherent
