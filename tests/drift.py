@@ -6,7 +6,7 @@ From the repository root:
     python tests/drift.py --check [--section ci]
         Run each row at the working tree and compare the sha256 of its stdout
         with the pinned one; exit 1 naming every row that differs.
-    python tests/drift.py [--rev REV] [--section tier1] [--row NAME ...] [--out FILE]
+    python tests/drift.py [--rev REV] [--section tier1]
         Run each row at REV (default HEAD, checked out in a temporary git
         worktree) and at the working tree, and print a JSON drift report.
     python tests/drift.py --record [--rev REV] ...
@@ -84,8 +84,8 @@ json.dump([{k: str(v) for k, v in exact_summary(state_from_spec(json.loads(s))).
 """
 
 
-def load_manifest(path: Path = MANIFEST) -> dict:
-    return json.loads(path.read_text())
+def load_manifest() -> dict:
+    return json.loads(MANIFEST.read_text())
 
 
 def format_manifest(manifest: dict) -> str:
@@ -176,19 +176,21 @@ def compare_field(base, head) -> dict:
     counts as moved, and moved values that are not both floats add no change."""
     count = min(len(base), len(head))
     a, b = _floats(base[:count]), _floats(head[:count])
-    report = {"values": max(len(base), len(head)), "moved": abs(len(base) - len(head)), "max_rel": 0.0, "max_ulp": 0}
+    result = {"values": max(len(base), len(head)), "moved": abs(len(base) - len(head)), "max_rel": 0.0, "max_ulp": 0}
     if a is None or b is None:
-        report["moved"] += sum(x != y or type(x) is not type(y) for x, y in zip(base, head))
-        return report
+        result["moved"] += sum(x != y or type(x) is not type(y) for x, y in zip(base, head))
+        return result
     moved = np.flatnonzero(a.view(np.int64) != b.view(np.int64))
     if moved.size:
         a, b = a[moved], b[moved]
+        # scaled first, so that a change across the float range stays finite; 0 moved to -0 scales by 1
         scale = np.maximum(np.abs(a), np.abs(b))
-        rel = np.abs(a / np.where(scale > 0, scale, 1.0) - b / np.where(scale > 0, scale, 1.0))
-        report["moved"] += int(moved.size)
-        report["max_rel"] = float(rel.max())
-        report["max_ulp"] = max(abs(x - y) for x, y in zip(_ordered(a), _ordered(b)))
-    return report
+        scale[scale == 0.0] = 1.0
+        rel = np.abs(a / scale - b / scale)
+        result["moved"] += int(moved.size)
+        result["max_rel"] = float(rel.max())
+        result["max_ulp"] = max(abs(x - y) for x, y in zip(_ordered(a), _ordered(b)))
+    return result
 
 
 def drift(base: dict, head: dict) -> dict:
@@ -204,10 +206,10 @@ def exact_errors(fields: dict, exact: dict, paths: dict) -> dict:
         pairs = [
             (value, exact[key])
             for value, key in zip(fields.get(name, []), keys)
-            if type(value) in (float, np.float64) and key in exact
+            if type(value) is float and key in exact
         ]
         if pairs:
-            errors[name] = max(ulp_error(float(value), truth) for value, truth in pairs)
+            errors[name] = max(ulp_error(value, truth) for value, truth in pairs)
     return errors
 
 
@@ -273,24 +275,13 @@ def main(argv=None) -> int:
     mode.add_argument("--record", action="store_true", help="report, then rewrite the digests")
     parser.add_argument("--rev", default="HEAD", help="revision to compare with (default HEAD)")
     parser.add_argument("--section", action="append", choices=SECTIONS, help="manifest section (default all)")
-    parser.add_argument("--row", action="append", help="row name (default all)")
-    parser.add_argument("--out", default=None, help="write the report here instead of stdout")
     args = parser.parse_args(argv)
     manifest = load_manifest()
-    rows = [
-        row
-        for section in args.section or SECTIONS
-        for row in manifest[section]
-        if args.row is None or row["name"] in args.row
-    ]
+    rows = [row for section in args.section or SECTIONS for row in manifest[section]]
     if args.check:
         return check(rows)
     result = report(rows, args.rev)
-    text = json.dumps(result, indent=1) + "\n"
-    if args.out is None:
-        sys.stdout.write(text)
-    else:
-        Path(args.out).write_text(text)
+    sys.stdout.write(json.dumps(result, indent=1) + "\n")
     for name, entry in result["rows"].items():
         print(f"{name}: {'identical' if entry['identical'] else str(entry['moved']) + ' values moved'}", file=sys.stderr)
     if args.record:
