@@ -283,7 +283,7 @@ def main(argv=None) -> int:
     result = report(rows, args.rev)
     sys.stdout.write(json.dumps(result, indent=1) + "\n")
     for name, entry in result["rows"].items():
-        print(f"{name}: {'identical' if entry['identical'] else str(entry['moved']) + ' values moved'}", file=sys.stderr)
+        print(f"{name}: " + ("identical" if entry["identical"] else f"{entry['moved']} values moved"), file=sys.stderr)
     if args.record:
         digests = {name: entry["sha256"]["head"] for name, entry in result["rows"].items()}
         for row in (row for section in manifest.values() for row in section):

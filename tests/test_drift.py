@@ -8,7 +8,16 @@ import numpy as np
 import pytest
 
 from fockgauge.cli import run
-from drift import EXACT_FIELDS, MANIFEST, compare_field, drift, exact_errors, field_values, format_manifest, load_manifest
+from drift import (
+    EXACT_FIELDS,
+    MANIFEST,
+    compare_field,
+    drift,
+    exact_errors,
+    field_values,
+    format_manifest,
+    load_manifest,
+)
 
 ONE_UP = math.nextafter(1.0, 2.0)
 
@@ -29,7 +38,9 @@ def test_csv_fields_are_columns():
 
 def test_json_drift_counts_moved_values_and_their_largest_changes():
     base = field_values(json.dumps({"a": 1.0, "b": [1.0, 2.0, 4.0], "c": True, "d": "same", "e": 0.0}))
-    head = field_values(json.dumps({"a": ONE_UP, "b": [1.0, 4.0, 4.0 * (1 + 2**-50)], "c": False, "d": "same", "e": -0.0}))
+    head = field_values(
+        json.dumps({"a": ONE_UP, "b": [1.0, 4.0, 4.0 * (1 + 2**-50)], "c": False, "d": "same", "e": -0.0})
+    )
     report = drift(base, head)
     assert report["a"] == {"values": 1, "moved": 1, "max_rel": ONE_UP - 1.0, "max_ulp": 1}
     # 2 -> 4 moves by half of 4 and by the 2^52 floats in [2, 4); 4 -> 4 (1 + 2^-50) by 4 floats
@@ -59,7 +70,9 @@ def test_csv_drift_by_column_and_fields_on_one_side_only():
 
 def test_exact_errors_hold_each_value_to_its_exact_key_in_output_order():
     fields = field_values(
-        json.dumps({"tight": {"bound_scan": 2.0}, "g1": None, "g2": 2.0**-60, "canonical_pair": [{"lhs": 1.0}, {"lhs": 3.0}]})
+        json.dumps(
+            {"tight": {"bound_scan": 2.0}, "g1": None, "g2": 2.0**-60, "canonical_pair": [{"lhs": 1.0}, {"lhs": 3.0}]}
+        )
     )
     exact = {
         "bound": Decimal(2.0 + 3 * math.ulp(2.0)),

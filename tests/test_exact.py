@@ -33,23 +33,36 @@ from _oracles import EXACT_ROWS, exact_summary, ulp_error
 # apply, and cats of |alpha| below 2 at other phases, whose <a> is not
 # small: beyond that <a> shrinks as exp(-2 |alpha|^2) and G1 grows past 1e20.
 SAMPLES = {
-    "coherent": lambda: [coherent(a) for a in (0.6 - 0.2j, 1.3 + 0.9j, -2.2 + 1.4j, 3.1 - 2.5j, -4.8 + 0.7j, -6.5 + 3.9j)],
+    "coherent": lambda: [
+        coherent(a) for a in (0.6 - 0.2j, 1.3 + 0.9j, -2.2 + 1.4j, 3.1 - 2.5j, -4.8 + 0.7j, -6.5 + 3.9j)
+    ],
     "crescent": lambda: [
-        crescent(a, added) for a, added in ((0.7 + 0.3j, 1), (1.5 - 1.1j, 2), (-2.6 + 0.4j, 3), (3.4 + 2.0j, 1), (-1.2 - 4.1j, 2), (5.5 - 5.2j, 2))
+        crescent(a, added)
+        for a, added in (
+            (0.7 + 0.3j, 1), (1.5 - 1.1j, 2), (-2.6 + 0.4j, 3), (3.4 + 2.0j, 1), (-1.2 - 4.1j, 2), (5.5 - 5.2j, 2)
+        )
     ],
     "cat": lambda: [
         cat(a, beta)
-        for a, beta in ((2.0 + 0.5j, 0.0), (-3.1 + 1.2j, math.pi), (0.4 + 4.2j, 0.0), (5.9 - 2.2j, math.pi), (0.8 - 0.3j, 1.1), (-1.3 + 0.9j, 2.4), (1.7 + 0.2j, 0.6))
+        for a, beta in (
+            (2.0 + 0.5j, 0.0), (-3.1 + 1.2j, math.pi), (0.4 + 4.2j, 0.0), (5.9 - 2.2j, math.pi),
+            (0.8 - 0.3j, 1.1), (-1.3 + 0.9j, 2.4), (1.7 + 0.2j, 0.6),
+        )
     ],
     "displaced_squeezed": lambda: [
         squeezed_coherent(a, r, phi)
-        for a, r, phi in ((0.5 + 0.2j, 0.3, 0.4), (1.4 - 0.8j, 0.6, -1.2), (-2.1 + 1.5j, 0.9, 2.5), (2.8 + 0.3j, 1.0, 0.0), (0.2 - 3.0j, 0.5, -2.9), (4.6 + 2.1j, 0.8, 1.0))
+        for a, r, phi in (
+            (0.5 + 0.2j, 0.3, 0.4), (1.4 - 0.8j, 0.6, -1.2), (-2.1 + 1.5j, 0.9, 2.5),
+            (2.8 + 0.3j, 1.0, 0.0), (0.2 - 3.0j, 0.5, -2.9), (4.6 + 2.1j, 0.8, 1.0),
+        )
     ],
     "haar_pure": lambda: [random_state(32, "pure", seed=[11, i]) for i in range(10)],
     "haar_mixed": lambda: [random_state(16, "mixed", rank=1 + i % 4, seed=[12, i]) for i in range(8)],
 }
 _SUMMARY_GROUPS = {
-    **dict.fromkeys(("mean_a.re", "mean_a.im", "mean_a2.re", "mean_a2.im", "mean_n", "mean_n2", "mean_a2da2"), "moments"),
+    **dict.fromkeys(
+        ("mean_a.re", "mean_a.im", "mean_a2.re", "mean_a2.im", "mean_n", "mean_n2", "mean_a2da2"), "moments"
+    ),
     "var_n": "var_n",
     "cov_ada": "cov_ada",
     "var_a.re": "var_a",
@@ -113,7 +126,11 @@ def worst_errors(family: str) -> dict:
 @pytest.mark.parametrize("family", SAMPLES)
 def test_each_field_stays_within_its_ulp_bound_of_the_exact_value(family):
     worst = worst_errors(family)
-    over = {group: (round(worst[group], 1), bound) for group, bound in zip(GROUPS, ULP_BOUNDS[family]) if worst[group] > bound}
+    over = {
+        group: (round(worst[group], 1), bound)
+        for group, bound in zip(GROUPS, ULP_BOUNDS[family])
+        if worst[group] > bound
+    }
     assert not over, f"{family}: worst ULP error above its bound (worst, bound): {over}"
 
 
