@@ -47,7 +47,8 @@ class FockVector:
         norm_sq = np.add.reduce(np.abs(amps) ** 2, -1)
         # written so that a NaN norm fails too
         normalized = abs(norm_sq - 1.0) <= NORM_TOL
-        if not normalized.all():
+        # a single state's flag is a numpy bool, whose truth test is far cheaper than .all()
+        if not (normalized if amps.ndim == 1 else normalized.all()):
             row = int(normalized.argmin())
             where = f" in row {row}" if amps.ndim == 2 else ""
             raise ValueError(f"amplitudes are not normalized{where}: sum p = {norm_sq.flat[row].item()!r}")

@@ -17,6 +17,21 @@ normalization it equals 1/2.  The relaxed bounds inherit their constants from
 the same calibration (see verify.calibrate, which also audits them against
 their commonly printed variants).
 
+The scan's objective is a quadratic-form ratio.  With u = (sin theta,
+cos theta), b = (Re<a>, Im<a>), C = Cov(a^dag, a) and V = Var a,
+
+    |<p_theta>|^2 / (4 Var x_theta) = (b.u)^2 / (2 u^T M u),
+    M = [[C - Re V, -Im V], [-Im V, C + Re V]],
+
+and M is positive definite, with eigenvalues lambda_-^2 and lambda_+^2, on
+every summary that `ellipse` accepts.  On a half period the ratio therefore
+has one peak, at u ~ M^-1 b, and one zero, at u perpendicular to b, and
+falls monotonically from the peak to the zero on either side.  `scan_bound`
+reads the scan grid's maximum from a window of the grid around that peak
+direction, certified by this shape and a bound on the grid's rounding to
+hold the whole grid's first maximum (its docstring gives the bound), so the
+scan returns the bits an evaluation of the whole grid gives.
+
 G1 = Var n / B, the lhs/rhs ratio of the `tight_scan` row, reads exactly 1 on
 the extremal (intelligent) states; for zero-amplitude states the scan is
 trivial and G2, the ratio of the `second_order_floor` row, takes over with
@@ -50,16 +65,22 @@ AMPLITUDE_FLAG_TOL = 1e-8
 SQUEEZING_TOL = 1e-10
 
 _GRID_SIZE = 1024
+# numpy's grid angles and their sines and cosines, read as Python floats
 _THETA_GRID = np.linspace(0.0, math.pi, _GRID_SIZE, endpoint=False)
-_SIN = np.sin(_THETA_GRID)
-_COS = np.cos(_THETA_GRID)
-_SIN2 = np.sin(2.0 * _THETA_GRID)
-_COS2 = np.cos(2.0 * _THETA_GRID)
+_THETA = _THETA_GRID.tolist()
+_TRIG = tuple(
+    zip(
+        np.sin(_THETA_GRID).tolist(),
+        np.cos(_THETA_GRID).tolist(),
+        np.sin(2.0 * _THETA_GRID).tolist(),
+        np.cos(2.0 * _THETA_GRID).tolist(),
+    )
+)
 _STEP = math.pi / _GRID_SIZE
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _REFINE_TOL = 1e-10
-# |<a>|^2 / (Cov - |Var a|) below this keeps every grid quotient finite
-_OVERFLOW_FREE = 2.0**1000
+# 2E / (|<a>|^2 Cov / lambda_-^2), with E the bound on a grid value's rounding (see scan_bound)
+_TWICE_ROUNDING = 2.0**-42
 
 
 class InequalityRecord(NamedTuple):
@@ -244,44 +265,91 @@ def _objective(ar: float, ai: float, cov: float, vr: float, vi: float, theta: fl
     return p * p / (2.0 * (cov + vr * (c * c - s * s) - vi * 2.0 * s * c))
 
 
+def _grid_values(ar: float, ai: float, cov: float, vr: float, vi: float, ks) -> list[float]:
+    # p^2 / (2 var_x) at grid indices ks, with the operations and order of the
+    # numpy grid: p = ar S + ai C, then p p / (((vr C2 + cov) - vi S2) 2)
+    values = []
+    for k in ks:
+        s, c, s2, c2 = _TRIG[k]
+        p = ar * s + ai * c
+        values.append(p * p / ((vr * c2 + cov - vi * s2) * 2.0))
+    return values
+
+
 def scan_bound(summary: MomentSummary) -> tuple[float, float]:
     """Maximize the angle-dependent floor over a half period.
 
-    A 1024-point grid brackets the maximum (the objective is a ratio of two
-    second-degree trigonometric polynomials, so the grid cannot miss it);
-    golden-section refinement then narrows the angle below _REFINE_TOL.
+    Precondition: `ellipse` accepted the summary, so that l- = lambda_-^2 =
+    Cov - |Var a| > 1e-12 max(1, l+) with l+ = lambda_+^2, and <a> != 0.
+
+    The maximum of the 1024-point grid over [0, pi) brackets the peak (the
+    objective is a ratio of two second-degree trigonometric polynomials, so
+    the grid cannot miss it); golden-section refinement then narrows the
+    angle below _REFINE_TOL.  The grid maximum comes from a window of the
+    grid, and is the first maximum of the whole grid, bit for bit:
+
+    - The window starts as the 3 indices nearest the peak direction
+      u ~ M^-1 b (module docstring).  Its values use the whole grid's float
+      operations in the same order, so they are the same bits.
+    - The objective falls monotonically from its one peak to its one zero
+      on both sides.  So where both window edges lie below a point inside,
+      the peak is inside, and every angle outside lies below an edge.
+    - Each computed grid value is within E of the objective at its angle.
+      So a window whose two edge values lie more than 2E below its largest
+      value holds the whole grid's largest value.  Otherwise the window
+      doubles, up to the whole grid.  Ties go to the lowest index, as
+      numpy's argmax does.
+
+    The bound E = 2^-44 |<a>|^2 / l- (1 + l+ / l-) = 2^-43 |<a>|^2 Cov / l-^2.
+    With u = 2^-53 and the tabulated sines and cosines within one ulp:
+    p = Re<a> S + Im<a> C errs by at most 4u (|Re<a>| + |Im<a>|), that is
+    5.7u |<a>|, so p^2 errs by at most 12.5u |<a>|^2.  The denominator
+    Cov + Re V cos 2t - Im V sin 2t is at least l- and errs by at most
+    6u (|Re V| + |Im V|) + 2u Cov < 8.5u l+, a relative error below
+    8.5u kappa, kappa = l+ / l- < 1e12.  The quotient, at most
+    |<a>|^2 / (2 l-), thus errs by at most 7u |<a>|^2 / l- (1 + kappa),
+    to first order in u kappa < 1.2e-4.  E is 70 times that, which leaves
+    room for tables a few ulp off and absorbs the rounding of E itself and
+    of the comparisons.  A bound near the float range makes E inf, so the
+    window widens to the whole grid, where the quotients overflow to inf
+    without a warning.
     """
     ar, ai = summary.mean_a.real, summary.mean_a.imag
     cov, vr, vi = summary.cov_ada, summary.var_a.real, summary.var_a.imag
-    # p^2 / (2 var_x) on the grid, in place but with every operation of that formula
-    p = ar * _SIN
-    p += ai * _COS
-    v = vr * _COS2
-    v += cov
-    v -= vi * _SIN2
-    v *= 2.0
-    p *= p
-    # p^2 / v is at most |<a>|^2 / (2 (Cov - |Var a|)), give or take rounding, so
-    # only a bound near the float range can overflow; it is then inf, unwarned
-    if ar * ar + ai * ai < _OVERFLOW_FREE * (cov - abs(summary.var_a)):
-        p /= v
-    else:
-        with np.errstate(over="ignore"):
-            p /= v
-    best = _THETA_GRID.item(p.argmax())
-    lo, hi = best - _STEP, best + _STEP
+    lam_minus = cov - abs(summary.var_a)
+    # 2E, twice the bound on a grid value's rounding error
+    twice_e = _TWICE_ROUNDING * (ar * ar + ai * ai) / lam_minus * (cov / lam_minus)
+    # the grid index nearest the peak direction u ~ M^-1 b: it only places the window
+    k0 = round(math.atan2((cov + vr) * ar + vi * ai, vi * ar + (cov - vr) * ai) / _STEP)
+    half = 1
+    while True:
+        whole = 2 * half + 1 >= _GRID_SIZE
+        ks = range(_GRID_SIZE) if whole else [(k0 + j) % _GRID_SIZE for j in range(-half, half + 1)]
+        values = _grid_values(ar, ai, cov, vr, vi, ks)
+        # the largest value and, among its ties, the lowest grid index, as argmax picks
+        top, negated = max(zip(values, [-k for k in ks]))
+        if whole or max(values[0], values[-1]) + twice_e < top:
+            break
+        half *= 2
+    lo, hi = _THETA[-negated] - _STEP, _THETA[-negated] + _STEP
     c = hi - _GOLDEN * (hi - lo)
     d = lo + _GOLDEN * (hi - lo)
     fc, fd = _objective(ar, ai, cov, vr, vi, c), _objective(ar, ai, cov, vr, vi, d)
+    # _objective's arithmetic, inlined: its call took about a fifth of the refinement
+    sin, cos = math.sin, math.cos
     while hi - lo > _REFINE_TOL:
         if fc > fd:
             hi, d, fd = d, c, fc
             c = hi - _GOLDEN * (hi - lo)
-            fc = _objective(ar, ai, cov, vr, vi, c)
+            s, co = sin(c), cos(c)
+            p = ar * s + ai * co
+            fc = p * p / (2.0 * (cov + vr * (co * co - s * s) - vi * 2.0 * s * co))
         else:
             lo, c, fc = c, d, fd
             d = lo + _GOLDEN * (hi - lo)
-            fd = _objective(ar, ai, cov, vr, vi, d)
+            s, co = sin(d), cos(d)
+            p = ar * s + ai * co
+            fd = p * p / (2.0 * (cov + vr * (co * co - s * s) - vi * 2.0 * s * co))
     theta = ((lo + hi) / 2.0) % math.pi
     return _objective(ar, ai, cov, vr, vi, theta), theta
 

@@ -564,7 +564,9 @@ def test_figure_out_file_bytes_equal_stdout_bytes(tmp_path, capsys, which, resol
 # byte, lives in pins.json: its "tier1" rows run here, its "ci" rows (sweeps and
 # benchmark-size figures too large for this suite) in CI.  The rows cover each figure (fig3 at 256 checks
 # math.hypot bit for bit, and both CSV column paths run at scale), a small pure
-# + mixed sweep, `gauge` on each spec kind and one moment table, `state
+# + mixed sweep, `gauge` on each spec kind and two moment tables (the second so
+# ill-conditioned, lambda_+ / lambda_- near 1e11, that the tight-bound scan
+# searches its whole grid), `state
 # --dump-amplitudes` on each spec kind but approx_strong_field (its amplitudes
 # are held to the analytic oracle above), `calibrate` and `moments`.
 PINS = json.loads((Path(__file__).parent / "pins.json").read_text())

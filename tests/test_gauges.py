@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from fockgauge import (
     cat,
@@ -19,7 +21,8 @@ from fockgauge.gauges import (
     AMPLITUDE_FLAG_TOL, C_LAMBDA_PLUS, C_TIGHT, C_TRACE, INEQUALITIES, SATURATION_TOL, SQUEEZING_TOL,
     InequalityRecord, _record, closed_bound, scan_bound,
 )
-from fockgauge.moments import FLAG_TOL
+from fockgauge.errors import NonphysicalMomentError
+from fockgauge.moments import FLAG_TOL, MomentSummary
 from _parents import reference_scan
 
 
@@ -103,6 +106,57 @@ def test_scan_is_bit_identical_to_the_reference_scan(family):
         s = summarize(state)
         got, want = scan_bound(s), reference_scan(s)
         assert [x.hex() for x in got] == [float(x).hex() for x in want], (family, got, want)
+
+
+def _scan_table(mean_a: complex, cov_ada: float, var_a: complex) -> MomentSummary:
+    # the scan and `ellipse` read mean_a, cov_ada and var_a; the other fields are placeholders
+    return MomentSummary(mean_a, 0j, 1.0, 1.0, 0.0, 1.0, var_a, cov_ada, 3.0, False)
+
+
+@st.composite
+def scan_tables(draw):
+    """Tables with |<a>| from 1e-11 to 2^499, lambda_-^2 from 1e-11 to 1e12, kappa from 1 to 1e12,
+    and any of the four real parts replaced by a zero of either sign."""
+    amplitude = 2.0 ** draw(st.floats(math.log2(1e-11), 499.0))
+    stick = draw(st.floats(-math.pi, math.pi))
+    lam_minus = 10.0 ** draw(st.floats(-11.0, 12.0))
+    lam_plus = lam_minus * 10.0 ** draw(st.floats(0.0, 12.0))
+    major = draw(st.floats(-math.pi, math.pi))
+    spread = (lam_plus - lam_minus) / 2.0
+    parts = [
+        amplitude * math.cos(stick), amplitude * math.sin(stick),
+        spread * math.cos(2.0 * major), spread * math.sin(2.0 * major),
+    ]
+    zeros = draw(st.lists(st.sampled_from([None, 0.0, -0.0]), min_size=4, max_size=4))
+    ar, ai, vr, vi = (part if zero is None else zero for part, zero in zip(parts, zeros))
+    return _scan_table(complex(ar, ai), (lam_plus + lam_minus) / 2.0, complex(vr, vi))
+
+
+# The scan evaluates a window of its grid in Python floats, certified to hold
+# numpy's argmax, so on any table `ellipse` accepts it must give the reference
+# scan's bits.  The examples: CI's bound-overflow table (bound inf), and two
+# tables whose window widens to the whole grid (the ill-conditioned `gauge
+# --moments` pin, kappa near 1e11, and a bound near the float range).
+@given(scan_tables())
+@example(_scan_table(3.27e150 + 3.27e150j, 1e-9, 0j))
+@example(
+    _scan_table(
+        0.46968635642368944 + 0.17144890372772567j,
+        110603.34800392535,
+        -84594.10660658094 - 71252.63305037815j,
+    )
+)
+@example(_scan_table(complex(2.0**499, -0.0), 2.0**-30, 1e-10 + 1e-12j))
+@settings(max_examples=400)
+def test_scan_matches_the_reference_scan_on_synthetic_tables(table):
+    try:
+        applicable = not ellipse(table).zero_stick_flag
+    except NonphysicalMomentError:
+        applicable = False
+    assume(applicable)  # the scan's precondition
+    with np.errstate(over="ignore"):
+        want = reference_scan(table)
+    assert [x.hex() for x in scan_bound(table)] == [float(x).hex() for x in want]
 
 
 # ------------------------------------------------------------- relaxed bounds
