@@ -120,29 +120,18 @@ def _csv_pieces(header: Sequence[str], table: np.ndarray) -> Iterator[str]:
     rows = len(table)
     separators = [","] * (len(header) - 1) + ["\n"]
     # A column with at most half as many distinct values (bit patterns, so that
-    # 0.0 and -0.0 stay apart) as rows is repeated: a sort finds its distinct
-    # values, each becomes one record padded to the column's widest text, and
-    # an argsort of the same keys scatters each row's index among them, in the
-    # smallest unsigned type that holds it.  Every other column formats the
-    # cells of each block as CSV_FIELD_WIDTH + 1 byte records.
+    # 0.0 and -0.0 stay apart) as rows is repeated: each distinct value becomes
+    # one record padded to the column's widest text, and each row's index among
+    # them is kept in the smallest unsigned type that holds it.  Every other
+    # column formats the cells of each block as CSV_FIELD_WIDTH + 1 byte records.
     columns = []  # (records, index) of a repeated column, (None, None) of another
-    ordered, first, rank = np.empty(rows, dtype=np.int64), np.ones(rows, dtype=bool), np.empty(rows, dtype=np.int32)
     for column, separator in zip(table.T, separators):
-        keys = column.view(np.int64)
-        ordered[:] = keys
-        ordered.sort()
-        np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
-        count = np.count_nonzero(first)
-        if 2 * count > rows:
+        distinct, inverse = np.unique(column.view(np.int64), return_inverse=True)
+        if 2 * len(distinct) > rows:
             columns.append((None, None))
             continue
-        np.cumsum(first, dtype=np.int32, out=rank)
-        rank -= 1
-        records = _records(ordered[first].view(np.float64), separator, True)
-        index = np.empty(rows, dtype=np.min_scalar_type(count - 1))
-        index[np.argsort(keys)] = rank
-        columns.append((records, index))
-    del ordered, first, rank  # a generator keeps its locals until it ends; the blocks reuse this space
+        records = _records(distinct.view(np.float64), separator, True)
+        columns.append((records, inverse.astype(np.min_scalar_type(len(distinct) - 1))))
     # one row buffer, a field of one record per column, serves every block:
     # each field is filled by one take or one formatting pass, then the
     # padding spaces are dropped in one pass

@@ -29,8 +29,9 @@ has one peak, at u ~ M^-1 b, and one zero, at u perpendicular to b, and
 falls monotonically from the peak to the zero on either side.  `scan_bound`
 reads the scan grid's maximum from a window of the grid around that peak
 direction, certified by this shape and a bound on the grid's rounding to
-hold the whole grid's first maximum (its docstring gives the bound), so the
-scan returns the bits an evaluation of the whole grid gives.
+hold the whole grid's first maximum (its docstring gives the bound), or else
+from the whole grid, so the scan returns the bits an evaluation of the whole
+grid gives.
 
 G1 = Var n / B, the lhs/rhs ratio of the `tight_scan` row, reads exactly 1 on
 the extremal (intelligent) states; for zero-amplitude states the scan is
@@ -288,17 +289,16 @@ def scan_bound(summary: MomentSummary) -> tuple[float, float]:
     angle below _REFINE_TOL.  The grid maximum comes from a window of the
     grid, and is the first maximum of the whole grid, bit for bit:
 
-    - The window starts as the 3 indices nearest the peak direction
-      u ~ M^-1 b (module docstring).  Its values use the whole grid's float
+    - The window is the 3 indices nearest the peak direction u ~ M^-1 b
+      (module docstring).  Its values use the whole grid's float
       operations in the same order, so they are the same bits.
     - The objective falls monotonically from its one peak to its one zero
       on both sides.  So where both window edges lie below a point inside,
       the peak is inside, and every angle outside lies below an edge.
     - Each computed grid value is within E of the objective at its angle.
       So a window whose two edge values lie more than 2E below its largest
-      value holds the whole grid's largest value.  Otherwise the window
-      doubles, up to the whole grid.  Ties go to the lowest index, as
-      numpy's argmax does.
+      value holds the whole grid's largest value.  Otherwise the whole grid
+      is evaluated.  Ties go to the lowest index, as numpy's argmax does.
 
     The bound E = 2^-44 |<a>|^2 / l- (1 + l+ / l-) = 2^-43 |<a>|^2 Cov / l-^2.
     With u = 2^-53 and the tabulated sines and cosines within one ulp:
@@ -311,8 +311,8 @@ def scan_bound(summary: MomentSummary) -> tuple[float, float]:
     to first order in u kappa < 1.2e-4.  E is 70 times that, which leaves
     room for tables a few ulp off and absorbs the rounding of E itself and
     of the comparisons.  A bound near the float range makes E inf, so the
-    window widens to the whole grid, where the quotients overflow to inf
-    without a warning.
+    whole grid is evaluated, where the quotients overflow to inf without a
+    warning.
     """
     ar, ai = summary.mean_a.real, summary.mean_a.imag
     cov, vr, vi = summary.cov_ada, summary.var_a.real, summary.var_a.imag
@@ -321,16 +321,13 @@ def scan_bound(summary: MomentSummary) -> tuple[float, float]:
     twice_e = _TWICE_ROUNDING * (ar * ar + ai * ai) / lam_minus * (cov / lam_minus)
     # the grid index nearest the peak direction u ~ M^-1 b: it only places the window
     k0 = round(math.atan2((cov + vr) * ar + vi * ai, vi * ar + (cov - vr) * ai) / _STEP)
-    half = 1
-    while True:
-        whole = 2 * half + 1 >= _GRID_SIZE
-        ks = range(_GRID_SIZE) if whole else [(k0 + j) % _GRID_SIZE for j in range(-half, half + 1)]
+    ks = [(k0 + j) % _GRID_SIZE for j in (-1, 0, 1)]
+    values = _grid_values(ar, ai, cov, vr, vi, ks)
+    if not max(values[0], values[-1]) + twice_e < max(values):
+        ks = range(_GRID_SIZE)
         values = _grid_values(ar, ai, cov, vr, vi, ks)
-        # the largest value and, among its ties, the lowest grid index, as argmax picks
-        top, negated = max(zip(values, [-k for k in ks]))
-        if whole or max(values[0], values[-1]) + twice_e < top:
-            break
-        half *= 2
+    # the largest value and, among its ties, the lowest grid index, as argmax picks
+    negated = max(zip(values, [-k for k in ks]))[1]
     lo, hi = _THETA[-negated] - _STEP, _THETA[-negated] + _STEP
     c = hi - _GOLDEN * (hi - lo)
     d = lo + _GOLDEN * (hi - lo)

@@ -253,17 +253,12 @@ def figure_rows(which: str, resolution: int) -> tuple[list[str], np.ndarray]:
     if which == "fig4":
         header = ["gamma_re", "gamma_im", "cov_ada", "var_n", "bound", "rel_gap"]
         alpha = 3.0
-        unit = np.linspace(0.0, 1.0, resolution)
-        gammas, summaries = [], []
-        for phase in (0.0, math.pi / 4.0, math.pi / 2.0):
-            gammas.append(unit * complex(math.cos(phase), math.sin(phase)))
-            summaries += summarize(approx_strong_field(alpha, gammas[-1]))
-        gamma = np.concatenate(gammas)
+        phases = np.array([complex(math.cos(t), math.sin(t)) for t in (0.0, math.pi / 4.0, math.pi / 2.0)])
+        gamma = (phases[:, None] * np.linspace(0.0, 1.0, resolution)).ravel()
         # |<a>|^2 in Python floats (numpy's complex abs differs in the last bit);
         # the floor and the gap are real arithmetic, which numpy rounds alike
-        amp_sq = np.fromiter((abs(s.mean_a) ** 2 for s in summaries), float, len(summaries))
-        cov_ada = np.fromiter((s.cov_ada for s in summaries), float, len(summaries))
-        var_n = np.fromiter((s.var_n for s in summaries), float, len(summaries))
+        summaries = summarize(approx_strong_field(alpha, gamma))
+        amp_sq, cov_ada, var_n = np.array([(abs(s.mean_a) ** 2, s.cov_ada, s.var_n) for s in summaries]).T
         bound = trace_floor(amp_sq, cov_ada)
         return header, np.stack((gamma.real, gamma.imag, cov_ada, var_n, bound, (var_n - bound) / bound)).T
     raise ValueError(f"unknown figure {which!r}; expected one of {FIGURE_NAMES}")

@@ -578,6 +578,16 @@ def test_cli_output_matches_its_pin(capsys, pin):
     assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == pin["sha256"]
 
 
+def test_benchmark_figure_pins_match_the_benchmark_references():
+    # the "ci" pins of the benchmark's two figures and perfbench's references hold one digest each
+    references = json.loads((Path(__file__).parents[1] / "perfbench" / "references.json").read_text())
+    pins = {pin["name"]: pin for pin in PINS["ci"]}
+    for which, resolution in (("fig4", 2048), ("fig3", 512)):
+        pin = pins[f"figure-{which}-{resolution}"]
+        assert pin["argv"] == ["figure", "--which", which, "--resolution", str(resolution)]
+        assert pin["sha256"] == references["figures"][which]
+
+
 def test_inequality_records_are_read_only():
     summary = summarize(coherent(0.8 - 0.4j))
     record = full_report(summary, ellipse(summary)).records["tight_scan"]

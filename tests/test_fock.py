@@ -171,12 +171,12 @@ def test_reductions_are_bit_identical_to_their_np_sum_forms():
             top = max(0, state.cutoff + 1 - BOUNDARY_PAD)
             want = float(np.sum(p[top:]))
             assert boundary_mass(state).hex() == want.hex(), (dim, type(state).__name__)
-    # fig4's strong-field block, whose terms are scaled in place: each row's
-    # moment is the np.sum form and what that row alone gives
-    phase = complex(math.cos(math.pi / 4.0), math.sin(math.pi / 4.0))
-    block = states.approx_strong_field(3.0, np.linspace(0.0, 1.0, 2048) * phase)
+    # fig4's strong-field block of its three phases, whose terms are scaled in
+    # place: each row's moment is the np.sum form and what that row alone gives
+    phases = [complex(math.cos(p), math.sin(p)) for p in (0.0, math.pi / 4.0, math.pi / 2.0)]
+    block = states.approx_strong_field(3.0, np.concatenate([np.linspace(0.0, 1.0, 2048) * p for p in phases]))
     amps = block.amplitudes
-    assert amps.shape == (2048, 46)
+    assert amps.shape == (6144, 46)
     for j, k in ((0, 1), (0, 2), (1, 1), (2, 2)):
         n, m, weight = _moment_window(amps.shape[-1], j, k)
         moments = normally_ordered_moment(block, j, k)

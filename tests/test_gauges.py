@@ -21,6 +21,7 @@ from fockgauge.gauges import (
     AMPLITUDE_FLAG_TOL, C_LAMBDA_PLUS, C_TIGHT, C_TRACE, INEQUALITIES, SATURATION_TOL, SQUEEZING_TOL,
     InequalityRecord, _record, closed_bound, scan_bound,
 )
+from fockgauge import gauges
 from fockgauge.errors import NonphysicalMomentError
 from fockgauge.moments import FLAG_TOL, MomentSummary
 from _parents import reference_scan
@@ -135,17 +136,18 @@ def scan_tables(draw):
 # The scan evaluates a window of its grid in Python floats, certified to hold
 # numpy's argmax, so on any table `ellipse` accepts it must give the reference
 # scan's bits.  The examples: CI's bound-overflow table (bound inf), and two
-# tables whose window widens to the whole grid (the ill-conditioned `gauge
+# tables whose window falls back to the whole grid (the ill-conditioned `gauge
 # --moments` pin, kappa near 1e11, and a bound near the float range).
+ILL_CONDITIONED = _scan_table(
+    0.46968635642368944 + 0.17144890372772567j,
+    110603.34800392535,
+    -84594.10660658094 - 71252.63305037815j,
+)
+
+
 @given(scan_tables())
 @example(_scan_table(3.27e150 + 3.27e150j, 1e-9, 0j))
-@example(
-    _scan_table(
-        0.46968635642368944 + 0.17144890372772567j,
-        110603.34800392535,
-        -84594.10660658094 - 71252.63305037815j,
-    )
-)
+@example(ILL_CONDITIONED)
 @example(_scan_table(complex(2.0**499, -0.0), 2.0**-30, 1e-10 + 1e-12j))
 @settings(max_examples=400)
 def test_scan_matches_the_reference_scan_on_synthetic_tables(table):
@@ -157,6 +159,19 @@ def test_scan_matches_the_reference_scan_on_synthetic_tables(table):
     with np.errstate(over="ignore"):
         want = reference_scan(table)
     assert [x.hex() for x in scan_bound(table)] == [float(x).hex() for x in want]
+
+
+def test_an_uncertified_window_falls_back_to_one_pass_over_the_grid(monkeypatch):
+    points = []
+
+    def counted(ar, ai, cov, vr, vi, ks):
+        points.extend(ks)
+        return grid_values(ar, ai, cov, vr, vi, ks)
+
+    grid_values = gauges._grid_values
+    monkeypatch.setattr(gauges, "_grid_values", counted)
+    scan_bound(ILL_CONDITIONED)
+    assert len(points) <= 3 + 1024
 
 
 # ------------------------------------------------------------- relaxed bounds

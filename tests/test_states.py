@@ -405,6 +405,7 @@ STRONG_FIELD_GAMMAS = [
     [0.0, complex(0.9 * 2.0**500, -(2.0**500)), 1 / 3, complex(-3e250, 7e249), -0.0, 1e-300,
      complex(1.7e308, -1.7e308), -(2.0**499), complex(0.0, 2.0**500), 2.0**500 * (1 - 2.0**-53)],
     *_fig4_phases(),
+    np.concatenate(_fig4_phases()),  # fig4's one block
 ]
 
 
