@@ -39,7 +39,11 @@ class FockVector:
     amplitudes: np.ndarray
 
     def __post_init__(self) -> None:
-        amps = np.array(self.amplitudes, dtype=np.complex128)
+        # a read-only array is taken as it is; a writeable one is copied, so
+        # the caller's array is neither frozen nor aliased
+        amps = np.asarray(self.amplitudes, dtype=np.complex128)
+        if amps.flags.writeable:
+            amps = amps.copy()
         if amps.ndim not in (1, 2) or amps.shape[-1] == 0:
             raise ValueError("amplitudes must be a non-empty 1-d sequence or an (N, D) block")
         amps.flags.writeable = False

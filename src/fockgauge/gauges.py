@@ -28,10 +28,11 @@ every summary that `ellipse` accepts.  On a half period the ratio therefore
 has one peak, at u ~ M^-1 b, and one zero, at u perpendicular to b, and
 falls monotonically from the peak to the zero on either side.  `scan_bound`
 reads the scan grid's maximum from a window of the grid around that peak
-direction, certified by this shape and a bound on the grid's rounding to
-hold the whole grid's first maximum (its docstring gives the bound), or else
-from the whole grid, so the scan returns the bits an evaluation of the whole
-grid gives.
+direction, evaluated in Python floats and certified by this shape and a
+bound on the grid's rounding to hold the whole grid's first maximum (its
+docstring gives the bound), or else from the whole grid, evaluated once as
+float64 columns.  Both evaluate one expression of real + - * / only, so the
+scan returns the bits an evaluation of the whole grid gives.
 
 G1 = Var n / B, the lhs/rhs ratio of the `tight_scan` row, reads exactly 1 on
 the extremal (intelligent) states; for zero-amplitude states the scan is
@@ -66,17 +67,12 @@ AMPLITUDE_FLAG_TOL = 1e-8
 SQUEEZING_TOL = 1e-10
 
 _GRID_SIZE = 1024
-# numpy's grid angles and their sines and cosines, read as Python floats
+# numpy's grid angles and the float64 columns sin t, cos t, sin 2t, cos 2t;
+# _THETA and _TRIG read them as Python floats, one angle at a time
 _THETA_GRID = np.linspace(0.0, math.pi, _GRID_SIZE, endpoint=False)
 _THETA = _THETA_GRID.tolist()
-_TRIG = tuple(
-    zip(
-        np.sin(_THETA_GRID).tolist(),
-        np.cos(_THETA_GRID).tolist(),
-        np.sin(2.0 * _THETA_GRID).tolist(),
-        np.cos(2.0 * _THETA_GRID).tolist(),
-    )
-)
+_COLUMNS = (np.sin(_THETA_GRID), np.cos(_THETA_GRID), np.sin(2.0 * _THETA_GRID), np.cos(2.0 * _THETA_GRID))
+_TRIG = tuple(zip(*(column.tolist() for column in _COLUMNS)))
 _STEP = math.pi / _GRID_SIZE
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _REFINE_TOL = 1e-10
@@ -104,8 +100,11 @@ class InequalityRecord(NamedTuple):
 
 def _record(lhs: float, rhs: float, tolerance: float) -> InequalityRecord:
     slack = lhs - rhs
+    # violated below -tolerance times the larger side or 1; the absolute test
+    # first, as the relative one implies it and it rarely holds
+    violated = slack < -tolerance and slack < -tolerance * max(1.0, abs(lhs), abs(rhs))
     # tuple.__new__ skips the NamedTuple's Python-level __new__; the fields in declaration order
-    return tuple.__new__(InequalityRecord, (lhs, rhs, slack, abs(slack) <= SATURATION_TOL, slack < -tolerance))
+    return tuple.__new__(InequalityRecord, (lhs, rhs, slack, abs(slack) <= SATURATION_TOL, violated))
 
 
 class TightBoundReport(NamedTuple):
@@ -132,7 +131,7 @@ def trace_floor(amp_sq: float, cov_ada: float) -> float:
 
 
 class Inequality(NamedTuple):
-    """One registry row: lhs >= rhs, violated when lhs - rhs < -tolerance.
+    """One registry row: lhs >= rhs, violated when lhs - rhs < -tolerance max(1, |lhs|, |rhs|).
 
     `sides` maps (summary s, ellipse e, tight report t) to (lhs, rhs).  Rows
     that need a nonzero amplitude apply only where the tight scan does.
@@ -266,15 +265,12 @@ def _objective(ar: float, ai: float, cov: float, vr: float, vi: float, theta: fl
     return p * p / (2.0 * (cov + vr * (c * c - s * s) - vi * 2.0 * s * c))
 
 
-def _grid_values(ar: float, ai: float, cov: float, vr: float, vi: float, ks) -> list[float]:
-    # p^2 / (2 var_x) at grid indices ks, with the operations and order of the
-    # numpy grid: p = ar S + ai C, then p p / (((vr C2 + cov) - vi S2) 2)
-    values = []
-    for k in ks:
-        s, c, s2, c2 = _TRIG[k]
-        p = ar * s + ai * c
-        values.append(p * p / ((vr * c2 + cov - vi * s2) * 2.0))
-    return values
+def _grid_values(ar: float, ai: float, cov: float, vr: float, vi: float, s, c, s2, c2):
+    # p^2 / (2 var_x) at the grid angles with sines and cosines s, c, s2, c2:
+    # p = ar s + ai c, then p p / (((vr c2 + cov) - vi s2) 2).  Only real + - * /,
+    # so Python floats and float64 columns give the same bits
+    p = ar * s + ai * c
+    return p * p / ((vr * c2 + cov - vi * s2) * 2.0)
 
 
 def scan_bound(summary: MomentSummary) -> tuple[float, float]:
@@ -290,7 +286,8 @@ def scan_bound(summary: MomentSummary) -> tuple[float, float]:
     grid, and is the first maximum of the whole grid, bit for bit:
 
     - The window is the 3 indices nearest the peak direction u ~ M^-1 b
-      (module docstring).  Its values use the whole grid's float
+      (module docstring).  `_grid_values` gives its values in Python
+      floats and the whole grid's as float64 columns, with the same real
       operations in the same order, so they are the same bits.
     - The objective falls monotonically from its one peak to its one zero
       on both sides.  So where both window edges lie below a point inside,
@@ -298,7 +295,7 @@ def scan_bound(summary: MomentSummary) -> tuple[float, float]:
     - Each computed grid value is within E of the objective at its angle.
       So a window whose two edge values lie more than 2E below its largest
       value holds the whole grid's largest value.  Otherwise the whole grid
-      is evaluated.  Ties go to the lowest index, as numpy's argmax does.
+      is evaluated, and argmax picks its first maximum.
 
     The bound E = 2^-44 |<a>|^2 / l- (1 + l+ / l-) = 2^-43 |<a>|^2 Cov / l-^2.
     With u = 2^-53 and the tabulated sines and cosines within one ulp:
@@ -311,8 +308,8 @@ def scan_bound(summary: MomentSummary) -> tuple[float, float]:
     to first order in u kappa < 1.2e-4.  E is 70 times that, which leaves
     room for tables a few ulp off and absorbs the rounding of E itself and
     of the comparisons.  A bound near the float range makes E inf, so the
-    whole grid is evaluated, where the quotients overflow to inf without a
-    warning.
+    whole grid is evaluated, where the quotients overflow to inf under
+    np.errstate(over="ignore"), without a warning.
     """
     ar, ai = summary.mean_a.real, summary.mean_a.imag
     cov, vr, vi = summary.cov_ada, summary.var_a.real, summary.var_a.imag
@@ -321,14 +318,19 @@ def scan_bound(summary: MomentSummary) -> tuple[float, float]:
     twice_e = _TWICE_ROUNDING * (ar * ar + ai * ai) / lam_minus * (cov / lam_minus)
     # the grid index nearest the peak direction u ~ M^-1 b: it only places the window
     k0 = round(math.atan2((cov + vr) * ar + vi * ai, vi * ar + (cov - vr) * ai) / _STEP)
-    ks = [(k0 + j) % _GRID_SIZE for j in (-1, 0, 1)]
-    values = _grid_values(ar, ai, cov, vr, vi, ks)
-    if not max(values[0], values[-1]) + twice_e < max(values):
-        ks = range(_GRID_SIZE)
-        values = _grid_values(ar, ai, cov, vr, vi, ks)
-    # the largest value and, among its ties, the lowest grid index, as argmax picks
-    negated = max(zip(values, [-k for k in ks]))[1]
-    lo, hi = _THETA[-negated] - _STEP, _THETA[-negated] + _STEP
+    best = k0 % _GRID_SIZE
+    # the window best - 1 (index -1 wraps to the grid's end), best, best + 1;
+    # certified when both edges lie more than 2E below the middle, the
+    # window's largest value (an edge that is largest fails the test anyway)
+    left = _grid_values(ar, ai, cov, vr, vi, *_TRIG[best - 1])
+    middle = _grid_values(ar, ai, cov, vr, vi, *_TRIG[best])
+    right = _grid_values(ar, ai, cov, vr, vi, *_TRIG[(best + 1) % _GRID_SIZE])
+    if not max(left, right) + twice_e < middle:
+        # the first maximum of the whole grid, as argmax picks; a bound near
+        # the float range overflows to inf
+        with np.errstate(over="ignore"):
+            best = int(np.argmax(_grid_values(ar, ai, cov, vr, vi, *_COLUMNS)))
+    lo, hi = _THETA[best] - _STEP, _THETA[best] + _STEP
     c = hi - _GOLDEN * (hi - lo)
     d = lo + _GOLDEN * (hi - lo)
     fc, fd = _objective(ar, ai, cov, vr, vi, c), _objective(ar, ai, cov, vr, vi, d)

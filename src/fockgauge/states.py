@@ -82,6 +82,7 @@ def _finalize(amps: np.ndarray) -> FockVector:
     size = amps.shape[-1]
     padded = np.zeros(amps.shape[:-1] + (size + BOUNDARY_PAD,), dtype=np.complex128)
     np.divide(amps, norm, out=padded[..., :size])
+    padded.flags.writeable = False  # the state takes the fresh block without a copy
     return FockVector(padded)
 
 

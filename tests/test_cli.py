@@ -186,6 +186,30 @@ def test_gauge_applies_every_registry_row(capsys):
     assert _strict(captured.out)["hierarchy_ok"] is True
 
 
+def _squeezed_vacuum_table(r, phi):
+    """Closed-form moment table of the squeezed vacuum S(r e^{i phi})|0>."""
+    n = 0.5 * math.cosh(2.0 * r) - 0.5
+    m = 0.5 * complex(math.cos(phi), math.sin(phi)) * math.sinh(2.0 * r)
+    a2da2 = abs(m) ** 2 + 2.0 * n * n
+    return {
+        "mean_a": {"re": 0.0, "im": 0.0}, "mean_a2": {"re": m.real, "im": m.imag}, "mean_n": n,
+        "mean_n2": a2da2 + n, "mean_a2da2": a2da2, "var_n": a2da2 + n - n * n,
+        "var_a": {"re": m.real, "im": m.imag}, "cov_ada": n + 0.5,
+        "cov_a2": a2da2 + 2.0 * n + 1.0 - abs(m) ** 2, "truncation_warning": False,
+    }
+
+
+# uncertainty_area's sides reach 3e7 at r = 5 and 6e9 at r = 6.33; at these
+# phases 2 pi k / 64 its exact zero slack rounds to a few ulps of them below zero
+@pytest.mark.parametrize("r,ks", [(5.0, (21, 22, 36, 38)), (6.33, (26, 30, 36))])
+def test_gauge_judges_a_violation_against_the_size_of_its_sides(r, ks, capsys):
+    for k in ks:
+        code = run(["gauge", "--moments", json.dumps(_squeezed_vacuum_table(r, 2.0 * math.pi * k / 64))])
+        out, err = capsys.readouterr()
+        assert (code, err) == (0, ""), k
+        assert _strict(out)["constraints"]["uncertainty_area"]["slack"] < -1e-9
+
+
 def test_squeezed_flag_reads_the_squeezing_record(capsys):
     # Var a = 0 and Cov(a^dag, a) = 0.4999999999: the minor variance sits one
     # rounding beyond the squeezing margin, where two copies of the test disagreed

@@ -38,6 +38,16 @@ def test_vector_invariants():
         FockVector(rows)
 
 
+def test_vector_copies_a_writeable_array_and_takes_a_read_only_one():
+    amps = np.array([0.6, 0.8j])
+    v = FockVector(amps)
+    assert amps.flags.writeable
+    assert not v.amplitudes.flags.writeable
+    assert not np.shares_memory(amps, v.amplitudes)
+    amps.flags.writeable = False
+    assert FockVector(amps).amplitudes is amps
+
+
 def test_package_attribute_fock_is_the_module():
     # no package export may shadow the submodule, or `import fockgauge.fock as fk` binds that export
     import fockgauge

@@ -164,14 +164,29 @@ def test_scan_matches_the_reference_scan_on_synthetic_tables(table):
 def test_an_uncertified_window_falls_back_to_one_pass_over_the_grid(monkeypatch):
     points = []
 
-    def counted(ar, ai, cov, vr, vi, ks):
-        points.extend(ks)
-        return grid_values(ar, ai, cov, vr, vi, ks)
+    def counted(ar, ai, cov, vr, vi, s, c, s2, c2):
+        points.append(np.size(s))
+        return grid_values(ar, ai, cov, vr, vi, s, c, s2, c2)
 
     grid_values = gauges._grid_values
     monkeypatch.setattr(gauges, "_grid_values", counted)
     scan_bound(ILL_CONDITIONED)
-    assert len(points) <= 3 + 1024
+    assert sum(points) <= 3 + 1024
+
+
+# The window evaluates the grid expression on Python floats, the fallback on
+# float64 columns; both must give every grid value's bits, overflow included.
+@given(scan_tables())
+@example(_scan_table(3.27e150 + 3.27e150j, 1e-9, 0j))
+@example(ILL_CONDITIONED)
+@example(_scan_table(complex(2.0**499, -0.0), 2.0**-30, 1e-10 + 1e-12j))
+@settings(max_examples=200)
+def test_the_grid_expression_gives_the_same_bits_on_floats_and_on_columns(table):
+    moments = (table.mean_a.real, table.mean_a.imag, table.cov_ada, table.var_a.real, table.var_a.imag)
+    with np.errstate(over="ignore"):
+        columns = gauges._grid_values(*moments, *gauges._COLUMNS)
+    floats = [gauges._grid_values(*moments, *trig) for trig in gauges._TRIG]
+    assert [x.hex() for x in floats] == [x.hex() for x in columns.tolist()]
 
 
 # ------------------------------------------------------------- relaxed bounds
