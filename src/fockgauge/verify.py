@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import SchemaError
 from .gauges import (
-    C_TRACE, INEQUALITIES, full_report, lambda_plus_floor, stick_variance, tight_bound, trace_floor
+    C_TIGHT, C_TRACE, INEQUALITIES, full_report, lambda_plus_floor, tight_bound, trace_floor
 )
 from .moments import ellipse, summarize
 from .schema import check_fields, integer
@@ -186,11 +186,11 @@ def calibrate() -> CalibrationReport:
         summary = summarize(coherent(alpha))
         ell = ellipse(summary)
         tight = tight_bound(summary, ell)
-        lam2 = stick_variance(ell)
-        amp_sq = abs(summary.mean_a) ** 2
-        estimate = summary.var_n * ell.lambda_plus_sq * ell.lambda_minus_sq / (amp_sq * lam2)
+        # |<a>|^2 Lambda^2 / (lp^2 lm^2), exactly: C_TIGHT = 1/2 is a power of two
+        shape = tight.bound_closed / C_TIGHT
+        estimate = summary.var_n / shape
         estimates.append(estimate)
-        geometry.append((summary.var_n, amp_sq * lam2 / (ell.lambda_plus_sq * ell.lambda_minus_sq)))
+        geometry.append((summary.var_n, shape))
         anchors.append(
             {
                 "alpha": {"re": alpha.real, "im": alpha.imag},

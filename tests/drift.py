@@ -4,8 +4,8 @@ far their outputs drift from those of another git revision.
 From the repository root:
 
     python tests/drift.py --check [--section ci]
-        Run each row at the working tree and compare the sha256 of its stdout
-        with the pinned one; exit 1 naming every row that differs.
+        Run each row at the working tree and hold it to its pins; exit 1
+        naming every row that fails.  This is CI's check of the CLI.
     python tests/drift.py [--rev REV] [--section tier1]
         Run each row at REV (default HEAD, checked out in a temporary git
         worktree) and at the working tree, and print a JSON drift report.
@@ -13,18 +13,23 @@ From the repository root:
         The same report, then the manifest's digests rewritten from the
         working tree's outputs.
 
-Each command runs in a fresh interpreter, `python -m fockgauge.cli`, with
-PYTHONPATH at that tree's `src` and the rest of the environment inherited, so
-PYTHONWARNINGS=error::RuntimeWarning reaches it.
+A row is a name, an argv, the sha256 of its stdout and, optionally, `exit`
+(its exit code, default 0), `stderr` (text its stderr must contain) and `env`
+(variables added to its environment).  Each runs in a fresh interpreter,
+`python -m fockgauge.cli`, from the repository root, with PYTHONPATH at that
+tree's `src` and PYTHONWARNINGS=error::RuntimeWarning.  A row fails when its
+exit code, stderr text or digest differs, when its stderr holds a traceback,
+or when its JSON stdout is not strict JSON (a NaN or Infinity token).
 
-The report parses a JSON output by key path (list indices read as "*", so a
-field gathers every item of its list) and a CSV output by column.  For each
-field with a moved value it gives the number of values, how many moved (any
-change of bits), the largest relative change |b - a| / max(|a|, |b|), and
-the largest ULP change, the number of float64 values between the two.  For
-`moments --spec` and `gauge --spec` rows it also gives each field's worst
-error against `_oracles.exact_summary` of the state that side builds, in ULP
-of max(1, |exact|), on both sides.
+The report gives each row's exit code on both sides.  It parses a JSON
+output by key path (list indices read as "*", so a field gathers every item
+of its list) and a CSV output by column.  For each field with a moved value
+it gives the number of values, how many moved (any change of bits), the
+largest relative change |b - a| / max(|a|, |b|), and the largest ULP change,
+the number of float64 values between the two.  For `moments --spec` and
+`gauge --spec` rows that exit 0 it also gives each field's worst error
+against `_oracles.exact_summary` of the state that side builds, in ULP of
+max(1, |exact|), on both sides.
 """
 
 from __future__ import annotations
@@ -45,6 +50,7 @@ TESTS = Path(__file__).resolve().parent
 ROOT = TESTS.parent
 MANIFEST = TESTS / "pins.json"
 SECTIONS = ("tier1", "ci")
+CLI = ("-m", "fockgauge.cli")
 
 sys.path.insert(0, str(TESTS))
 from _oracles import EXACT_ROWS, SUMMARY_KEYS, ulp_error  # noqa: E402
@@ -98,19 +104,20 @@ def format_manifest(manifest: dict) -> str:
 
 
 def _env(src: Path) -> dict:
-    return {**os.environ, "PYTHONPATH": str(src)}
+    return {**os.environ, "PYTHONPATH": str(src), "PYTHONWARNINGS": "error::RuntimeWarning"}
 
 
-def run_row(argv: list, src: Path) -> bytes:
-    """The stdout of one pinned command, run by the package under `src`; a failed command raises."""
+def run_row(row: dict, src: Path) -> subprocess.CompletedProcess:
+    """One pinned command, run by the package under `src` from the repository root; output in bytes."""
     return subprocess.run(
-        [sys.executable, "-m", "fockgauge.cli", *argv], env=_env(src), stdout=subprocess.PIPE, check=True
-    ).stdout
+        [sys.executable, *CLI, *row["argv"]], cwd=ROOT, env={**_env(src), **row.get("env", {})}, capture_output=True
+    )
 
 
-def _exact_spec(argv: list):
-    """The spec of a `moments --spec` or `gauge --spec` row, else None."""
-    if argv[0] in EXACT_FIELDS and "--spec" in argv:
+def _exact_spec(row: dict):
+    """The spec of a `moments --spec` or `gauge --spec` row that exits 0 (not an @file or malformed), else None."""
+    argv = row["argv"]
+    if argv[0] in EXACT_FIELDS and "--spec" in argv and row.get("exit", 0) == 0:
         return argv[argv.index("--spec") + 1]
     return None
 
@@ -217,16 +224,37 @@ def _digest(out: bytes) -> str:
     return hashlib.sha256(out).hexdigest()
 
 
+def _faults(row: dict, run: subprocess.CompletedProcess) -> list:
+    """How one run breaks its row's pins: exit code, stderr text, traceback, strict JSON, digest."""
+    found = []
+    err, out = run.stderr.decode(errors="replace"), run.stdout.decode(errors="replace")
+    if run.returncode != row.get("exit", 0):
+        found.append(f"exit {run.returncode}, pinned {row.get('exit', 0)}")
+    if row.get("stderr", "") not in err:
+        found.append(f"stderr lacks {row['stderr']!r}")
+    if "Traceback" in err:
+        found.append("traceback on stderr")
+    if out.lstrip()[:1] in ("{", "["):
+        try:
+            json.dumps(json.loads(out), allow_nan=False)  # a NaN or Infinity token fails
+        except ValueError as error:
+            found.append(f"stdout is not strict JSON ({error})")
+    if _digest(run.stdout) != row["sha256"]:
+        found.append(f"sha256 {_digest(run.stdout)}, pinned {row['sha256']}")
+    return found
+
+
 def check(rows: list) -> int:
-    """Run each row at the working tree and hold it to its pin; 1 if any differs."""
+    """Run each row at the working tree and hold it to its pins, one line per row; 1 if any fails."""
     failed = []
     for row in rows:
-        digest = _digest(run_row(row["argv"], ROOT / "src"))
-        print(f"{row['name']}: sha256 {digest}, pinned {row['sha256']}", flush=True)
-        if digest != row["sha256"]:
+        run = run_row(row, ROOT / "src")
+        found = _faults(row, run)
+        print(f"{row['name']}: " + ("; ".join(found) or f"exit {run.returncode}, sha256 as pinned"), flush=True)
+        if found:
             failed.append(row["name"])
     if failed:
-        print(f"digests differ: {failed}", file=sys.stderr)
+        print(f"rows failed: {failed}", file=sys.stderr)
     return 1 if failed else 0
 
 
@@ -235,23 +263,24 @@ def report(rows: list, rev: str) -> dict:
     sha = subprocess.run(
         ["git", "rev-parse", "--verify", f"{rev}^{{commit}}"], cwd=ROOT, stdout=subprocess.PIPE, check=True, text=True
     ).stdout.strip()
-    specs = [spec for spec in map(_exact_spec, (row["argv"] for row in rows)) if spec is not None]
+    specs = [spec for spec in map(_exact_spec, rows) if spec is not None]
     with tempfile.TemporaryDirectory() as scratch:
         tree = Path(scratch) / "base"
         subprocess.run(["git", "worktree", "add", "--detach", "--quiet", str(tree), sha], cwd=ROOT, check=True)
         try:
             sides = {
-                side: ([run_row(row["argv"], src) for row in rows], dict(zip(specs, exact_values(specs, src))))
+                side: ([run_row(row, src) for row in rows], dict(zip(specs, exact_values(specs, src))))
                 for side, src in (("base", tree / "src"), ("head", ROOT / "src"))
             }
         finally:
             subprocess.run(["git", "worktree", "remove", "--force", str(tree)], cwd=ROOT, check=True)
     entries = {}
     for i, row in enumerate(rows):
-        base, head = (sides[side][0][i] for side in ("base", "head"))
-        fields = {side: field_values(out.decode()) for side, out in (("base", base), ("head", head))}
+        runs = {side: sides[side][0][i] for side in ("base", "head")}
+        base, head = runs["base"].stdout, runs["head"].stdout
+        fields = {side: field_values(run.stdout.decode()) for side, run in runs.items()}
         per_field = {name: field for name, field in drift(fields["base"], fields["head"]).items() if field["moved"]}
-        spec = _exact_spec(row["argv"])
+        spec = _exact_spec(row)
         if spec is not None:
             paths = EXACT_FIELDS[row["argv"][0]]
             errors = {side: exact_errors(fields[side], sides[side][1][spec], paths) for side in ("base", "head")}
@@ -260,7 +289,8 @@ def report(rows: list, rev: str) -> dict:
                     field = per_field.setdefault(name, compare_field(fields["base"][name], fields["head"][name]))
                     field["exact_ulp"] = {side: errors[side].get(name) for side in ("base", "head")}
         entries[row["name"]] = {
-            "identical": base == head,
+            "identical": base == head and runs["base"].returncode == runs["head"].returncode,
+            "exit": {"pinned": row.get("exit", 0), **{side: run.returncode for side, run in runs.items()}},
             "sha256": {"pinned": row["sha256"], "base": _digest(base), "head": _digest(head)},
             "moved": sum(field["moved"] for field in per_field.values()),
             "fields": per_field,
@@ -271,7 +301,7 @@ def report(rows: list, rev: str) -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     mode = parser.add_mutually_exclusive_group()
-    mode.add_argument("--check", action="store_true", help="hold each row's digest to its pin")
+    mode.add_argument("--check", action="store_true", help="hold each row to its pins")
     mode.add_argument("--record", action="store_true", help="report, then rewrite the digests")
     parser.add_argument("--rev", default="HEAD", help="revision to compare with (default HEAD)")
     parser.add_argument("--section", action="append", choices=SECTIONS, help="manifest section (default all)")

@@ -585,14 +585,18 @@ def test_figure_out_file_bytes_equal_stdout_bytes(tmp_path, capsys, which, resol
 
 
 # The sha256 of stdout of every pinned command, so that no speed-up can change a
-# byte, lives in pins.json: its "tier1" rows run here, its "ci" rows (sweeps and
-# benchmark-size figures too large for this suite) in CI.  The rows cover each figure (fig3 at 256 checks
-# math.hypot bit for bit, and both CSV column paths run at scale), a small pure
-# + mixed sweep, `gauge` on each spec kind and two moment tables (the second so
-# ill-conditioned, lambda_+ / lambda_- near 1e11, that the tight-bound scan
-# searches its whole grid), `state
-# --dump-amplitudes` on each spec kind but approx_strong_field (its amplitudes
-# are held to the analytic oracle above), `calibrate` and `moments`.
+# byte, lives in pins.json.  `python tests/drift.py --check` runs every row in a
+# fresh interpreter, as CI does, and also holds it to its `exit` code and
+# `stderr` text.  The "tier1" rows, which all exit 0, also run here, in process;
+# the "ci" rows are sweeps and benchmark-size figures too large for this suite,
+# and the schema errors and failing moment tables of the tests above, run fresh
+# with their exit codes.  The "tier1" rows cover each
+# figure (fig3 at 256 checks math.hypot bit for bit, and both CSV column paths
+# run at scale), a small pure + mixed sweep, `gauge` on each spec kind and two
+# moment tables (the second so ill-conditioned, lambda_+ / lambda_- near 1e11,
+# that the tight-bound scan searches its whole grid), `state --dump-amplitudes`
+# on each spec kind (the strong-field one with gamma 1e300, whose norm is beyond
+# the float range), `calibrate` and `moments`.
 PINS = json.loads((Path(__file__).parent / "pins.json").read_text())
 
 

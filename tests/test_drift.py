@@ -1,5 +1,6 @@
-"""The drift report of tests/drift.py on hand-made outputs, and its manifest writer."""
+"""The check and drift report of tests/drift.py on hand-made outputs, and its manifest writer."""
 
+import hashlib
 import json
 import math
 from decimal import Decimal
@@ -11,6 +12,8 @@ from fockgauge.cli import run
 from drift import (
     EXACT_FIELDS,
     MANIFEST,
+    ROOT,
+    check,
     compare_field,
     drift,
     exact_errors,
@@ -96,3 +99,62 @@ def test_every_exact_field_is_printed_once_per_exact_key(capsys, command):
 
 def test_manifest_writer_gives_the_committed_text():
     assert format_manifest(load_manifest()) == MANIFEST.read_text()
+
+
+# a stand-in for the CLI, so that the check's tests run a bare interpreter: it prints the
+# value of its first argument, a Python expression, writes its second to stderr and exits
+# with its third
+STUB = "import os, sys; print(eval(sys.argv[1]), end=''); sys.stderr.write(sys.argv[2]); sys.exit(int(sys.argv[3]))"
+
+
+def _row(name, expression, err="", code=0, pinned=None, **pins):
+    # pinned to the stdout of `expression`, unless another is given
+    digest = hashlib.sha256((eval(expression) if pinned is None else pinned).encode()).hexdigest()
+    return {"name": name, "argv": [expression, err, str(code)], **pins, "sha256": digest}
+
+
+@pytest.fixture
+def stub(monkeypatch):
+    monkeypatch.setattr("drift.CLI", ("-c", STUB))
+
+
+def test_check_passes_rows_that_keep_their_pins(stub, capsys):
+    rows = [
+        _row("json", "'{\"a\": [1.5, null]}'"),
+        _row("csv", "'x,y\\n1,2\\n'"),
+        _row("schema error", "''", "input error: bad config\n", 2, exit=2, stderr="bad config"),
+    ]
+    assert check(rows) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "json: exit 0, sha256 as pinned",
+        "csv: exit 0, sha256 as pinned",
+        "schema error: exit 2, sha256 as pinned",
+    ]
+
+
+def test_check_runs_each_row_from_the_root_with_its_environment_and_numpy_warnings_as_errors(stub):
+    expression = "os.getcwd() + os.environ['PYTHONWARNINGS'] + os.environ['EXTRA']"
+    pinned = str(ROOT) + "error::RuntimeWarning" + "added"
+    assert check([_row("env", expression, pinned=pinned, env={"EXTRA": "added"})]) == 0
+
+
+# rows that break one pin each, and the fault the check names
+FAILING = [
+    (_row("exit", "''", code=1, exit=2), "exit 1, pinned 2"),
+    (_row("stderr", "''", "input error: other\n", 2, exit=2, stderr="bad config"), "stderr lacks 'bad config'"),
+    (_row("digest", "'{\"a\": 1}'", pinned='{"a": 2}'), "sha256 "),
+    (_row("nan", "'{\"a\": NaN}'"), "stdout is not strict JSON"),
+    (_row("traceback", "''", "Traceback (most recent call last):\n", 1, exit=1), "traceback on stderr"),
+]
+
+
+@pytest.mark.parametrize("bad,fault", FAILING, ids=[bad["name"] for bad, _ in FAILING])
+def test_check_names_a_failing_row_and_checks_the_rest(stub, capsys, bad, fault):
+    good = _row("good", "'{}'")
+    assert check([good, bad, good]) == 1
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert lines[0] == lines[2] == "good: exit 0, sha256 as pinned"
+    # the one fault of the bad row, and no other
+    assert lines[1].startswith(f"{bad['name']}: {fault}") and "; " not in lines[1]
+    assert captured.err == f"rows failed: [{bad['name']!r}]\n"
