@@ -14,6 +14,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 from json.encoder import encode_basestring_ascii
 from typing import Iterable, Iterator, Optional, Sequence
@@ -343,7 +344,23 @@ def run(argv: Sequence[str]) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    """The `fockgauge` command: `run`, with stdout flushed before the exit.
+
+    A write to stdout that fails (a closed pipe, a full disk, no stdout at
+    all) is reported like an unwritable --out, in one line with exit 2; the
+    unwritten rest then goes to devnull, so that the exit flush stays quiet.
+    """
+    try:
+        if sys.stdout is None:
+            raise OSError("stdout is closed")
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
+    except OSError as exc:
+        if sys.stdout is not None:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"input error: cannot write stdout: {exc}", file=sys.stderr)
+        code = 2
+    sys.exit(code)
 
 
 if __name__ == "__main__":

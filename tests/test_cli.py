@@ -1,9 +1,9 @@
-import hashlib
 import io
 import json
 import math
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +17,7 @@ from fockgauge.fock import BOUNDARY_PAD
 from fockgauge.gauges import INEQUALITIES, SQUEEZING_TOL
 from fockgauge.states import _FIELDS, _KINDS, MAX_RANDOM_CUTOFF, state_from_spec
 from fockgauge.verify import FIGURE_NAMES, MIN_RESOLUTION
+import drift
 from _oracles import strong_field_norm_inverse
 from _parents import reference_dumps
 
@@ -293,7 +294,8 @@ def test_bad_cutoff_ceiling_setting_names_the_variable(monkeypatch, capsys):
 
 
 # Moment tables whose var_a angle (table A) or stick angle (table B) underflows
-# in atan2, where cmath.phase raised OverflowError
+# in atan2, where cmath.phase raised OverflowError; pinned as the rows
+# gauge-moments-angle-underflow and gauge-moments-stick-angle-underflow
 ANGLE_UNDERFLOW_A = {
     "mean_a": {"re": -1.0, "im": 1e-12}, "mean_a2": {"re": -0.0, "im": 1e10}, "mean_n": 2.0,
     "mean_n2": -1e-9, "mean_a2da2": -0.0, "var_n": 3.273390607896142e150,
@@ -306,36 +308,12 @@ ANGLE_UNDERFLOW_B = {
 }
 
 
-@pytest.mark.parametrize(
-    "table,violated",
-    [
-        (ANGLE_UNDERFLOW_A, "second_order_floor"),
-        (ANGLE_UNDERFLOW_B, "tight_scan, canonical_pair_p, covariance_floor, uncertainty_area, "
-                            "second_order_floor, relaxed_lambda_plus, relaxed_trace, hyperboloid_surface"),
-    ],
-    ids=["var_a", "mean_a"],
-)
-def test_gauge_on_angles_that_underflow_names_the_violations(table, violated, capsys):
-    code = run(["gauge", "--moments", json.dumps(table)])
-    out, err = capsys.readouterr()
-    assert code == 1
-    assert _strict(out)["tight"]["applicable"] is True
-    assert err == f"physics violation in: {violated}\n"
-
-
-# a coherent table whose tight bound |<a>|^2 / (2 Cov(a^dag, a)) is beyond the float range
+# a coherent table whose tight bound |<a>|^2 / (2 Cov(a^dag, a)) is beyond the float range;
+# pinned as the row gauge-moments-bound-overflow
 BOUND_OVERFLOW = {
     **summarize(coherent(0.8 - 0.4j)).to_dict(), "mean_a": {"re": 3.27e150, "im": 3.27e150},
     "cov_ada": 1e-9, "var_a": {"re": 0.0, "im": 0.0},
 }
-
-
-def test_gauge_on_a_bound_beyond_the_float_range_names_the_field(capsys):
-    code = run(["gauge", "--moments", json.dumps(BOUND_OVERFLOW)])
-    out, err = capsys.readouterr()
-    assert code == 1
-    assert out == ""
-    assert err == "error: output field tight.bound_scan is inf, which JSON cannot carry\n"
 
 
 def test_gauge_on_cat_beyond_float_range_of_amplitudes(capsys):
@@ -584,31 +562,48 @@ def test_figure_out_file_bytes_equal_stdout_bytes(tmp_path, capsys, which, resol
     assert stdout.count(b"\n") == 1 + (3 * resolution if which == "fig4" else resolution**2)
 
 
-# The sha256 of stdout of every pinned command, so that no speed-up can change a
-# byte, lives in pins.json.  `python tests/drift.py --check` runs every row in a
-# fresh interpreter, as CI does, and also holds it to its `exit` code and
-# `stderr` text.  The "tier1" rows, which all exit 0, also run here, in process;
-# the "ci" rows are sweeps and benchmark-size figures too large for this suite,
-# and the schema errors and failing moment tables of the tests above, run fresh
-# with their exit codes.  The "tier1" rows cover each
-# figure (fig3 at 256 checks math.hypot bit for bit, and both CSV column paths
-# run at scale), a small pure + mixed sweep, `gauge` on each spec kind and two
-# moment tables (the second so ill-conditioned, lambda_+ / lambda_- near 1e11,
-# that the tight-bound scan searches its whole grid), `state --dump-amplitudes`
-# on each spec kind (the strong-field one with gamma 1e300, whose norm is beyond
-# the float range), `calibrate` and `moments`.
-PINS = json.loads((Path(__file__).parent / "pins.json").read_text())
+# Every pinned command is a row of pins.json: argv, stdout sha256 and, where not
+# the default, exit code, stderr text and environment.  One contract,
+# `drift._faults`, holds a row to them: `tests/drift.py --check` for every row in
+# a fresh interpreter, as CI runs it, and the test below for the "tier1" rows in
+# process.  "ci" holds only the rows too large for this suite.  The "tier1" rows
+# cover each figure (fig3 at 256 checks math.hypot bit for bit, and both CSV
+# column paths run at scale), a small sweep, `gauge` on each spec kind and on
+# moment tables (one so ill-conditioned that the scan searches its whole grid,
+# and the angle-underflow and bound-overflow tables above), `state
+# --dump-amplitudes` on each spec kind, `calibrate`, `moments`, JSON arguments
+# the decoder refuses and a 5000-digit FOCKGAUGE_MAX_CUTOFF.  A new CLI case is
+# one row, recorded with `python tests/drift.py --record`.
+PINS = drift.load_manifest()
 
 
-@pytest.mark.parametrize("pin", PINS["tier1"], ids=[pin["name"] for pin in PINS["tier1"]])
-def test_cli_output_matches_its_pin(capsys, pin):
-    assert run(pin["argv"]) == 0
-    assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == pin["sha256"]
+@pytest.mark.parametrize("row", PINS["tier1"], ids=[row["name"] for row in PINS["tier1"]])
+def test_cli_output_matches_its_pin(row, monkeypatch, capsys):
+    monkeypatch.chdir(drift.ROOT)
+    for name, value in row.get("env", {}).items():
+        monkeypatch.setenv(name, value)
+    code = run(row["argv"])
+    out, err = capsys.readouterr()
+    assert drift._faults(row, subprocess.CompletedProcess(row["argv"], code, out.encode(), err.encode())) == []
+
+
+def test_a_closed_stdout_pipe_exits_2_with_one_line():
+    # the reader takes one line of fig3 at 512, about 20 MB, and closes the pipe
+    argv = [sys.executable, *drift.CLI, "figure", "--which", "fig3", "--resolution", "512"]
+    child = subprocess.Popen(
+        argv, cwd=drift.ROOT, env=drift._env(drift.ROOT / "src"), stdout=subprocess.PIPE, stderr=subprocess.PIPE
+    )
+    assert child.stdout.readline() == b"re_var_a,im_var_a,hyperboloid,cone\n"
+    child.stdout.close()
+    _, err = child.communicate(timeout=60)
+    assert child.returncode == 2
+    # the whole of stderr: no traceback, and no "Exception ignored" from the exit flush
+    assert err == b"input error: cannot write stdout: [Errno 32] Broken pipe\n"
 
 
 def test_benchmark_figure_pins_match_the_benchmark_references():
     # the "ci" pins of the benchmark's two figures and perfbench's references hold one digest each
-    references = json.loads((Path(__file__).parents[1] / "perfbench" / "references.json").read_text())
+    references = json.loads((drift.ROOT / "perfbench" / "references.json").read_text())
     pins = {pin["name"]: pin for pin in PINS["ci"]}
     for which, resolution in (("fig4", 2048), ("fig3", 512)):
         pin = pins[f"figure-{which}-{resolution}"]
