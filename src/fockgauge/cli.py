@@ -266,6 +266,22 @@ def _resolution(text: str) -> int:
     return value
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose help and usage text fails like any stdout write.
+
+    argparse drops the OSError of a failed message write, so help sent to an
+    unwritable, unbuffered stdout would exit 0 with nothing said; here it
+    reaches `main`, which reports it as every other failed stdout write.
+    Messages to stderr keep argparse's handling.
+    """
+
+    def _print_message(self, message, file=None):
+        if file is not None and file is sys.stdout:
+            file.write(message)
+        else:
+            super()._print_message(message, file)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The one parser of the process, shared by every `run` call.
@@ -274,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     must not add to it.  `commands` on the parser maps each command name to
     its subparser.
     """
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fockgauge",
         description="Truncated Fock-space uncertainty bounds and nonclassicality gauges",
     )

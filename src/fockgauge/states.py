@@ -130,21 +130,26 @@ def _coherent_amps(alpha: complex, eps_tail: float, added: int = 0) -> np.ndarra
     lam, room = _room_for(alpha, added)
     if lam == 0.0:
         return np.ones(1, dtype=np.complex128)
-    amps = [1.0 + 0.0j]
+    c = 1.0 + 0.0j
+    amps = [c]
     cum = 1.0
     n = 0
     while True:
-        amps.append(amps[-1] * alpha / math.sqrt(n + 1))
         n += 1
         if n > room:
             raise _beyond_ceiling(alpha, added)
-        cum += abs(amps[-1]) ** 2
+        c = c * alpha / math.sqrt(n)
+        amps.append(c)
+        p = abs(c) ** 2  # the new level's weight, read by both tests below
+        cum += p
         if cum > 2.0**1000:
             # exact in binary, and never reached below |alpha|^2 of about 693
-            amps = [c * 2.0**-500 for c in amps]
+            amps = [x * 2.0**-500 for x in amps]
             cum *= 2.0**-1000
+            c = amps[-1]
+            p = abs(c) ** 2
         if n + 2 > lam:
-            p_next = abs(amps[-1]) ** 2 * lam / (n + 1)
+            p_next = p * lam / (n + 1)
             if p_next / (1.0 - lam / (n + 2)) < eps_tail * cum:
                 break
     v = np.array(amps, dtype=np.complex128)
@@ -193,8 +198,17 @@ def squeezed_coherent(
     mu = math.cosh(r)
     nu = -np.exp(1j * phi_s) * math.sinh(r)
     beta = mu * alpha + nu * np.conjugate(alpha)
-    c = [1.0 + 0.0j, beta / mu]
+    # the last two levels, numpy complex scalars as the recurrence makes them
+    # (Python's complex division rounds differently), and n with sqrt(n)
+    prev, last = 1.0 + 0.0j, beta / mu
+    n, root = 1, 1.0
+    c = [prev, last]
     chunk = 64
+    # the tail test reads `c` from this array, into which each chunk's new
+    # levels are written once; it grows by doubling, so that it stays within
+    # twice the levels built, whatever the ceiling
+    buffer = np.empty(4 * chunk, dtype=np.complex128)
+    written = 0
     while True:
         # the last round stops at the ceiling; the tail test reads whole chunks
         step = min(chunk, ceiling + 1 - len(c))
@@ -203,11 +217,20 @@ def squeezed_coherent(
                 f"squeezed state (alpha={alpha!r}, r={r}) needs a cutoff beyond {ceiling}"
             )
         for _ in range(step):
-            n = len(c) - 1
-            c.append((beta * c[n] - nu * math.sqrt(n) * c[n - 1]) / (mu * math.sqrt(n + 1)))
-            if abs(c[-1]) > SQUARE_LIMIT:  # exact in binary; the sums below stay finite
+            root_next = math.sqrt(n + 1)
+            prev, last = last, (beta * last - nu * root * prev) / (mu * root_next)
+            c.append(last)
+            n, root = n + 1, root_next
+            if abs(last) > SQUARE_LIMIT:  # exact in binary; the sums below stay finite
                 c = [x / SQUARE_LIMIT for x in c]
-        p = np.abs(np.array(c)) ** 2
+                prev, last = c[-2], c[-1]
+                written = 0
+        size = len(c)
+        if size > buffer.size:
+            buffer = np.concatenate((buffer[:written], np.empty(2 * buffer.size - written, dtype=np.complex128)))
+        buffer[written:size] = c[written:]
+        written = size
+        p = np.abs(buffer[:size]) ** 2
         cum = float(p.sum())
         w_last = float(p[-chunk:].sum())
         if w_last == 0.0:
@@ -218,7 +241,7 @@ def squeezed_coherent(
                 q = w_last / w_prev
                 if w_last * q / (1.0 - q) < eps_tail * cum:
                     break
-    return _finalize(np.array(c, dtype=np.complex128))
+    return _finalize(buffer[:size])
 
 
 def _crescent_laguerre_amps(alpha: complex, added: int, top: int) -> np.ndarray:
@@ -234,15 +257,18 @@ def _crescent_laguerre_amps(alpha: complex, added: int, top: int) -> np.ndarray:
     # a |alpha|^2 below the normal range has lost bits or underflowed to 0
     log_aa2 = math.log(aa2) if aa2 >= sys.float_info.min else 2.0 * log_abs
     phase = np.exp(-1j * np.angle(alpha))
+    # each level's terms read these instead of taking them again
+    log_comb = [math.log(math.comb(added, k)) for k in range(added + 1)]
+    log_factorial = [math.lgamma(i + 1) for i in range(top + 1)]
     logs = np.empty(top + 1)
     for n in range(top + 1):
         terms = [
-            math.log(math.comb(added, n - i)) + i * log_aa2 - math.lgamma(i + 1)
+            log_comb[n - i] + i * log_aa2 - log_factorial[i]
             for i in range(max(0, n - added), n + 1)
         ]
         peak = max(terms)
         logs[n] = (
-            0.5 * math.lgamma(n + 1)
+            0.5 * log_factorial[n]
             + (added - n) * log_abs
             + peak
             + math.log(sum(math.exp(t - peak) for t in terms))

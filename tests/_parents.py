@@ -2,8 +2,8 @@
 
 Each function here is not an independent oracle: it reproduces how an
 earlier version of the package computed something (the tight-bound scan,
-the strong-field block, the random draw, the sweep seeding, the JSON writer
-and the Laguerre crescent), and the package's current code must give the
+the strong-field block, the random draw, the sweep seeding, the JSON writer,
+the coherent and squeezed amplitude loops and the Laguerre crescent), and the package's current code must give the
 same bits.  Several reach into package internals to do so.  Independent
 oracles live in `_oracles.py`.
 """
@@ -15,10 +15,22 @@ import sys
 
 import numpy as np
 
-from fockgauge.errors import NonFiniteOutputError, ZeroNormError
-from fockgauge.fock import BOUNDARY_PAD, DensityMatrix
+from fockgauge.errors import CutoffExplosionError, NonFiniteOutputError, ZeroNormError
+from fockgauge.fock import BOUNDARY_PAD, DensityMatrix, FockVector
 from fockgauge.schema import SQUARE_LIMIT
-from fockgauge.states import _coherent_amps, _finalize, _raised, _refuse_nan, random_state
+from fockgauge.states import (
+    DEFAULT_EPS_TAIL,
+    MAX_ADDED_PHOTONS,
+    _beyond_ceiling,
+    _check_eps,
+    _coherent_amps,
+    _finalize,
+    _norm,
+    _raised,
+    _refuse_nan,
+    _room_for,
+    random_state,
+)
 
 
 # The tight-bound scan as the package first wrote it: a 1024-point grid over
@@ -177,12 +189,14 @@ def reference_dumps(obj) -> str:
 
 
 def reference_laguerre_amps(alpha: complex, added: int, eps_tail: float) -> np.ndarray:
-    """The crescent's closed-form amplitudes with every log taken in the loop.
+    """The crescent's closed-form amplitudes with every log taken in the loop,
+    on the levels the parent coherent loop sizes.
 
-    The package's `states._crescent_laguerre_amps` takes log|alpha| once and
-    must give the same floats bit for bit.
+    The package's `states._crescent_laguerre_amps` takes log|alpha| once,
+    reads lgamma(i + 1) and log C(M, k) from tables, and must give the same
+    floats bit for bit.
     """
-    top = _coherent_amps(alpha, eps_tail, added).size - 1 + added
+    top = reference_coherent_amps(alpha, eps_tail, added).size - 1 + added
     aa2 = abs(alpha) ** 2
     # a |alpha|^2 below the normal range has lost bits or underflowed to 0
     log_aa2 = math.log(aa2) if aa2 >= sys.float_info.min else 2.0 * math.log(abs(alpha))
@@ -202,3 +216,99 @@ def reference_laguerre_amps(alpha: complex, added: int, eps_tail: float) -> np.n
         )
     logs -= logs.max()
     return np.exp(logs) * phase ** (added - np.arange(top + 1))
+
+
+# The coherent and squeezed amplitude loops as the package first wrote them:
+# each level appended to a Python list, every earlier level re-read from it,
+# and the squeezed tail test rebuilding its array from the whole list every
+# 64 levels.  The package's loops must give the same amplitudes, and refuse
+# the same states with the same errors, bit for bit.
+def reference_coherent_amps(alpha: complex, eps_tail: float, added: int = 0) -> np.ndarray:
+    """Normalized coherent amplitudes c_n = e^{-|a|^2/2} a^n / sqrt(n!), unpadded.
+
+    The cutoff is grown until a geometric bound on the neglected Poisson tail
+    drops below eps_tail; this stays reliable long after 1 - cumsum would
+    drown in round-off.  The running amplitudes are rescaled by powers of two
+    on the way up, so only the cutoff ceiling limits |alpha|.  The cutoff
+    stays `added` below the ceiling, for callers that add photons on top.
+    """
+    _check_eps(eps_tail)
+    if not 0 <= added <= MAX_ADDED_PHOTONS:
+        raise ValueError(f"photon addition order must lie in [0, {MAX_ADDED_PHOTONS}]")
+    alpha = complex(alpha)
+    lam, room = _room_for(alpha, added)
+    if lam == 0.0:
+        return np.ones(1, dtype=np.complex128)
+    amps = [1.0 + 0.0j]
+    cum = 1.0
+    n = 0
+    while True:
+        amps.append(amps[-1] * alpha / math.sqrt(n + 1))
+        n += 1
+        if n > room:
+            raise _beyond_ceiling(alpha, added)
+        cum += abs(amps[-1]) ** 2
+        if cum > 2.0**1000:
+            # exact in binary, and never reached below |alpha|^2 of about 693
+            amps = [c * 2.0**-500 for c in amps]
+            cum *= 2.0**-1000
+        if n + 2 > lam:
+            p_next = abs(amps[-1]) ** 2 * lam / (n + 1)
+            if p_next / (1.0 - lam / (n + 2)) < eps_tail * cum:
+                break
+    v = np.array(amps, dtype=np.complex128)
+    return v / _norm(v)
+
+
+def reference_squeezed_coherent(
+    alpha: complex, r: float, phi_s: float = 0.0, eps_tail: float = DEFAULT_EPS_TAIL
+) -> FockVector:
+    """Displaced squeezed vacuum D(alpha) S(r e^{i phi_s}) |0>.
+
+    Convention pin: phi_s = 0 squeezes the p quadrature at theta = 0, so the
+    minor variance e^{-2r}/2 sits along p and the major e^{+2r}/2 along x.
+    Amplitudes follow the two-term recurrence of Gaussian pure states,
+    (mu a + nu a^dag)|psi> = (mu alpha + nu alpha^*)|psi> with mu = cosh r and
+    nu = -e^{i phi_s} sinh r.  At the default cutoff ceiling of 4096 a squeezed
+    vacuum builds up to |r| of about 2.805 (cutoff 4096); displacement lowers
+    the limit, and beyond it CutoffExplosionError is raised.  The mean photon
+    number |alpha|^2 + sinh^2 r is at least |alpha|^2, so alpha is refused, and
+    the running amplitudes rescaled by powers of two, as in `_coherent_amps`.
+    """
+    _check_eps(eps_tail)
+    _refuse_nan(r=r, phi_s=phi_s)
+    if abs(phi_s) == math.inf:  # e^{i phi_s} would be NaN, and the state fail unnamed
+        raise ValueError(f"phi_s must be finite, got {phi_s!r}")
+    if abs(r) > 3.0:
+        raise ValueError("squeezing magnitude |r| is limited to 3 for truncation safety")
+    alpha = complex(alpha)
+    _, ceiling = _room_for(alpha)
+    mu = math.cosh(r)
+    nu = -np.exp(1j * phi_s) * math.sinh(r)
+    beta = mu * alpha + nu * np.conjugate(alpha)
+    c = [1.0 + 0.0j, beta / mu]
+    chunk = 64
+    while True:
+        # the last round stops at the ceiling; the tail test reads whole chunks
+        step = min(chunk, ceiling + 1 - len(c))
+        if step <= 0:
+            raise CutoffExplosionError(
+                f"squeezed state (alpha={alpha!r}, r={r}) needs a cutoff beyond {ceiling}"
+            )
+        for _ in range(step):
+            n = len(c) - 1
+            c.append((beta * c[n] - nu * math.sqrt(n) * c[n - 1]) / (mu * math.sqrt(n + 1)))
+            if abs(c[-1]) > SQUARE_LIMIT:  # exact in binary; the sums below stay finite
+                c = [x / SQUARE_LIMIT for x in c]
+        p = np.abs(np.array(c)) ** 2
+        cum = float(p.sum())
+        w_last = float(p[-chunk:].sum())
+        if w_last == 0.0:
+            break
+        if len(p) >= 2 * chunk:
+            w_prev = float(p[-2 * chunk:-chunk].sum())
+            if 0.0 < w_last < w_prev:
+                q = w_last / w_prev
+                if w_last * q / (1.0 - q) < eps_tail * cum:
+                    break
+    return _finalize(np.array(c, dtype=np.complex128))

@@ -239,8 +239,9 @@ def _faults(row: dict, run: subprocess.CompletedProcess) -> list:
             json.dumps(json.loads(out), allow_nan=False)  # a NaN or Infinity token fails
         except ValueError as error:
             found.append(f"stdout is not strict JSON ({error})")
-    if _digest(run.stdout) != row["sha256"]:
-        found.append(f"sha256 {_digest(run.stdout)}, pinned {row['sha256']}")
+    # a row without a digest yet pins the empty placeholder, which no output matches
+    if _digest(run.stdout) != row.get("sha256", ""):
+        found.append(f"sha256 {_digest(run.stdout)}, pinned {row.get('sha256') or 'none'}")
     return found
 
 
@@ -291,7 +292,7 @@ def report(rows: list, rev: str) -> dict:
         entries[row["name"]] = {
             "identical": base == head and runs["base"].returncode == runs["head"].returncode,
             "exit": {"pinned": row.get("exit", 0), **{side: run.returncode for side, run in runs.items()}},
-            "sha256": {"pinned": row["sha256"], "base": _digest(base), "head": _digest(head)},
+            "sha256": {"pinned": row.get("sha256", ""), "base": _digest(base), "head": _digest(head)},
             "moved": sum(field["moved"] for field in per_field.values()),
             "fields": per_field,
         }
@@ -317,7 +318,8 @@ def main(argv=None) -> int:
     if args.record:
         digests = {name: entry["sha256"]["head"] for name, entry in result["rows"].items()}
         for row in (row for section in manifest.values() for row in section):
-            row["sha256"] = digests.get(row["name"], row["sha256"])
+            if row["name"] in digests:
+                row["sha256"] = digests[row["name"]]
         MANIFEST.write_text(format_manifest(manifest))
     return 0
 

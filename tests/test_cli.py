@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -599,6 +600,25 @@ def test_a_closed_stdout_pipe_exits_2_with_one_line():
     assert child.returncode == 2
     # the whole of stderr: no traceback, and no "Exception ignored" from the exit flush
     assert err == b"input error: cannot write stdout: [Errno 32] Broken pipe\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full to make stdout unwritable")
+@pytest.mark.parametrize("buffering", [[], ["-u"]], ids=["buffered", "unbuffered"])
+def test_help_to_a_full_stdout_exits_2_with_one_line(buffering):
+    # unbuffered, argparse's own write of the help text is the one that fails;
+    # buffered, the exit flush
+    env = {name: value for name, value in drift._env(drift.ROOT / "src").items() if name != "PYTHONUNBUFFERED"}
+    with open("/dev/full", "w") as full:
+        child = subprocess.run(
+            [sys.executable, *buffering, *drift.CLI, "--help"],
+            cwd=drift.ROOT,
+            env=env,
+            stdout=full,
+            stderr=subprocess.PIPE,
+            timeout=60,
+        )
+    assert child.returncode == 2
+    assert child.stderr == b"input error: cannot write stdout: [Errno 28] No space left on device\n"
 
 
 def test_benchmark_figure_pins_match_the_benchmark_references():

@@ -20,6 +20,7 @@ from drift import (
     field_values,
     format_manifest,
     load_manifest,
+    main,
 )
 
 ONE_UP = math.nextafter(1.0, 2.0)
@@ -145,6 +146,8 @@ FAILING = [
     (_row("digest", "'{\"a\": 1}'", pinned='{"a": 2}'), "sha256 "),
     (_row("nan", "'{\"a\": NaN}'"), "stdout is not strict JSON"),
     (_row("traceback", "''", "Traceback (most recent call last):\n", 1, exit=1), "traceback on stderr"),
+    # a new row, its digest not yet recorded
+    ({"name": "no digest", "argv": ["'{}'", "", "0"]}, "sha256 "),
 ]
 
 
@@ -158,3 +161,17 @@ def test_check_names_a_failing_row_and_checks_the_rest(stub, capsys, bad, fault)
     # the one fault of the bad row, and no other
     assert lines[1].startswith(f"{bad['name']}: {fault}") and "; " not in lines[1]
     assert captured.err == f"rows failed: [{bad['name']!r}]\n"
+
+
+@pytest.mark.skipif(not (ROOT / ".git").exists(), reason="the report checks out a git revision")
+def test_record_fills_in_the_digest_of_a_row_that_has_none(stub, monkeypatch, tmp_path, capsys):
+    kept = _row("kept", "'{}'")
+    new = {"name": "new", "argv": ["'x,y\\n1,2\\n'", "", "0"]}
+    manifest = tmp_path / "pins.json"
+    manifest.write_text(format_manifest({"tier1": [kept, new], "ci": []}))
+    monkeypatch.setattr("drift.MANIFEST", manifest)
+    assert main(["--record", "--section", "tier1"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["rows"]["new"]["sha256"]["pinned"] == ""
+    digest = hashlib.sha256(b"x,y\n1,2\n").hexdigest()
+    assert load_manifest() == {"tier1": [kept, {**new, "sha256": digest}], "ci": []}

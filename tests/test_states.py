@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -33,7 +34,13 @@ from _oracles import (
     square_annihilate_residual,
     strong_field_norm_inverse,
 )
-from _parents import reference_laguerre_amps, reference_random_state, reference_strong_field
+from _parents import (
+    reference_coherent_amps,
+    reference_laguerre_amps,
+    reference_random_state,
+    reference_squeezed_coherent,
+    reference_strong_field,
+)
 
 
 # ---------------------------------------------------------------- coherent
@@ -193,6 +200,18 @@ def test_squeezed_reaches_the_ceiling_like_coherent():
 def test_squeezed_range_follows_a_raised_ceiling(monkeypatch):
     monkeypatch.setenv("FOCKGAUGE_MAX_CUTOFF", "8192")
     _assert_analytic_squeezed_moments(80.0, 0.5, squeezed_coherent(80.0, 0.5, 1.0))
+
+
+def test_squeezed_memory_follows_the_levels_built_not_the_ceiling(monkeypatch):
+    monkeypatch.setenv("FOCKGAUGE_MAX_CUTOFF", "1000000")
+    tracemalloc.start()
+    try:
+        state = squeezed_coherent(1.0, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # cutoff 133 (about 16 kB at peak); one complex array of the ceiling's size alone takes 16 MB
+    assert state.cutoff < 300 and peak < 2**20
 
 
 # Every kind built on the coherent run has its tail and photon order checked
@@ -614,6 +633,55 @@ def test_laguerre_amps_are_bit_identical_to_the_reference(m):
                 got = states._crescent_laguerre_amps(alpha, m, top)
                 want = reference_laguerre_amps(alpha, m, eps_tail)
                 assert got.view(np.int64).tolist() == want.view(np.int64).tolist(), (size, phase, m)
+
+
+# The grid on which the package's three amplitude loops replay the parent's:
+# alpha from 0 to past the 2^500 rescale (|alpha|^2 of about 693), r of either
+# sign (a zero of either sign too), and phi_s = 0, whose real nu gives exact
+# zero parts with their signs
+REPLAY_ALPHAS = (0, 1e-3, 0.3, -1.2 + 0.7j, 3j, 5 - 2j, 20, 40 + 10j, 60)
+REPLAY_RS = (0.0, -0.0, 0.2, -0.9, 1.5, 2.2, 2.8)
+REPLAY_PHIS = (0.0, 1.1, -2.5, math.pi)
+
+
+@pytest.fixture(params=[None, "100"], ids=["default-ceiling", "ceiling-100"])
+def ceiling(request, monkeypatch):
+    if request.param is None:
+        monkeypatch.delenv("FOCKGAUGE_MAX_CUTOFF", raising=False)
+    else:
+        monkeypatch.setenv("FOCKGAUGE_MAX_CUTOFF", request.param)
+
+
+def _outcome(build, *args):
+    """The amplitude bytes of a build, or the type and message of its refusal."""
+    try:
+        built = build(*args)
+    except (CutoffExplosionError, ZeroNormError, ValueError) as exc:
+        return type(exc), str(exc)
+    return getattr(built, "amplitudes", built).tobytes()
+
+
+def _laguerre_amps(alpha, added, eps_tail):
+    # the closed form on the levels the package's coherent loop sizes, as `crescent` reads them
+    return states._crescent_laguerre_amps(alpha, added, states._coherent_amps(alpha, eps_tail, added).size - 1 + added)
+
+
+@pytest.mark.parametrize("alpha", REPLAY_ALPHAS)
+def test_squeezed_amps_replay_the_parent_loop(ceiling, alpha):
+    for r in REPLAY_RS:
+        for phi_s in REPLAY_PHIS:
+            want = _outcome(reference_squeezed_coherent, alpha, r, phi_s)
+            assert _outcome(squeezed_coherent, alpha, r, phi_s) == want, (r, phi_s)
+
+
+@pytest.mark.parametrize("alpha", REPLAY_ALPHAS)
+def test_coherent_and_laguerre_amps_replay_the_parent_loop(ceiling, alpha):
+    eps_tail = states.DEFAULT_EPS_TAIL
+    for added in range(states.MAX_ADDED_PHOTONS + 1):
+        want = _outcome(reference_coherent_amps, alpha, eps_tail, added)
+        assert _outcome(states._coherent_amps, alpha, eps_tail, added) == want, added
+        want = _outcome(reference_laguerre_amps, complex(alpha), added, eps_tail)
+        assert _outcome(_laguerre_amps, complex(alpha), added, eps_tail) == want, added
 
 
 # ---------------------------------------------------------------- spec parsing
