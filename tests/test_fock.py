@@ -255,6 +255,32 @@ def test_states_reject_non_finite_data(bad):
                 DensityMatrix(factor)
 
 
+def test_commutator_on_truncated_states():
+    # <a a^dag> - <a^dag a> = 1 exactly on ladder-exact arithmetic
+    for state in (coherent(1.7 - 0.4j), number_state(5), random_state(20, "pure", seed=9)):
+        up, down = raised(state.amplitudes), lowered(state.amplitudes)
+        value = np.vdot(up, up).real - np.vdot(down, down).real
+        assert value == pytest.approx(1.0, abs=1e-10)
+
+
+def test_moment_hermiticity():
+    state = random_state(16, "pure", seed=11)
+    for j in range(3):
+        for k in range(3):
+            assert normally_ordered_moment(state, j, k) == pytest.approx(
+                np.conj(normally_ordered_moment(state, k, j)), abs=1e-12
+            )
+
+
+def test_pure_mixed_consistency():
+    psi = coherent(0.9 + 0.3j)
+    rho = DensityMatrix(psi.amplitudes[:, None])
+    for j, k in [(0, 1), (1, 1), (0, 2), (2, 2)]:
+        assert normally_ordered_moment(psi, j, k) == pytest.approx(
+            normally_ordered_moment(rho, j, k), abs=1e-12
+        )
+
+
 # The fidelity oracle itself, on hand-computed values and mixed/pure agreement.
 
 def test_fidelity_basic():

@@ -274,6 +274,12 @@ def test_g2_amplitude_warning():
     assert not full_report(*_se(cat(1.0, 0.0))).g2_amplitude_warning
 
 
+def test_g2_floor_on_random_states():
+    for seed in range(5):
+        report = full_report(*_se(random_state(20, "pure", seed=50 + seed)))
+        assert report.g2 >= 1.0 - 1e-9
+
+
 # ------------------------------------------------------------- hierarchy
 
 @pytest.mark.parametrize(

@@ -300,6 +300,13 @@ def test_summary_dict_validation():
 
 
 def test_area_law_on_generated_states():
-    # the pure states of this case are @examples of test_properties.py's area-law property
-    e = ellipse(summarize(random_state(12, "mixed", rank=5, seed=6)))
-    assert e.lambda_plus_sq * e.lambda_minus_sq >= 0.25 - 1e-10
+    states = (
+        coherent(1.0),
+        squeezed_coherent(0.3, 1.2, 2.0),
+        cat(1.4, math.pi),
+        random_state(24, "pure", seed=5),
+        random_state(12, "mixed", rank=5, seed=6),
+    )
+    for state in states:
+        e = ellipse(summarize(state))
+        assert e.lambda_plus_sq * e.lambda_minus_sq >= 0.25 - 1e-10

@@ -4,20 +4,15 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fockgauge import (
     DensityMatrix,
     FockVector,
-    cat,
-    coherent,
     ellipse,
     full_report,
     normally_ordered_moment,
-    number_state,
-    random_state,
-    squeezed_coherent,
     summarize,
     tight_bound,
 )
@@ -38,26 +33,19 @@ def fock_vectors(draw, max_dim=20):
 
 
 @given(fock_vectors())
-@example(coherent(1.7 - 0.4j))
-@example(number_state(5))
-@example(random_state(20, "pure", seed=9))
 def test_commutator_is_one(psi):
     up, down = raised(psi.amplitudes), lowered(psi.amplitudes)
     assert np.vdot(up, up).real - np.vdot(down, down).real == pytest.approx(1.0, abs=1e-10)
 
 
-@given(fock_vectors())
-@example(random_state(16, "pure", seed=11))
-def test_moment_hermiticity(psi):
-    for j in range(3):
-        for k in range(3):
-            assert normally_ordered_moment(psi, j, k) == pytest.approx(
-                np.conj(normally_ordered_moment(psi, k, j)), abs=1e-12
-            )
+@given(fock_vectors(), st.integers(0, 2), st.integers(0, 2))
+def test_moment_hermiticity(psi, j, k):
+    assert normally_ordered_moment(psi, j, k) == pytest.approx(
+        np.conj(normally_ordered_moment(psi, k, j)), abs=1e-12
+    )
 
 
 @given(fock_vectors(max_dim=12))
-@example(coherent(0.9 + 0.3j))
 @settings(max_examples=40)
 def test_pure_equals_rank_one_density(psi):
     rho = DensityMatrix(psi.amplitudes[:, None])
@@ -76,13 +64,7 @@ def test_quadrature_decomposition(psi, theta):
     assert var_formula == pytest.approx(quadrature_var_direct(psi, theta), abs=1e-10)
 
 
-# the mixed state of test_moments.py::test_area_law_on_generated_states stays
-# there, because hypothesis's printer fails on a DensityMatrix example
 @given(fock_vectors())
-@example(coherent(1.0))
-@example(squeezed_coherent(0.3, 1.2, 2.0))
-@example(cat(1.4, math.pi))
-@example(random_state(24, "pure", seed=5))
 def test_area_law_and_covariance_floor(psi):
     s = summarize(psi)
     e = ellipse(s)
@@ -91,11 +73,6 @@ def test_area_law_and_covariance_floor(psi):
 
 
 @given(fock_vectors())
-@example(random_state(20, "pure", seed=50))
-@example(random_state(20, "pure", seed=51))
-@example(random_state(20, "pure", seed=52))
-@example(random_state(20, "pure", seed=53))
-@example(random_state(20, "pure", seed=54))
 def test_pair_covariance_floor(psi):
     s = summarize(psi)
     assert full_report(s, ellipse(s)).g2 >= 1.0 - 1e-9
