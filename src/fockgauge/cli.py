@@ -266,6 +266,17 @@ def _resolution(text: str) -> int:
     return value
 
 
+# The argv forms `[command, option, value]` that `run` answers from the
+# namespace argparse built for them once, without a per-call parse
+SINGLE_OPTION_FORMS = (
+    ("state", "--spec"),
+    ("moments", "--spec"),
+    ("gauge", "--spec"),
+    ("gauge", "--moments"),
+    ("sweep", "--config"),
+)
+
+
 class _Parser(argparse.ArgumentParser):
     """An ArgumentParser whose help and usage text fails like any stdout write.
 
@@ -288,7 +299,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     Safe to share because parse_args keeps no state between calls; callers
     must not add to it.  `commands` on the parser maps each command name to
-    its subparser.
+    its subparser.  `forms` maps each (command, option) of
+    SINGLE_OPTION_FORMS to the option's dest and the fields of the namespace
+    the subparser returns for `[option, probe]`, so a form argparse rejects
+    fails here, on the first call.
     """
     parser = _Parser(
         prog="fockgauge",
@@ -325,27 +339,46 @@ def build_parser() -> argparse.ArgumentParser:
     for command in sub.choices.values():
         command.add_argument("--out", default=None)  # last, so that it ends each usage line
     parser.commands = dict(sub.choices)
+    parser.forms = {}
+    probe = "probe value"
+    for name, option in SINGLE_OPTION_FORMS:
+        fields = vars(parser.commands[name].parse_args([option, probe], argparse.Namespace(command=name)))
+        [dest] = [key for key, value in fields.items() if value == probe]
+        parser.forms[name, option] = dest, fields
     return parser
 
 
 def run(argv: Sequence[str]) -> int:
     """Entry point usable as a function; returns the process exit code.
 
-    An argv whose first word names a command is parsed by that command's
+    An argv of exactly `[command, option, value]`, with (command, option) one
+    of SINGLE_OPTION_FORMS and a str value that does not start with "-", skips
+    the per-call parse: its namespace is a copy of the one argparse built for
+    that form in `build_parser`, with the value replaced.  Every other argv
+    is parsed: one whose first word names a command by that command's
     subparser alone, so an unrecognized argument is reported with that
-    command's usage; help, a missing command and an unknown one go to the
-    top-level parser.
+    command's usage; help, a missing command and an unknown one by the
+    top-level parser.  Help and usage errors therefore always come from
+    argparse.
     """
     parser = build_parser()
     argv = list(argv)
-    command = parser.commands.get(argv[0]) if argv else None
-    try:
-        if command is None:
-            args = parser.parse_args(argv)
-        else:
-            args = command.parse_args(argv[1:], argparse.Namespace(command=argv[0]))
-    except SystemExit as exc:
-        return int(exc.code or 0)
+    form = None
+    if len(argv) == 3 and isinstance(argv[2], str) and not argv[2].startswith("-"):
+        form = parser.forms.get((argv[0], argv[1]))
+    if form is not None:
+        dest, fields = form
+        args = argparse.Namespace(**fields)
+        setattr(args, dest, argv[2])
+    else:
+        command = parser.commands.get(argv[0]) if argv else None
+        try:
+            if command is None:
+                args = parser.parse_args(argv)
+            else:
+                args = command.parse_args(argv[1:], argparse.Namespace(command=argv[0]))
+        except SystemExit as exc:
+            return int(exc.code or 0)
     try:
         return args.func(args)
     except SchemaError as exc:

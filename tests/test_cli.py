@@ -433,6 +433,47 @@ def test_reused_parser_answers_like_a_fresh_one(monkeypatch, capsys):
     assert help_texts[0] != help_texts[1]
 
 
+def _recording_parser():
+    """A fresh parser whose command handlers record the namespace `run` hands them, and that record."""
+    seen = []
+    with pytest.MonkeyPatch.context() as patch:
+        for name in ("state", "moments", "gauge", "sweep", "calibrate", "figure"):
+            patch.setattr(cli, f"_cmd_{name}", lambda args: seen.append(args) or 0)
+        parser = cli.build_parser.__wrapped__()
+    return parser, seen
+
+
+@given(st.sampled_from(cli.SINGLE_OPTION_FORMS), st.text())
+@example(("gauge", "--spec"), "")
+@example(("state", "--spec"), " ")
+@example(("moments", "--spec"), "=")
+@example(("sweep", "--config"), "@x")
+@example(("gauge", "--moments"), "-")
+@example(("gauge", "--spec"), "-1")  # argparse reads a negative number as the value
+@example(("gauge", "--moments"), "--")
+@example(("state", "--spec"), "-x")  # argparse reads an unknown option, and --spec lacks its value
+@example(("moments", "--spec"), "été → \U0001f600")
+def test_single_option_forms_answer_as_argparse_does(form, value):
+    parser, seen = _recording_parser()
+    subparser = parser.commands[form[0]]
+    parsed = []
+    answers = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "build_parser", lambda: parser)
+        patch.setattr(subparser, "parse_args", lambda *a: parsed.append(a) or type(subparser).parse_args(subparser, *a))
+        # with the parser's forms, then with none, so that argparse parses every argv
+        for forms in (parser.forms, {}):
+            patch.setattr(parser, "forms", forms)
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                code = run([*form, value])
+            answers.append((code, out.getvalue(), err.getvalue(), [vars(args) for args in seen]))
+            seen.clear()
+    assert answers[0] == answers[1]
+    # the forms spare the parse of every value but one that starts with "-"
+    assert len(parsed) == (2 if value.startswith("-") else 1)
+
+
 def test_dumps_refuses_non_finite_values():
     for value in (math.nan, math.inf, -math.inf):
         with pytest.raises(NonFiniteOutputError, match=r"output field tight\.slack is"):
@@ -573,8 +614,10 @@ def test_figure_out_file_bytes_equal_stdout_bytes(tmp_path, capsys, which, resol
 # moment tables (one so ill-conditioned that the scan searches its whole grid,
 # and the angle-underflow and bound-overflow tables above), `state
 # --dump-amplitudes` on each spec kind, `calibrate`, `moments`, JSON arguments
-# the decoder refuses and a 5000-digit FOCKGAUGE_MAX_CUTOFF.  A new CLI case is
-# one row, recorded with `python tests/drift.py --record`.
+# the decoder refuses, a 5000-digit FOCKGAUGE_MAX_CUTOFF and three argvs that
+# only argparse answers (an option that does not complete its command, a value
+# that starts with "-" and an abbreviated option).  A new CLI case is one row,
+# recorded with `python tests/drift.py --record`.
 PINS = drift.load_manifest()
 
 
