@@ -267,13 +267,11 @@ def _resolution(text: str) -> int:
 
 
 # The argv forms `[command, option, value]` that `run` answers from the
-# namespace argparse built for them once, without a per-call parse
+# namespace argparse built for them once, without a per-call parse: the two
+# forms of a single gauge request
 SINGLE_OPTION_FORMS = (
-    ("state", "--spec"),
-    ("moments", "--spec"),
     ("gauge", "--spec"),
     ("gauge", "--moments"),
-    ("sweep", "--config"),
 )
 
 
@@ -352,9 +350,10 @@ def run(argv: Sequence[str]) -> int:
     """Entry point usable as a function; returns the process exit code.
 
     An argv of exactly `[command, option, value]`, with (command, option) one
-    of SINGLE_OPTION_FORMS and a str value that does not start with "-", skips
-    the per-call parse: its namespace is a copy of the one argparse built for
-    that form in `build_parser`, with the value replaced.  Every other argv
+    of SINGLE_OPTION_FORMS (`gauge --spec` and `gauge --moments`) and a value
+    that does not start with "-", skips the per-call parse: its namespace is
+    a copy of the one argparse built for that form in `build_parser`, with
+    the value replaced.  Every other argv
     is parsed: one whose first word names a command by that command's
     subparser alone, so an unrecognized argument is reported with that
     command's usage; help, a missing command and an unknown one by the
@@ -364,7 +363,7 @@ def run(argv: Sequence[str]) -> int:
     parser = build_parser()
     argv = list(argv)
     form = None
-    if len(argv) == 3 and isinstance(argv[2], str) and not argv[2].startswith("-"):
+    if len(argv) == 3 and not argv[2].startswith("-"):
         form = parser.forms.get((argv[0], argv[1]))
     if form is not None:
         dest, fields = form
