@@ -85,7 +85,7 @@ CSV_FIELD_WIDTH = 24
 # rows rendered at a time, so that a CSV's working memory does not grow with the table
 CSV_BLOCK_ROWS = 1 << 15
 _PADDED_FIELD = NUMBER_FORMAT.replace("%", f"%-{CSV_FIELD_WIDTH}")
-_PAD = ord(" ")
+_PAD = b" "
 
 
 def _records(values: np.ndarray, separator: str, trim: bool) -> np.ndarray:
@@ -99,7 +99,7 @@ def _records(values: np.ndarray, separator: str, trim: bool) -> np.ndarray:
     records = np.frombuffer(text.encode("ascii"), dtype=np.uint8).reshape(-1, CSV_FIELD_WIDTH + 1)
     if trim:
         # left-justified, so the widest text ends in the last field byte that is ever not padding
-        width = np.count_nonzero((records[:, :CSV_FIELD_WIDTH] != _PAD).any(axis=0))
+        width = np.count_nonzero((records[:, :CSV_FIELD_WIDTH] != ord(_PAD)).any(axis=0))
         records = np.concatenate((records[:, :width], records[:, CSV_FIELD_WIDTH:]), axis=1)
     return records.view(f"V{records.shape[1]}")[:, 0]
 
@@ -135,7 +135,8 @@ def _csv_pieces(header: Sequence[str], table: np.ndarray) -> Iterator[str]:
         columns.append((records, inverse.astype(np.min_scalar_type(len(distinct) - 1))))
     # one row buffer, a field of one record per column, serves every block:
     # each field is filled by one take or one formatting pass, then the
-    # padding spaces are dropped in one pass
+    # padding spaces are dropped in one pass over the block's bytes (a record
+    # holds no space other than padding)
     widths = [CSV_FIELD_WIDTH + 1 if records is None else records.itemsize for records, _ in columns]
     buffer = np.empty(min(rows, CSV_BLOCK_ROWS), dtype=[(f"f{j}", f"V{w}") for j, w in enumerate(widths)])
     for start in range(0, rows, CSV_BLOCK_ROWS):
@@ -146,8 +147,7 @@ def _csv_pieces(header: Sequence[str], table: np.ndarray) -> Iterator[str]:
                 block[name] = _records(column[start:stop], separator, False)
             else:
                 block[name] = records.take(index[start:stop])
-        flat = block.view(np.uint8)
-        yield str(flat[flat != _PAD], "ascii")
+        yield block.tobytes().translate(None, _PAD).decode("ascii")
 
 
 def format_csv(header: Sequence[str], rows: np.ndarray | Sequence[Sequence[float]]) -> str:

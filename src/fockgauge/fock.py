@@ -5,7 +5,8 @@ stored as amplitude arrays, mixed states as the density matrix of a factor G,
 rho = G G^dag / tr(G G^dag), which is physical by construction.  Every
 moment computed here is the exact moment of the stored (finite-support)
 state; truncation error relative to an intended infinite-dimensional state
-is the constructor's responsibility and is tracked through the boundary mass.
+is the constructor's responsibility and is tracked through the boundary mass,
+the occupation of the top BOUNDARY_PAD levels, which squares only those levels.
 """
 
 from __future__ import annotations
@@ -171,6 +172,14 @@ def normally_ordered_moment(state: QuantumState, j: int, k: int) -> Union[comple
 
 
 def boundary_mass(state: QuantumState) -> Union[float, np.ndarray]:
-    """Occupation in the top BOUNDARY_PAD indices of the register; one per row of a block."""
-    mass = np.add.reduce(state.probabilities[_TOP], -1)
+    """Occupation in the top BOUNDARY_PAD indices of the register; one per row of a block.
+
+    A pure state squares only those levels' amplitudes, elementwise as
+    `probabilities` squares them all, so the bits are the same.
+    """
+    if isinstance(state, FockVector):
+        top = np.abs(state.amplitudes[_TOP]) ** 2
+    else:
+        top = state.probabilities[_TOP]
+    mass = np.add.reduce(top, -1)
     return mass if mass.ndim else float(mass)

@@ -7,14 +7,20 @@ has Var x = 1/2 at every angle.  Every constant downstream depends on this
 choice, which unit tests on the vacuum and on squeezed states enforce.
 
 `MomentSummary` is the only interchange format between state construction and
-gauge evaluation, so gauges also run on hand-entered moment tables.
+gauge evaluation, so gauges also run on hand-entered moment tables.  A block
+of pure states gives one `MomentSummary` of numpy columns, one entry per row,
+each with the bits of that row's own summary: `modulus`, `square` and
+`complex_square` give a column the rounding of Python's `abs(z)`, `x**2` and
+`z**2`, which numpy's `abs`, `x*x` and complex product do not always have.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from typing import NamedTuple, Union, get_type_hints
+from typing import NamedTuple, get_type_hints
+
+import numpy as np
 
 from .errors import NonphysicalMomentError
 from .fock import QuantumState, boundary_mass, normally_ordered_moment
@@ -65,13 +71,14 @@ def summary_from_dict(data: dict) -> MomentSummary:
     return MomentSummary._make(_READERS[kind](data, name) for name, kind in _SUMMARY_TYPES.items())
 
 
-def summarize(state: QuantumState) -> Union[MomentSummary, list[MomentSummary]]:
+def summarize(state: QuantumState) -> MomentSummary:
     """Reduce a state to its full first/second-order moment summary.
 
-    A FockVector block gives a list with one summary per row.  Its four
-    moments are each reduced once over the whole block; the derived fields
-    are computed per row in Python floats, as for a single state (numpy's
-    complex square differs from Python's in the last bit).
+    A FockVector block gives one MomentSummary whose fields are columns, one
+    entry per row.  Its four moments are each reduced once over the whole
+    block, and each derived field is one expression on whole columns, rounded
+    as the single-state path rounds it in Python floats, so that each row is
+    bit for bit the summary of that row built alone.
     """
     mean_a = normally_ordered_moment(state, 0, 1)
     mean_a2 = normally_ordered_moment(state, 0, 2)
@@ -80,9 +87,7 @@ def summarize(state: QuantumState) -> Union[MomentSummary, list[MomentSummary]]:
     truncated = boundary_mass(state) > BOUNDARY_MASS_WARN
     if isinstance(mean_a, complex):
         return _summary(mean_a, mean_a2, mean_n, mean_a2da2, truncated)
-    return list(
-        map(_summary, mean_a.tolist(), mean_a2.tolist(), mean_n.tolist(), mean_a2da2.tolist(), truncated.tolist())
-    )
+    return _columns(mean_a, mean_a2, mean_n, mean_a2da2, truncated)
 
 
 def _summary(
@@ -102,6 +107,57 @@ def _summary(
             mean_a2 - mean_a**2,  # var_a
             mean_n + 0.5 - abs(mean_a) ** 2,  # cov_ada
             mean_a2da2 + 2.0 * mean_n + 1.0 - abs(mean_a2) ** 2,  # cov_a2
+            truncated,
+        ),
+    )
+
+
+def modulus(z: np.ndarray) -> np.ndarray:
+    """|z| per entry, with the bits of Python's abs(z): both call C's hypot
+    (np.abs rounds differently on some inputs)."""
+    return np.hypot(z.real, z.imag)
+
+
+def square(x: np.ndarray) -> np.ndarray:
+    """x**2 per entry, with the bits of a Python float's x**2: both call C's
+    pow (x * x rounds differently on some inputs)."""
+    return np.float_power(x, 2.0)
+
+
+def complex_square(z: np.ndarray) -> np.ndarray:
+    """z**2 per entry, with the bits of Python's complex z**2.
+
+    CPython's z**2 is 1 * (z * z), each complex product written in real
+    +, - and * without fused multiply-adds; numpy's complex product rounds
+    differently on some inputs.
+    """
+    re, im = z.real, z.imag
+    zz_re = re * re - im * im
+    zz_im = re * im + im * re
+    out = np.empty_like(z)
+    # the product with 1 + 0j, which can change the sign of a zero part
+    out.real = zz_re - 0.0 * zz_im
+    out.imag = zz_im + 0.0 * zz_re
+    return out
+
+
+def _columns(
+    mean_a: np.ndarray, mean_a2: np.ndarray, mean_n: np.ndarray, mean_a2da2: np.ndarray, truncated: np.ndarray
+) -> MomentSummary:
+    # `_summary` on whole columns, each Python `abs` and `**` replaced by its column primitive
+    mean_n2 = mean_a2da2 + mean_n
+    return tuple.__new__(
+        MomentSummary,
+        (
+            mean_a,
+            mean_a2,
+            mean_n,
+            mean_n2,
+            mean_a2da2,
+            mean_n2 - square(mean_n),  # var_n
+            mean_a2 - complex_square(mean_a),  # var_a
+            mean_n + 0.5 - square(modulus(mean_a)),  # cov_ada
+            mean_a2da2 + 2.0 * mean_n + 1.0 - square(modulus(mean_a2)),  # cov_a2
             truncated,
         ),
     )

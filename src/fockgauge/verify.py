@@ -23,7 +23,7 @@ from .errors import SchemaError
 from .gauges import (
     C_TIGHT, C_TRACE, INEQUALITIES, full_report, lambda_plus_floor, tight_bound, trace_floor
 )
-from .moments import ellipse, summarize
+from .moments import ellipse, modulus, square, summarize
 from .schema import check_fields, integer
 from .states import approx_strong_field, check_random_shape, coherent, random_state
 
@@ -231,6 +231,9 @@ def figure_rows(which: str, resolution: int) -> tuple[list[str], np.ndarray]:
     cone over the complex Var a plane.  fig4: moment trajectories of the
     strong-field superposition at alpha = 3 over an admixture grid, against
     the trace floor; the relative gap is reported, never asserted against.
+    Its three phases are one block, and every fig4 column is computed on whole
+    columns of that block's summary, with the bits of a per-row computation
+    in Python floats.
     """
     check_resolution(resolution)
     if which == "fig2":
@@ -255,10 +258,10 @@ def figure_rows(which: str, resolution: int) -> tuple[list[str], np.ndarray]:
         alpha = 3.0
         phases = np.array([complex(math.cos(t), math.sin(t)) for t in (0.0, math.pi / 4.0, math.pi / 2.0)])
         gamma = (phases[:, None] * np.linspace(0.0, 1.0, resolution)).ravel()
-        # |<a>|^2 in Python floats (numpy's complex abs differs in the last bit);
-        # the floor and the gap are real arithmetic, which numpy rounds alike
-        summaries = summarize(approx_strong_field(alpha, gamma))
-        amp_sq, cov_ada, var_n = np.array([(abs(s.mean_a) ** 2, s.cov_ada, s.var_n) for s in summaries]).T
-        bound = trace_floor(amp_sq, cov_ada)
+        # the block's summary is columns; |<a>|^2 takes the bits of Python's abs(<a>) ** 2,
+        # and the floor and the gap are real arithmetic, which numpy rounds alike
+        summary = summarize(approx_strong_field(alpha, gamma))
+        cov_ada, var_n = summary.cov_ada, summary.var_n
+        bound = trace_floor(square(modulus(summary.mean_a)), cov_ada)
         return header, np.stack((gamma.real, gamma.imag, cov_ada, var_n, bound, (var_n - bound) / bound)).T
     raise ValueError(f"unknown figure {which!r}; expected one of {FIGURE_NAMES}")

@@ -2,10 +2,11 @@
 
 Each function here is not an independent oracle: it reproduces how an
 earlier version of the package computed something (the tight-bound scan,
-the strong-field block, the random draw, the sweep seeding, the JSON writer,
-the coherent and squeezed amplitude loops and the Laguerre crescent), and the package's current code must give the
-same bits.  Several reach into package internals to do so.  Independent
-oracles live in `_oracles.py`.
+the strong-field block, fig4's per-row summaries, the random draw, the sweep
+seeding, the JSON writer, the coherent and squeezed amplitude loops and the
+Laguerre crescent), and the package's current code must give the same bits.
+Several reach into package internals to do so.  Independent oracles live in
+`_oracles.py`.
 """
 
 import json
@@ -16,7 +17,9 @@ import sys
 import numpy as np
 
 from fockgauge.errors import CutoffExplosionError, NonFiniteOutputError, ZeroNormError
-from fockgauge.fock import BOUNDARY_PAD, DensityMatrix, FockVector
+from fockgauge.fock import BOUNDARY_PAD, DensityMatrix, FockVector, boundary_mass, normally_ordered_moment
+from fockgauge.gauges import trace_floor
+from fockgauge.moments import BOUNDARY_MASS_WARN, _summary
 from fockgauge.schema import SQUARE_LIMIT
 from fockgauge.states import (
     DEFAULT_EPS_TAIL,
@@ -29,6 +32,7 @@ from fockgauge.states import (
     _raised,
     _refuse_nan,
     _room_for,
+    approx_strong_field,
     random_state,
 )
 
@@ -118,6 +122,34 @@ def reference_strong_field(alpha: complex, gamma, eps_tail: float = 1e-14) -> np
     padded = np.zeros(amps.shape[:-1] + (size + BOUNDARY_PAD,), dtype=np.complex128)
     np.divide(amps, norm, out=padded[..., :size])
     return padded
+
+
+# fig4 as the package computed it before its block summary became columns:
+# the block's four moments reduced once, then every derived field and
+# |<a>|^2 computed row by row in Python floats.  `verify.figure_rows("fig4")`
+# must give the same table bit for bit.
+def _reference_block_summaries(state: FockVector) -> list:
+    mean_a = normally_ordered_moment(state, 0, 1)
+    mean_a2 = normally_ordered_moment(state, 0, 2)
+    mean_n = normally_ordered_moment(state, 1, 1).real
+    mean_a2da2 = normally_ordered_moment(state, 2, 2).real
+    truncated = boundary_mass(state) > BOUNDARY_MASS_WARN
+    return list(
+        map(_summary, mean_a.tolist(), mean_a2.tolist(), mean_n.tolist(), mean_a2da2.tolist(), truncated.tolist())
+    )
+
+
+def reference_fig4(resolution: int) -> tuple[list, np.ndarray]:
+    header = ["gamma_re", "gamma_im", "cov_ada", "var_n", "bound", "rel_gap"]
+    alpha = 3.0
+    phases = np.array([complex(math.cos(t), math.sin(t)) for t in (0.0, math.pi / 4.0, math.pi / 2.0)])
+    gamma = (phases[:, None] * np.linspace(0.0, 1.0, resolution)).ravel()
+    # |<a>|^2 in Python floats (numpy's complex abs differs in the last bit);
+    # the floor and the gap are real arithmetic, which numpy rounds alike
+    summaries = _reference_block_summaries(approx_strong_field(alpha, gamma))
+    amp_sq, cov_ada, var_n = np.array([(abs(s.mean_a) ** 2, s.cov_ada, s.var_n) for s in summaries]).T
+    bound = trace_floor(amp_sq, cov_ada)
+    return header, np.stack((gamma.real, gamma.imag, cov_ada, var_n, bound, (var_n - bound) / bound)).T
 
 
 # Random states as the package first drew them: the real parts in one

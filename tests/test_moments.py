@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fockgauge import (
     FockVector,
@@ -21,6 +23,7 @@ from fockgauge import (
 )
 from fockgauge.fock import boundary_mass
 from fockgauge.gauges import _objective
+from fockgauge.moments import complex_square, modulus, square
 from _oracles import dense_expectation, quadrature_mean_direct, quadrature_var_direct
 
 
@@ -106,17 +109,53 @@ def _haar_block():
 )
 def test_block_summaries_are_bit_identical_to_single_states(build):
     block = build()
-    summaries = summarize(block)
-    assert len(summaries) == len(block.amplitudes)
+    columns = summarize(block)
+    assert all(column.shape == (len(block.amplitudes),) for column in columns)
     masses = boundary_mass(block)
     flags = set()
     for i, row in enumerate(block.amplitudes):
         state = FockVector(row)
-        assert _summary_bits(summaries[i]) == _summary_bits(summarize(state)), i
+        assert _summary_bits(column[i].item() for column in columns) == _summary_bits(summarize(state)), i
         assert masses[i].item().hex() == boundary_mass(state).hex(), i
-        flags.add(summaries[i].truncation_warning)
+        flags.add(columns.truncation_warning[i].item())
     if build is _haar_block:
         assert flags == {False, True}
+
+
+# Parts of either sign: zeros, subnormals, and normal numbers up to 2^500, the
+# magnitude limit of every moment the package reads.
+PARTS = st.one_of(
+    st.sampled_from([0.0, 5e-324, 2.0**-1022, 1.0, 2.0**500]),
+    st.builds(math.ldexp, st.integers(1, 2**52 - 1), st.just(-1074)),
+    st.builds(math.ldexp, st.integers(2**52, 2**53 - 1), st.integers(-1074, 447)),
+).flatmap(lambda x: st.sampled_from([x, -x]))
+
+
+def _uniform_parts(seed: int, size: int) -> list:
+    # normal numbers below 2^500 with uniformly random mantissa bits, which
+    # hypothesis's own draws seldom give; x * x and x**2 differ on about 820 per million
+    rng = np.random.default_rng(seed)
+    mantissas = rng.integers(2**52, 2**53, size) * rng.choice([-1, 1], size)
+    return np.ldexp(mantissas.astype(np.float64), rng.integers(-1074, 448, size)).tolist()
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(st.lists(st.tuples(PARTS, PARTS), min_size=1, max_size=8), st.integers(0, 2**32 - 1))
+# signed zeros, whose sign the product with 1 + 0j can change, and parts
+# whose x * x rounds differently from x**2
+@example([(-0.0, -0.0), (0.0, -0.0), (-0.0, 0.0), (5e-324, -5e-324), (3.0, 4.0), (-(2.0**500), 2.0**500)], 0)
+@example([(1.1294761188530207e30, -6245394072094.914), (1.5164064101886314e-18, 8.298973015086753e77)], 0)
+def test_column_primitives_round_as_python_scalars(parts, seed):
+    # modulus, square and complex_square on a column give, entry by entry,
+    # the bits of Python's abs(z), x**2 and z**2
+    uniform = _uniform_parts(seed, 512)
+    zs = [complex(re, im) for re, im in parts] + list(map(complex, uniform[::2], uniform[1::2]))
+    column = np.array(zs)
+    columns = zip(modulus(column).tolist(), square(column.real).tolist(), complex_square(column).tolist())
+    for z, (got_modulus, got_square, got_complex) in zip(zs, columns):
+        assert got_modulus.hex() == abs(z).hex(), z
+        assert got_square.hex() == (z.real**2).hex(), z
+        assert (got_complex.real.hex(), got_complex.imag.hex()) == ((z**2).real.hex(), (z**2).imag.hex()), z
 
 
 def test_truncation_warning_on_clipped_vector():

@@ -5,12 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fockgauge import SweepConfig, calibrate, figure_rows, sweep
+from fockgauge import SweepConfig, calibrate, cli, figure_rows, sweep
 from fockgauge.cli import CSV_BLOCK_ROWS as BLOCK_ROWS, csv_blocks, dumps, format_csv
 from fockgauge.errors import SchemaError
 from fockgauge.gauges import INEQUALITIES
 from fockgauge.verify import sweep_config_from_dict
 from _oracles import csv_text, reference_fig2, reference_fig3
+from _parents import reference_fig4
 
 
 # ------------------------------------------------------------------ sweep
@@ -224,6 +225,15 @@ def test_fig4_rows():
         assert rel_gap == pytest.approx((var_n - bound) / bound)
 
 
+@pytest.mark.parametrize("resolution", [16, 17, 100, 2048])
+def test_fig4_is_bit_identical_to_the_per_row_parent(resolution):
+    header, table = figure_rows("fig4", resolution)
+    want_header, want = reference_fig4(resolution)
+    assert header == want_header
+    assert table.shape == want.shape
+    assert np.array_equal(table.view(np.int64), want.view(np.int64))
+
+
 @pytest.mark.parametrize("which,rows", [("fig2", 17 * 17), ("fig3", 17 * 17), ("fig4", 3 * 17)])
 def test_figure_rows_is_one_float64_table(which, rows):
     header, table = figure_rows(which, 17)
@@ -279,17 +289,28 @@ CSV_POOL = (
 )
 
 
-@settings(derandomize=True, database=None, max_examples=200, deadline=None)
-@given(
-    st.integers(1, 5).flatmap(
-        lambda width: st.lists(
-            st.tuples(*[st.sampled_from(CSV_POOL)] * width), min_size=1, max_size=40
-        )
-    )
+CSV_TABLES = st.integers(1, 5).flatmap(
+    lambda width: st.lists(st.tuples(*[st.sampled_from(CSV_POOL)] * width), min_size=1, max_size=40)
 )
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(CSV_TABLES)
 def test_csv_matches_the_per_cell_oracle_on_random_tables(rows):
     header = [f"c{j}" for j in range(len(rows[0]))]
     assert format_csv(header, rows) == csv_text(header, rows)
+
+
+@pytest.mark.parametrize("block_rows", [1, 7])
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(CSV_TABLES)
+def test_csv_matches_the_per_cell_oracle_in_small_row_blocks(block_rows, rows):
+    # every table of more than one row crosses block edges, and most end in a
+    # partial block, where the padding is dropped from a block's bytes
+    header = [f"c{j}" for j in range(len(rows[0]))]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "CSV_BLOCK_ROWS", block_rows)
+        assert format_csv(header, rows) == csv_text(header, rows)
 
 
 def test_csv_keeps_signed_zeros_apart_in_repeated_and_per_cell_columns():
